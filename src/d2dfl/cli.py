@@ -17,9 +17,12 @@ from .config import ConfigError, ScenarioConfig, load_config, with_overrides
 from .experiment import (
     discover_links,
     emit_metrics,
+    reward_weights_from,
+    rl_records,
     run_experiment,
     sweep_experiment,
 )
+from .scenario import generate_scenario
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -66,34 +69,14 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    from .scenario import generate_scenario
-
     cfg = _load(args)
     if cfg.baseline != "rl":
         cfg = with_overrides(cfg, baseline="rl")
     scenario = generate_scenario(cfg)
     links, rl_result = discover_links(cfg, scenario)
-    # Reuse the full pipeline's record schema for the episode trace.
-    from .experiment import MetricsRecord, reward_weights_from
-
     weights = reward_weights_from(cfg, scenario.partition.k)
     budgets = weights.budget_array(scenario.partition.k)
-    records = [
-        MetricsRecord(
-            run_id=f"train-s{cfg.seed}",
-            phase="rl",
-            step=i,
-            mean_reward=float(ep.overall_rewards.mean()),
-            mean_link_success=ep.link_success,
-            cluster_load=tuple(float(v) for v in ep.cluster_load),
-            budget_slack=tuple(float(v) for v in budgets - ep.cluster_load),
-            test_accuracy=None,
-            d2d_energy_j=0.0,
-            d2s_energy_j=0.0,
-            stragglers=None,
-        )
-        for i, ep in enumerate(rl_result.episodes)
-    ]
+    records = rl_records(rl_result, f"train-s{cfg.seed}", budgets)
     emit_metrics(records, args.out, args.format)
     print(
         json.dumps(

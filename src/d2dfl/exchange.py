@@ -9,13 +9,16 @@ One exchange round runs, for every predicted link j -> i:
  4. the channel drops points with the link's drop probability (delivery),
  5. every device updates its class-distribution vector.
 
+All stages run on a ledger of the M active links at once: one row per link,
+in (transmitter, receiver) ascending order, as (M, L) arrays.
+
 Counts are integers up to step 3; the proportional split can produce
 fractional buffers, which are kept as reals during reward computation and
 rounded to integers only when data points are actually moved.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,35 +46,50 @@ class LinkPlan:
 
 @dataclass
 class ExchangeResult:
+    """Post-exchange distributions and the per-link ledger, one row per
+    active link in (transmitter, receiver) ascending order."""
+
     updated: np.ndarray  # (N, L) post-exchange class distributions
-    plans: list[LinkPlan] = field(default_factory=list)
+    receivers: np.ndarray  # (M,)
+    transmitters: np.ndarray  # (M,)
+    available: np.ndarray  # (M, L)
+    requested: np.ndarray  # (M, L)
+    buffered: np.ndarray  # (M, L)
+    delivered: np.ndarray  # (M, L)
+
+    @property
+    def plans(self) -> list[LinkPlan]:
+        """The ledger as one LinkPlan per link, built on each read."""
+        return [
+            LinkPlan(int(rx), int(tx), *rows)
+            for rx, tx, *rows in zip(
+                self.receivers,
+                self.transmitters,
+                self.available,
+                self.requested,
+                self.buffered,
+                self.delivered,
+            )
+        ]
 
     def delivered_total(self) -> float:
-        return float(sum(p.delivered.sum() for p in self.plans))
-
-    def plan_for(self, receiver: int) -> LinkPlan | None:
-        for p in self.plans:
-            if p.receiver == receiver:
-                return p
-        return None
+        """Points that survived the channel, summed link by link."""
+        return float(sum(self.delivered.sum(axis=1)))
 
 
 def available_vector(
     counts_tx: np.ndarray,
     thresholds_tx: np.ndarray,
-    trust_tx: np.ndarray,
-    receiver: int,
+    trusted: np.ndarray,
 ) -> np.ndarray:
-    """Per-class count the transmitter offers to one receiver.
+    """Per-class count each transmitter offers over its link.
 
     Surplus over the transmitter's own thresholds, clamped at zero, and
-    zeroed for classes the receiver is not trusted with.
+    zeroed for classes the receiver is not trusted with (trusted == 0).
+    Rows are links; a single link may be passed as 1-D vectors.
     """
-    counts_tx = np.asarray(counts_tx)
-    if not 0 <= receiver < trust_tx.shape[0]:
-        raise IndexError(f"receiver index {receiver} out of range")
-    surplus = np.maximum(counts_tx - np.asarray(thresholds_tx), 0)
-    return np.where(trust_tx[receiver] != 0, surplus, 0)
+    surplus = np.maximum(np.asarray(counts_tx) - np.asarray(thresholds_tx), 0)
+    return np.where(np.asarray(trusted) != 0, surplus, 0)
 
 
 def requirement_vector(
@@ -90,83 +108,102 @@ def requirement_vector(
 
 
 def transmission_buffers(
-    requests: dict[int, np.ndarray],
-    counts_tx: np.ndarray,
-    thresholds_tx: np.ndarray,
-) -> dict[int, np.ndarray]:
-    """Fill each receiver's request from the transmitter's surplus.
+    requested: np.ndarray,
+    transmitters: np.ndarray,
+    counts: np.ndarray,
+    thresholds: np.ndarray,
+) -> np.ndarray:
+    """Fill each link's request from its transmitter's surplus.
 
-    When the total demand for a class fits in the surplus every request is
-    served in full; otherwise the surplus is split proportionally to demand.
-    Fractional shares are floored onto a fine binary grid (error < 1e-6 per
-    entry) so downstream count arithmetic stays exact.
+    requested holds one (L,) row per link and transmitters its sender; counts
+    and thresholds are the (N, L) device arrays. When a transmitter's total
+    demand for a class fits in its surplus every request is served in full;
+    otherwise the surplus is split proportionally to demand. Fractional
+    shares are floored onto a fine binary grid (error < 1e-6 per entry) so
+    downstream count arithmetic stays exact.
     """
-    if not requests:
-        return {}
-    receivers = list(requests)
-    q = np.stack([np.asarray(requests[r], dtype=float) for r in receivers])
-    surplus = np.maximum(np.asarray(counts_tx, dtype=float) - np.asarray(thresholds_tx), 0.0)
-    total = q.sum(axis=0)
-    out = q.copy()
-    tight = total > surplus
-    if np.any(tight):
-        with np.errstate(invalid="ignore", divide="ignore"):
-            share = q[:, tight] / total[tight] * surplus[tight]
-        out[:, tight] = np.floor(share * _GRID) / _GRID
-    return {r: out[i] for i, r in enumerate(receivers)}
+    requested = np.asarray(requested, dtype=float)
+    transmitters = np.asarray(transmitters, dtype=np.int64)
+    counts = np.asarray(counts, dtype=float)
+    surplus = np.maximum(counts - np.asarray(thresholds), 0.0)[transmitters]
+    total = np.zeros_like(counts)
+    np.add.at(total, transmitters, requested)
+    total = total[transmitters]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        share = np.floor(requested / total * surplus * _GRID) / _GRID
+    return np.where(total > surplus, share, requested)
 
 
 def deliver(
     buffered: np.ndarray,
-    p_drop: float,
+    p_drop: float | np.ndarray,
     mode: str = EXPECTED,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
-    """Push a transmission buffer through the lossy channel.
+    """Push transmission buffers through the lossy channel.
 
-    Expected mode scales by the success probability; stochastic mode drops
-    each point independently (binomial on the rounded buffer, clamped so a
-    fractional buffer is never exceeded).
+    p_drop is one probability, or one per row of a 2-D buffered. Expected
+    mode scales by the success probability; stochastic mode drops each
+    point independently (binomial on the rounded buffer, clamped so a
+    fractional buffer is never exceeded), drawing row by row.
     """
-    if not 0 <= p_drop <= 1:
+    p_drop = np.asarray(p_drop, dtype=float)
+    if not np.all((p_drop >= 0) & (p_drop <= 1)):
         raise ValueError(f"p_drop must lie in [0, 1], got {p_drop}")
     buffered = np.asarray(buffered, dtype=float)
+    keep = (1.0 - p_drop)[:, None] if p_drop.ndim else 1.0 - p_drop
     if mode == EXPECTED:
-        return (1.0 - p_drop) * buffered
+        return keep * buffered
     if mode == STOCHASTIC:
         if rng is None:
             raise ValueError("stochastic delivery requires an rng")
         n = np.round(buffered).astype(np.int64)
-        got = rng.binomial(n, 1.0 - p_drop).astype(float)
+        got = rng.binomial(n, keep).astype(float)
         return np.minimum(got, buffered)
     raise ValueError(f"unknown delivery mode {mode!r}")
 
 
-def integerize_buffers(buffers: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
-    """Round fractional transmission buffers to integer point counts.
+def integerize_buffers(buffers: np.ndarray) -> np.ndarray:
+    """Round one transmitter's fractional buffers (one row per receiver) to
+    integer point counts.
 
     Per class: floor every receiver's share, then hand out the leftover
     (total share minus the floors) one point at a time by largest fractional
-    remainder, lowest receiver index first on ties. Never exceeds the total
-    fractional share, hence never the surplus.
+    remainder, lowest row first on ties. Never exceeds the total fractional
+    share, hence never the surplus.
     """
-    if not buffers:
-        return {}
-    receivers = list(buffers)
-    u = np.stack([np.asarray(buffers[r], dtype=float) for r in receivers])
+    u = np.asarray(buffers, dtype=float)
     floors = np.floor(u + 1e-9).astype(np.int64)
     frac = u - floors
     target = np.round(u.sum(axis=0)).astype(np.int64)
     leftover = target - floors.sum(axis=0)
     for cls in np.flatnonzero(leftover > 0):
         order = np.argsort(-frac[:, cls], kind="stable")
-        for idx in order[: leftover[cls]]:
-            floors[idx, cls] += 1
-    return {r: floors[i] for i, r in enumerate(receivers)}
+        floors[order[: leftover[cls]], cls] += 1
+    return floors
+
+
+def _active_links(links, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(receivers, transmitters) of the real links, sorted by transmitter
+    then receiver."""
+    if isinstance(links, dict):
+        pairs = [(rx, tx) for rx, tx in links.items() if tx is not None]
+        rx, tx = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+        if np.any((rx < 0) | (rx >= n) | (tx < 0) | (tx >= n)):
+            raise IndexError(f"link index out of range for {n} devices")
+    else:
+        tx = np.asarray(links, dtype=np.int64)
+        if tx.shape != (n,):
+            raise ValueError(f"link array must have shape ({n},)")
+        rx = np.arange(n)
+    active = (tx >= 0) & (tx != rx)
+    rx, tx = rx[active], tx[active]
+    order = np.lexsort((rx, tx))
+    return rx[order], tx[order]
 
 
 def run_exchange(
-    links: dict[int, int | None],
+    links: dict[int, int | None] | np.ndarray,
     counts: np.ndarray,
     thresholds: np.ndarray,
     trust: np.ndarray,
@@ -178,15 +215,17 @@ def run_exchange(
     """Execute one full message-passing round over the predicted links.
 
     Args:
-        links: receiver -> transmitter map; None (or self) entries mean no
-            incoming link. At most one incoming link per receiver by
-            construction of the dict.
+        links: receiver -> transmitter map, as a dict (None entries mean no
+            incoming link) or as an (N,) array of transmitter indices per
+            receiver (-1 means no link). Self links are ignored. At most one
+            incoming link per receiver by construction.
         counts: (N, L) per-device class-distribution vectors.
         thresholds: (N, L) per-device, per-class thresholds.
         trust: (N, N, L) trust[j, i, l] = 1 iff device j may send class l
             to device i.
         drop: (N, N) drop[i, j] = drop probability of link j -> i.
-        mode: expected-value or stochastic delivery.
+        mode: expected-value or stochastic delivery. Stochastic draws are
+            taken link by link in the ledger's (transmitter, receiver) order.
         integer_payloads: round buffers to whole points before delivery,
             as when real data points are moved.
 
@@ -203,41 +242,35 @@ def run_exchange(
     if mode not in DELIVERY_MODES:
         raise ValueError(f"unknown delivery mode {mode!r}")
 
-    # Group requests per transmitter so surplus splitting sees all demands.
-    by_tx: dict[int, dict[int, np.ndarray]] = {}
-    offers: dict[tuple[int, int], np.ndarray] = {}
-    for rx, tx in links.items():
-        if tx is None or tx == rx:
-            continue
-        offer = available_vector(counts[tx], thresholds[tx], trust[tx], rx)
-        req = requirement_vector(offer, counts[rx], thresholds[rx])
-        offers[(rx, tx)] = offer
-        by_tx.setdefault(tx, {})[rx] = req
+    rx, tx = _active_links(links, n)
+    available = available_vector(counts[tx], thresholds[tx], trust[tx, rx])
+    requested = requirement_vector(available, counts[rx], thresholds[rx])
+    buffered = transmission_buffers(requested, tx, counts, thresholds)
+    if integer_payloads:
+        # Rows are grouped by transmitter; each group splits one surplus.
+        groups = np.split(buffered, np.flatnonzero(np.diff(tx)) + 1)
+        buffered = np.concatenate([integerize_buffers(g) for g in groups]).astype(float)
+    delivered = deliver(buffered, drop[rx, tx], mode=mode, rng=rng)
+    if integer_payloads:
+        if mode == EXPECTED:
+            delivered = np.round(delivered)
+        delivered = np.minimum(delivered, buffered)
 
-    updated = counts.copy()
-    plans: list[LinkPlan] = []
-    for tx in sorted(by_tx):
-        buffers = transmission_buffers(by_tx[tx], counts[tx], thresholds[tx])
-        if integer_payloads:
-            buffers = integerize_buffers(buffers)
-        for rx in sorted(buffers):
-            buf = buffers[rx].astype(float)
-            got = deliver(buf, float(drop[rx, tx]), mode=mode, rng=rng)
-            if integer_payloads:
-                got = np.round(got) if mode == EXPECTED else got
-                got = np.minimum(got, buf)
-            updated[tx] -= buf
-            updated[rx] += got
-            plans.append(
-                LinkPlan(
-                    receiver=rx,
-                    transmitter=tx,
-                    available=offers[(rx, tx)],
-                    requested=by_tx[tx][rx],
-                    buffered=buf,
-                    delivered=got,
-                )
-            )
+    # In any class a device either gives (it has a surplus) or gains (it has
+    # a deficit), never both, and buffers lie on the _GRID lattice, so this
+    # closed form equals applying the links one by one.
+    loss = np.zeros_like(counts)
+    np.add.at(loss, tx, buffered)
+    updated = counts - loss
+    updated[rx] += delivered
     if integer_payloads:
         updated = np.round(updated)
-    return ExchangeResult(updated=updated, plans=plans)
+    return ExchangeResult(
+        updated=updated,
+        receivers=rx,
+        transmitters=tx,
+        available=available,
+        requested=requested,
+        buffered=buffered,
+        delivered=delivered,
+    )

@@ -16,7 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from . import fl, rl
-from .config import ConfigError, ScenarioConfig, with_overrides
+from .config import ConfigError, ScenarioConfig, _parse_value, with_overrides
+from .exchange import ExchangeResult
 from .network import SCALAR_BITS, energy_cost, transmit_energy
 from .scenario import (
     Scenario,
@@ -173,24 +174,53 @@ def discover_links(
     raise ConfigError(f"key 'baseline': unknown value {cfg.baseline!r}")
 
 
-def graph_stats(scenario: Scenario, links: dict[int, int | None], plans) -> dict:
+def rl_records(
+    result: rl.TrainResult, run_id: str, budgets: np.ndarray, episode_energy: float = 0.0
+) -> list[MetricsRecord]:
+    """One metrics record per training episode; the cumulative D2D energy
+    grows by episode_energy per episode."""
+    records: list[MetricsRecord] = []
+    d2d_energy = 0.0
+    slack = budgets - result.cluster_load
+    for step, (reward, success, load, free) in enumerate(
+        zip(result.mean_reward.tolist(), result.link_success.tolist(), result.cluster_load, slack)
+    ):
+        d2d_energy += episode_energy
+        records.append(
+            MetricsRecord(
+                run_id=run_id,
+                phase="rl",
+                step=step,
+                mean_reward=reward,
+                mean_link_success=success,
+                cluster_load=tuple(load.tolist()),
+                budget_slack=tuple(free.tolist()),
+                test_accuracy=None,
+                d2d_energy_j=d2d_energy,
+                d2s_energy_j=0.0,
+                stragglers=None,
+            )
+        )
+    return records
+
+
+def graph_stats(
+    scenario: Scenario, links: dict[int, int | None], exchange: ExchangeResult
+) -> dict:
     """Success probability and inter-cluster request load of a fixed graph,
     from the executed exchange's request ledger."""
-    pairs = [(rx, tx) for rx, tx in links.items() if tx is not None and tx != rx]
-    if pairs:
-        success = float(np.mean([1.0 - scenario.drop[rx, tx] for rx, tx in pairs]))
-    else:
-        success = 1.0
     links_arr = np.full(scenario.n_devices, -1, dtype=np.int64)
-    for rx, tx in pairs:
-        links_arr[rx] = tx
+    for rx, tx in links.items():
+        if tx is not None and tx != rx:
+            links_arr[rx] = tx
     load = rl.inter_cluster_load(
-        links_arr,
-        {p.receiver: p.requested for p in plans},
+        exchange.receivers,
+        exchange.transmitters,
+        exchange.requested,
         scenario.partition.assignment,
         scenario.partition.k,
     )
-    return {"mean_link_success": success, "cluster_load": load}
+    return {"mean_link_success": rl.link_success(scenario.drop, links_arr), "cluster_load": load}
 
 
 def run_experiment(cfg: ScenarioConfig, run_id: str | None = None) -> ExperimentResult:
@@ -221,32 +251,19 @@ def run_experiment(cfg: ScenarioConfig, run_id: str | None = None) -> Experiment
         episode_signaling = n * (n - 1) * transmit_energy(
             SCALAR_BITS, mean_dist, scenario.energy
         )
-        for ep_idx, ep in enumerate(rl_result.episodes):
-            d2d_energy += episode_signaling
-            records.append(
-                MetricsRecord(
-                    run_id=run_id,
-                    phase="rl",
-                    step=ep_idx,
-                    mean_reward=float(ep.overall_rewards.mean()),
-                    mean_link_success=ep.link_success,
-                    cluster_load=tuple(float(v) for v in ep.cluster_load),
-                    budget_slack=tuple(float(v) for v in budgets - ep.cluster_load),
-                    test_accuracy=None,
-                    d2d_energy_j=d2d_energy,
-                    d2s_energy_j=d2s_energy,
-                    stragglers=None,
-                )
-            )
+        records.extend(rl_records(rl_result, run_id, budgets, episode_signaling))
+        d2d_energy = records[-1].d2d_energy_j
 
     exchange_result = materialize_exchange(
         scenario, links, cfg.delivery, named_rng(cfg.seed, "exchange")
     )
-    for plan in exchange_result.plans:
-        dist = float(scenario.distances[plan.receiver, plan.transmitter])
-        d2d_energy += energy_cost(int(plan.buffered.sum()), dist, scenario.energy)
+    distances = scenario.distances
+    for rx, tx, sent in zip(
+        exchange_result.receivers, exchange_result.transmitters, exchange_result.buffered
+    ):
+        d2d_energy += energy_cost(int(sent.sum()), float(distances[rx, tx]), scenario.energy)
 
-    stats = graph_stats(scenario, links, exchange_result.plans)
+    stats = graph_stats(scenario, links, exchange_result)
 
     n_stragglers = int(round(cfg.straggler_fraction * n))
     straggler_set = frozenset(
@@ -324,19 +341,16 @@ def sweep_experiment(
 ) -> tuple[list[MetricsRecord], list[dict]]:
     """Run one experiment per value of a single config key.
 
-    Values arrive as strings (CLI form) and are parsed against the field
-    type. Records from all runs are concatenated, run ids carry key=value.
+    Values arrive as strings (CLI form) and are parsed by the config file's
+    rule for the key. Records from all runs are concatenated, run ids carry
+    key=value.
     """
-    field_types = {f.name: f.type for f in fields(ScenarioConfig)}
-    if key not in field_types:
+    if key not in {f.name for f in fields(ScenarioConfig)}:
         raise ConfigError(f"unknown sweep key {key!r}")
-    caster = {"int": int, "float": float, "str": str, "bool": lambda s: s.lower() == "true"}[
-        field_types[key]
-    ]
     all_records: list[MetricsRecord] = []
     summaries: list[dict] = []
     for raw in values:
-        value = caster(raw)
+        value = _parse_value(key, raw)
         cfg = with_overrides(base, **{key: value})
         run_id = f"{cfg.baseline}-s{cfg.seed}-{key}={raw}"
         result = run_experiment(cfg, run_id=run_id)

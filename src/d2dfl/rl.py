@@ -1,15 +1,17 @@
 """Decentralized multi-agent Q-learning over link choices.
 
-Every device keeps an experience buffer of running reward totals and pull
-counts per candidate transmitter, turned into a Boltzmann (softmax) policy
-over incoming-link choices. A device may also pick itself, which means "no
+Every device is an agent whose Boltzmann (softmax) policy over incoming-link
+choices comes from running reward totals and pull counts per candidate
+transmitter. All agents share one policy table: two (N, N) arrays whose row
+i belongs to receiver i. A device may also pick itself, which means "no
 incoming link". Training repeats: sample links, run an expected-value
 exchange on a scratch copy of the class distributions, score local and
-global rewards, and credit each device's chosen action.
+global rewards, and credit each device's chosen action. Each step acts on
+all devices at once.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -21,26 +23,23 @@ if TYPE_CHECKING:
 
 
 @dataclass
-class ExperienceBuffer:
-    """Running reward totals and pull counts, per state and candidate link.
+class PolicyTable:
+    """Running reward totals and pull counts, one row per agent and one
+    column per action (candidate transmitter).
 
     Counts start at one so the initial policy is uniform and the average is
-    always defined. The state axis is kept for generality; with a static
-    channel there is a single state.
+    always defined.
     """
 
-    totals: np.ndarray  # (S, N)
-    counts: np.ndarray  # (S, N)
+    totals: np.ndarray  # (N, N)
+    counts: np.ndarray  # (N, N)
 
     @classmethod
-    def fresh(cls, n_actions: int, n_states: int = 1) -> "ExperienceBuffer":
-        return cls(
-            totals=np.zeros((n_states, n_actions)),
-            counts=np.ones((n_states, n_actions), dtype=np.int64),
-        )
+    def fresh(cls, n: int) -> "PolicyTable":
+        return cls(totals=np.zeros((n, n)), counts=np.ones((n, n), dtype=np.int64))
 
-    def averages(self, state: int = 0) -> np.ndarray:
-        return self.totals[state] / self.counts[state]
+    def averages(self) -> np.ndarray:
+        return self.totals / self.counts
 
 
 @dataclass
@@ -75,7 +74,6 @@ class EpisodeOutcome:
     """Everything one training episode produced."""
 
     links: np.ndarray  # (N,) transmitter per receiver, -1 for none
-    updated_counts: np.ndarray  # (N, L)
     local_rewards: np.ndarray  # (N,)
     global_rewards: np.ndarray  # (K,)
     overall_rewards: np.ndarray  # (N,)
@@ -85,24 +83,25 @@ class EpisodeOutcome:
 
 @dataclass
 class TrainResult:
-    policies: list[ExperienceBuffer]
-    episodes: list[EpisodeOutcome] = field(default_factory=list)
+    """Trained policies and the per-episode trace, one row per episode."""
 
-    def mean_reward_trace(self) -> np.ndarray:
-        return np.array([ep.overall_rewards.mean() for ep in self.episodes])
+    policies: PolicyTable
+    links: np.ndarray  # (E, N) transmitter per receiver, -1 for none
+    mean_reward: np.ndarray  # (E,) mean overall reward
+    link_success: np.ndarray  # (E,)
+    cluster_load: np.ndarray  # (E, K)
 
 
-def link_probabilities(buffer: ExperienceBuffer, state: int = 0) -> np.ndarray:
-    """Softmax over average experienced rewards; shift-invariant and safe
-    against overflow via max subtraction."""
-    avg = buffer.averages(state)
-    z = np.exp(avg - avg.max())
-    return z / z.sum()
+def link_probabilities(policies: PolicyTable) -> np.ndarray:
+    """Row-wise softmax over average experienced rewards; shift-invariant
+    and safe against overflow via max subtraction."""
+    avg = policies.averages()
+    z = np.exp(avg - avg.max(axis=1, keepdims=True))
+    return z / z.sum(axis=1, keepdims=True)
 
 
 def sample_links(
-    policies: list[ExperienceBuffer],
-    state: int,
+    policies: PolicyTable,
     rng: np.random.Generator,
     allow_no_link: bool = True,
 ) -> np.ndarray:
@@ -110,42 +109,41 @@ def sample_links(
 
     Returns an (N,) array of transmitter indices with -1 for "no link"
     (a receiver sampling itself). With allow_no_link=False the self action
-    is masked out and the row renormalized.
+    is masked out and the row renormalized. One uniform draw per receiver
+    picks the first action whose cumulative probability reaches it.
     """
-    n = len(policies)
-    links = np.empty(n, dtype=np.int64)
+    p = link_probabilities(policies)
+    n = p.shape[0]
+    own = np.arange(n)
     u = rng.random(n)
-    for i, buf in enumerate(policies):
-        p = link_probabilities(buf, state)
-        if not allow_no_link:
-            p = p.copy()
-            p[i] = 0.0
-            p = p / p.sum()
-        choice = int(np.searchsorted(np.cumsum(p), u[i]))
-        choice = min(choice, n - 1)
-        links[i] = -1 if choice == i else choice
-    return links
+    if not allow_no_link:
+        p[own, own] = 0.0
+        p = p / p.sum(axis=1, keepdims=True)
+    below = np.cumsum(p, axis=1) < u[:, None]
+    choice = np.minimum(below.sum(axis=1), n - 1)
+    return np.where(choice == own, -1, choice)
 
 
-def diversity_score(counts: np.ndarray, thresholds: np.ndarray, min_classes: int) -> int:
-    """Number of classes at or above threshold, or 0 below the diversity bar.
+def diversity_score(counts: np.ndarray, thresholds: np.ndarray, min_classes: int) -> np.ndarray:
+    """Number of classes at or above threshold, or 0 below the diversity bar,
+    per row of counts.
 
     Expected-value exchanges leave fractional counts; a data point either
     arrives or not, so counts are rounded to whole points before the
     threshold comparison (integer inputs are unaffected).
     """
     whole = np.floor(np.asarray(counts, dtype=float) + 0.5)
-    met = int(np.sum(whole >= np.asarray(thresholds)))
-    return met if met >= min_classes else 0
+    met = np.sum(whole >= np.asarray(thresholds), axis=-1)
+    return np.where(met >= min_classes, met, 0)
 
 
 def local_reward(
     counts: np.ndarray,
     thresholds: np.ndarray,
-    p_drop_chosen: float,
+    p_drop_chosen: float | np.ndarray,
     weights: RewardWeights,
-) -> float:
-    """Diversity payoff minus the unreliability of the chosen link.
+) -> np.ndarray:
+    """Diversity payoff minus the unreliability of the chosen link, per row.
 
     For the no-link action the drop penalty is zero.
     """
@@ -154,20 +152,21 @@ def local_reward(
 
 
 def inter_cluster_load(
-    links: np.ndarray,
-    requests: dict[int, np.ndarray],
+    receivers: np.ndarray,
+    transmitters: np.ndarray,
+    requested: np.ndarray,
     assignment: np.ndarray,
     n_clusters: int,
 ) -> np.ndarray:
-    """Per-cluster total points requested over links crossing into it."""
+    """Per-cluster total points requested over links crossing into it.
+
+    receivers, transmitters and requested are an exchange ledger: one link
+    and its (L,) request row per entry, summed in ledger order.
+    """
+    cluster = assignment[receivers]
+    crossing = assignment[transmitters] != cluster
     load = np.zeros(n_clusters)
-    for rx, req in requests.items():
-        tx = links[rx]
-        if tx < 0:
-            continue
-        k = assignment[rx]
-        if assignment[tx] != k:
-            load[k] += float(np.sum(np.abs(req)))
+    np.add.at(load, cluster[crossing], np.abs(requested[crossing]).sum(axis=1))
     return load
 
 
@@ -181,12 +180,21 @@ def global_reward(
     return local_rewards.mean() + weights.alpha3 * (budgets - cluster_load)
 
 
-def update_policy(
-    buffer: ExperienceBuffer, state: int, chosen: int, reward: float
-) -> None:
-    """Credit the chosen action: add the reward to its total, bump its count."""
-    buffer.totals[state, chosen] += reward
-    buffer.counts[state, chosen] += 1
+def link_success(drop: np.ndarray, links: np.ndarray) -> float:
+    """Mean success probability 1 - drop over the chosen links, in receiver
+    order (1.0 if there are none)."""
+    linked = links >= 0
+    if not linked.any():
+        return 1.0
+    return float(np.mean(1.0 - drop[linked, links[linked]]))
+
+
+def update_policy(policies: PolicyTable, chosen: np.ndarray, rewards: np.ndarray) -> None:
+    """Credit every agent's chosen action: row i adds rewards[i] to its
+    total at column chosen[i] and bumps that count."""
+    rows = np.arange(len(chosen))
+    policies.totals[rows, chosen] += rewards
+    policies.counts[rows, chosen] += 1
 
 
 def run_episode(
@@ -197,42 +205,27 @@ def run_episode(
     """Score one link assignment with an expected-value exchange on a scratch
     copy of the class distributions."""
     assignment = scenario.partition.assignment
-    n_clusters = scenario.partition.k
-    link_map = {rx: int(tx) for rx, tx in enumerate(links) if tx >= 0}
     result = run_exchange(
-        link_map,
+        links,
         scenario.counts,
         scenario.thresholds,
         scenario.trust,
         scenario.drop,
         mode=EXPECTED,
     )
-    requests = {p.receiver: p.requested for p in result.plans}
-
-    n = len(links)
-    locals_ = np.empty(n)
-    for i in range(n):
-        p_drop = float(scenario.drop[i, links[i]]) if links[i] >= 0 else 0.0
-        locals_[i] = local_reward(
-            result.updated[i], scenario.thresholds[i], p_drop, weights
-        )
-    load = inter_cluster_load(links, requests, assignment, n_clusters)
+    p_drop = np.where(links >= 0, scenario.drop[np.arange(len(links)), links], 0.0)
+    locals_ = local_reward(result.updated, scenario.thresholds, p_drop, weights)
+    load = inter_cluster_load(
+        result.receivers, result.transmitters, result.requested, assignment, scenario.partition.k
+    )
     globals_ = global_reward(locals_, load, weights)
-    overall = locals_ + weights.gamma * globals_[assignment]
-
-    chosen = links[links >= 0]
-    if chosen.size:
-        success = float(np.mean(1.0 - scenario.drop[links >= 0, chosen]))
-    else:
-        success = 1.0
     return EpisodeOutcome(
         links=links,
-        updated_counts=result.updated,
         local_rewards=locals_,
         global_rewards=globals_,
-        overall_rewards=overall,
+        overall_rewards=locals_ + weights.gamma * globals_[assignment],
         cluster_load=load,
-        link_success=success,
+        link_success=link_success(scenario.drop, links),
     )
 
 
@@ -242,43 +235,46 @@ def train(
     weights: RewardWeights,
     rng: np.random.Generator,
     allow_no_link: bool = True,
-    state: int = 0,
 ) -> TrainResult:
     """Run the full policy-training loop.
 
     Each episode samples links from the current policies, scores them, and
-    updates every device's buffer at its chosen action (the self index for
+    updates every device's row at its chosen action (the self index for
     the no-link action). Distributions reset every episode: training probes
     counterfactual exchanges, real data moves only after graph extraction.
     """
     if episodes <= 0:
         raise ValueError(f"episodes must be positive, got {episodes}")
     n = scenario.counts.shape[0]
-    policies = [ExperienceBuffer.fresh(n) for _ in range(n)]
-    outcomes: list[EpisodeOutcome] = []
-    for _ in range(episodes):
-        links = sample_links(policies, state, rng, allow_no_link=allow_no_link)
+    own = np.arange(n)
+    policies = PolicyTable.fresh(n)
+    trace = TrainResult(
+        policies=policies,
+        links=np.empty((episodes, n), dtype=np.int64),
+        mean_reward=np.empty(episodes),
+        link_success=np.empty(episodes),
+        cluster_load=np.empty((episodes, scenario.partition.k)),
+    )
+    for ep in range(episodes):
+        links = sample_links(policies, rng, allow_no_link=allow_no_link)
         outcome = run_episode(scenario, links, weights)
-        for i in range(n):
-            chosen = links[i] if links[i] >= 0 else i
-            update_policy(policies[i], state, int(chosen), float(outcome.overall_rewards[i]))
-        outcomes.append(outcome)
-    return TrainResult(policies=policies, episodes=outcomes)
+        update_policy(policies, np.where(links >= 0, links, own), outcome.overall_rewards)
+        trace.links[ep] = links
+        trace.mean_reward[ep] = outcome.overall_rewards.mean()
+        trace.link_success[ep] = outcome.link_success
+        trace.cluster_load[ep] = outcome.cluster_load
+    return trace
 
 
 def extract_graph(
-    policies: list[ExperienceBuffer],
-    state: int = 0,
+    policies: PolicyTable,
     allow_no_link: bool = True,
 ) -> dict[int, int | None]:
     """Greedy readout: per receiver the argmax-average transmitter, ties to
     the lowest index; the self action reads as no link."""
-    graph: dict[int, int | None] = {}
-    for i, buf in enumerate(policies):
-        avg = buf.averages(state)
-        if not allow_no_link:
-            avg = avg.copy()
-            avg[i] = -np.inf
-        best = int(np.argmax(avg))
-        graph[i] = None if best == i else best
-    return graph
+    avg = policies.averages()
+    own = np.arange(avg.shape[0])
+    if not allow_no_link:
+        avg[own, own] = -np.inf
+    best = avg.argmax(axis=1).tolist()
+    return {i: None if b == i else b for i, b in enumerate(best)}

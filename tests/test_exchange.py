@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from d2dfl.exchange import (
     EXPECTED,
@@ -21,29 +23,43 @@ def no_drop(n):
     return np.zeros((n, n))
 
 
+def buffers_for(requests, counts_tx, thresholds_tx):
+    """Split one transmitter's surplus over {receiver: request} demands."""
+    receivers = list(requests)
+    out = transmission_buffers(
+        np.stack([requests[r] for r in receivers]),
+        np.zeros(len(receivers), dtype=np.int64),
+        np.asarray(counts_tx)[None],
+        np.asarray(thresholds_tx)[None],
+    )
+    return dict(zip(receivers, out))
+
+
+def integerize(buffers):
+    """integerize_buffers over {receiver: buffer} rows of one transmitter."""
+    return dict(zip(buffers, integerize_buffers(np.stack(list(buffers.values())))))
+
+
 class TestAvailableVector:
     def test_untrusted_class_is_zeroed(self):
         counts = np.array([20, 20])
         thresholds = np.array([10, 10])
         trust = np.array([[1, 0], [1, 1]])
-        offer = available_vector(counts, thresholds, trust, receiver=0)
+        offer = available_vector(counts, thresholds, trust[0])
         assert offer.tolist() == [10, 0]
 
     def test_surplus_over_threshold(self):
-        offer = available_vector(
-            np.array([20]), np.array([10]), np.array([[1], [1]]), receiver=1
-        )
+        offer = available_vector(np.array([20]), np.array([10]), np.array([1]))
         assert offer.tolist() == [10]
 
     def test_deficit_clamps_to_zero(self):
-        offer = available_vector(
-            np.array([5]), np.array([10]), np.array([[1], [1]]), receiver=1
-        )
+        offer = available_vector(np.array([5]), np.array([10]), np.array([1]))
         assert offer.tolist() == [0]
 
     def test_receiver_out_of_range(self):
+        counts = np.array([[5], [9]])
         with pytest.raises(IndexError):
-            available_vector(np.array([5]), np.array([1]), np.array([[1], [1]]), receiver=7)
+            run_exchange({7: 0}, counts, np.ones_like(counts), full_trust(2, 1), no_drop(2))
 
 
 class TestRequirementVector:
@@ -63,23 +79,23 @@ class TestRequirementVector:
 class TestTransmissionBuffers:
     def test_even_split_when_demand_doubles_surplus(self):
         requests = {1: np.array([10]), 2: np.array([10])}
-        out = transmission_buffers(requests, np.array([20]), np.array([10]))
+        out = buffers_for(requests, np.array([20]), np.array([10]))
         assert out[1].tolist() == [5.0]
         assert out[2].tolist() == [5.0]
 
     def test_full_service_when_surplus_covers(self):
         requests = {1: np.array([7])}
-        out = transmission_buffers(requests, np.array([20]), np.array([10]))
+        out = buffers_for(requests, np.array([20]), np.array([10]))
         assert out[1].tolist() == [7.0]
 
     def test_single_receiver_capped_at_surplus(self):
         requests = {1: np.array([20])}
-        out = transmission_buffers(requests, np.array([20]), np.array([10]))
+        out = buffers_for(requests, np.array([20]), np.array([10]))
         assert out[1].tolist() == [10.0]
 
     def test_proportional_split(self):
         requests = {1: np.array([6]), 2: np.array([9])}
-        out = transmission_buffers(requests, np.array([20]), np.array([10]))
+        out = buffers_for(requests, np.array([20]), np.array([10]))
         assert out[1][0] == pytest.approx(4.0, abs=2e-6)
         assert out[2][0] == pytest.approx(6.0, abs=2e-6)
         assert out[1][0] + out[2][0] <= 10.0
@@ -97,7 +113,7 @@ class TestTransmissionBuffers:
             }
             for r in requests:
                 requests[r] = np.minimum(requests[r], surplus)
-            out = transmission_buffers(requests, counts, thresholds)
+            out = buffers_for(requests, counts, thresholds)
             total = np.zeros(n_classes)
             for r, buf in out.items():
                 assert np.all(buf <= requests[r] + 1e-12)
@@ -142,7 +158,7 @@ class TestDeliver:
 class TestIntegerize:
     def test_largest_remainder(self):
         buffers = {1: np.array([4.0]), 2: np.array([6.0])}
-        out = integerize_buffers(buffers)
+        out = integerize(buffers)
         assert out[1].tolist() == [4]
         assert out[2].tolist() == [6]
 
@@ -150,10 +166,10 @@ class TestIntegerize:
         # Surplus 10 over demands 7 and 6: shares 70/13 = 5.385 and
         # 60/13 = 4.615; floors 5 + 4, the leftover point goes to the
         # larger remainder (receiver 2).
-        buffers = transmission_buffers(
+        buffers = buffers_for(
             {1: np.array([7]), 2: np.array([6])}, np.array([20]), np.array([10])
         )
-        out = integerize_buffers(buffers)
+        out = integerize(buffers)
         assert out[1][0] + out[2][0] == 10
         assert out[1][0] == 5
         assert out[2][0] == 5
@@ -170,8 +186,8 @@ class TestIntegerize:
                 r: np.minimum(rng.integers(0, 25, size=n_classes), surplus)
                 for r in range(n_rx)
             }
-            real = transmission_buffers(requests, counts, thresholds)
-            ints = integerize_buffers(real)
+            real = buffers_for(requests, counts, thresholds)
+            ints = integerize(real)
             total = sum(ints.values())
             assert np.all(total <= surplus)
             for r in requests:
@@ -333,3 +349,120 @@ class TestRunExchange:
                 full_trust(2, 2),
                 no_drop(2),
             )
+
+
+def loop_exchange(links, counts, thresholds, trust, drop, mode, rng, integer_payloads):
+    """Reference exchange, one link at a time: transmitters ascending, each
+    one's receivers ascending; subtract the buffer, add the delivery.
+    Returns the updated counts and the (receiver, transmitter, buffered,
+    delivered) ledger in that order."""
+    counts = np.asarray(counts, dtype=float)
+    by_tx = {}
+    for rx, tx in links.items():
+        if tx is not None and tx != rx:
+            by_tx.setdefault(tx, []).append(rx)
+    updated = counts.copy()
+    ledger = []
+    for tx in sorted(by_tx):
+        receivers = sorted(by_tx[tx])
+        surplus = np.maximum(counts[tx] - thresholds[tx], 0.0)
+        requests = []
+        for rx in receivers:
+            offer = np.where(trust[tx, rx] != 0, surplus, 0.0)
+            requests.append(np.clip(thresholds[rx] - counts[rx], 0, offer))
+        total = sum(requests)
+        buffers = []
+        for q in requests:
+            buf = q.copy()
+            for cls in range(len(buf)):
+                if total[cls] > surplus[cls]:
+                    share = q[cls] / total[cls] * surplus[cls]
+                    buf[cls] = np.floor(share * 2.0**20) / 2.0**20
+            buffers.append(buf)
+        if integer_payloads:
+            for cls in range(counts.shape[1]):
+                shares = [b[cls] for b in buffers]
+                floors = [float(np.floor(v + 1e-9)) for v in shares]
+                leftover = int(np.round(sum(shares))) - int(sum(floors))
+                ranked = sorted(range(len(shares)), key=lambda k: (-(shares[k] - floors[k]), k))
+                for k in ranked[: max(leftover, 0)]:
+                    floors[k] += 1.0
+                for b, v in zip(buffers, floors):
+                    b[cls] = v
+        for rx, buf in zip(receivers, buffers):
+            keep = 1.0 - drop[rx, tx]
+            if mode == EXPECTED:
+                got = keep * buf
+                if integer_payloads:
+                    got = np.round(got)
+            else:
+                got = np.minimum(rng.binomial(np.round(buf).astype(np.int64), keep), buf)
+            got = np.minimum(got, buf) if integer_payloads else got
+            updated[tx] -= buf
+            updated[rx] += got
+            ledger.append((rx, tx, buf, got))
+    if integer_payloads:
+        updated = np.round(updated)
+    return updated, ledger
+
+
+@st.composite
+def exchange_inputs(draw):
+    n = draw(st.integers(2, 6))
+    n_classes = draw(st.integers(1, 4))
+    ints = lambda hi: st.lists(st.integers(0, hi), min_size=n * n_classes, max_size=n * n_classes)
+    counts = np.array(draw(ints(60)), dtype=np.int64).reshape(n, n_classes)
+    thresholds = np.array(draw(ints(40)), dtype=np.int64).reshape(n, n_classes)
+    trust = np.array(
+        draw(st.lists(st.booleans(), min_size=n * n * n_classes, max_size=n * n * n_classes)),
+        dtype=np.int8,
+    ).reshape(n, n, n_classes)
+    drop = np.array(
+        draw(st.lists(st.floats(0.0, 1.0), min_size=n * n, max_size=n * n))
+    ).reshape(n, n)
+    # None and self both mean "no link"; several receivers may share a
+    # transmitter, and a device may both send and receive.
+    choices = st.one_of(st.none(), st.integers(0, n - 1))
+    links = {rx: draw(choices) for rx in draw(st.permutations(range(n)))}
+    return links, counts, thresholds, trust, drop
+
+
+class TestLoopOracle:
+    """run_exchange equals the one-link-at-a-time reference bit for bit."""
+
+    def check(self, inputs, mode, integer_payloads, seed=0):
+        links, counts, thresholds, trust, drop = inputs
+        expect, ledger = loop_exchange(
+            links, counts, thresholds, trust, drop, mode,
+            np.random.default_rng(seed), integer_payloads,
+        )
+        res = run_exchange(
+            links, counts, thresholds, trust, drop, mode=mode,
+            rng=np.random.default_rng(seed), integer_payloads=integer_payloads,
+        )
+        assert np.array_equal(res.updated, expect)
+        assert [(p.receiver, p.transmitter) for p in res.plans] == [e[:2] for e in ledger]
+        for plan, (_, _, buf, got) in zip(res.plans, ledger):
+            assert np.array_equal(plan.buffered, buf)
+            assert np.array_equal(plan.delivered, got)
+
+    @settings(max_examples=200, deadline=None)
+    @given(exchange_inputs(), st.booleans())
+    def test_expected_mode(self, inputs, integer_payloads):
+        self.check(inputs, EXPECTED, integer_payloads)
+
+    @settings(max_examples=200, deadline=None)
+    @given(exchange_inputs(), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_stochastic_mode_equal_seeds(self, inputs, integer_payloads, seed):
+        self.check(inputs, STOCHASTIC, integer_payloads, seed)
+
+    @settings(max_examples=100, deadline=None)
+    @given(exchange_inputs())
+    def test_array_links_match_dict_links(self, inputs):
+        links, counts, thresholds, trust, drop = inputs
+        as_array = np.array([-1 if links[rx] is None else links[rx] for rx in range(len(links))])
+        a = run_exchange(links, counts, thresholds, trust, drop)
+        b = run_exchange(as_array, counts, thresholds, trust, drop)
+        assert np.array_equal(a.updated, b.updated)
+        assert np.array_equal(a.receivers, b.receivers)
+        assert np.array_equal(a.requested, b.requested)

@@ -119,8 +119,9 @@ class TestRunExperiment:
         # recomputation from the logged links.
         res = run_experiment(FAST)
         scenario = generate_scenario(FAST)
-        for ep in res.rl_result.episodes[:10]:
-            links = {rx: int(tx) for rx, tx in enumerate(ep.links) if tx >= 0}
+        trace = res.rl_result
+        for ep_links, ep_load in zip(trace.links[:10], trace.cluster_load[:10]):
+            links = {rx: int(tx) for rx, tx in enumerate(ep_links) if tx >= 0}
             probe = run_exchange(
                 links,
                 scenario.counts,
@@ -129,12 +130,13 @@ class TestRunExperiment:
                 scenario.drop,
             )
             load = inter_cluster_load(
-                ep.links,
-                {p.receiver: p.requested for p in probe.plans},
+                probe.receivers,
+                probe.transmitters,
+                probe.requested,
                 scenario.partition.assignment,
                 scenario.partition.k,
             )
-            assert np.allclose(load, ep.cluster_load)
+            assert np.allclose(load, ep_load)
 
     def test_energy_additivity(self):
         # Total energy must equal the sum of per-event energies, recomputed
@@ -204,6 +206,20 @@ class TestSweep:
 
         with pytest.raises(ConfigError):
             sweep_experiment(FAST, "warp", ["1"])
+
+    def test_sweep_bool_values_follow_config_parser(self):
+        # The INI parser's spellings: 1 / yes / on are true, 0 / no / off false.
+        base = with_overrides(FAST, baseline="none", total_steps=10)
+        _, summaries = sweep_experiment(
+            base, "allow_no_link", ["1", "yes", "on", "True", "0", "no", "off", "false"]
+        )
+        assert [s["sweep_value"] for s in summaries] == [True] * 4 + [False] * 4
+
+    def test_sweep_bad_value_names_key(self):
+        from d2dfl.config import ConfigError
+
+        with pytest.raises(ConfigError, match="episodes"):
+            sweep_experiment(FAST, "episodes", ["abc"])
 
     def test_sweep_deterministic(self):
         a = sweep_experiment(with_overrides(FAST, baseline="none"), "tau_a", ["5"])
@@ -276,6 +292,16 @@ class TestCli:
         out = tmp_path / "m.csv"
         assert cli.main(["run", "--config", str(cfg_path), "--seed", "9", "--out", str(out)]) == 0
         assert read_metrics(out, "csv")[0].run_id == "rl-s9"
+
+    def test_sweep_bad_value_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        code = cli.main(
+            ["sweep", "--key", "episodes", "--values", "abc", "--out", str(out)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "episodes" in err and "abc" in err
+        assert not out.exists()
 
     def test_runtime_error_exit_code(self, tmp_path):
         # Unwritable output path surfaces as exit 2 after a valid config.

@@ -6,7 +6,7 @@ import pytest
 from conftest import make_scenario
 from d2dfl import rl
 from d2dfl.rl import (
-    ExperienceBuffer,
+    PolicyTable,
     RewardWeights,
     diversity_score,
     extract_graph,
@@ -21,77 +21,107 @@ from d2dfl.rl import (
 )
 
 
+def one_agent(n_actions: int) -> PolicyTable:
+    """A policy table with a single row: one agent over n_actions arms."""
+    return PolicyTable(
+        totals=np.zeros((1, n_actions)), counts=np.ones((1, n_actions), dtype=np.int64)
+    )
+
+
 class TestLinkProbabilities:
     def test_fresh_buffer_is_uniform(self):
-        buf = ExperienceBuffer.fresh(5)
-        assert np.allclose(link_probabilities(buf), np.full(5, 0.2))
+        assert np.allclose(link_probabilities(PolicyTable.fresh(5)), np.full((5, 5), 0.2))
 
     def test_two_arm_softmax_value(self):
-        buf = ExperienceBuffer.fresh(2)
-        buf.totals[0] = [1.0, 0.0]  # counts stay 1 -> averages [1, 0]
-        p = link_probabilities(buf)
+        table = PolicyTable.fresh(2)
+        table.totals[0] = [1.0, 0.0]  # counts stay 1 -> averages [1, 0]
+        p = link_probabilities(table)[0]
         e = np.e
         assert p[0] == pytest.approx(e / (e + 1), rel=1e-12)
         assert p[1] == pytest.approx(1 / (e + 1), rel=1e-12)
 
     def test_shift_invariance(self):
-        buf = ExperienceBuffer.fresh(4)
-        buf.totals[0] = [0.3, -1.2, 2.0, 0.0]
-        p1 = link_probabilities(buf)
-        buf.totals[0] += 7.5  # counts are 1, so averages shift by 7.5
-        p2 = link_probabilities(buf)
+        table = PolicyTable.fresh(4)
+        table.totals[0] = [0.3, -1.2, 2.0, 0.0]
+        p1 = link_probabilities(table)
+        table.totals += 7.5  # counts are 1, so every row's averages shift by 7.5
+        p2 = link_probabilities(table)
         assert np.allclose(p1, p2, atol=1e-12)
 
     def test_sums_to_one_with_huge_averages(self):
-        buf = ExperienceBuffer.fresh(3)
-        buf.totals[0] = [1e4, 0.0, -1e4]
-        p = link_probabilities(buf)
+        table = PolicyTable.fresh(3)
+        table.totals[0] = [1e4, 0.0, -1e4]
+        p = link_probabilities(table)
         assert np.isfinite(p).all()
-        assert p.sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.allclose(p.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
 
 class TestSampleLinks:
     def test_point_mass_always_selected(self):
-        bufs = [ExperienceBuffer.fresh(3) for _ in range(3)]
-        bufs[0].totals[0] = [0.0, 1e3, 0.0]
+        table = PolicyTable.fresh(3)
+        table.totals[0] = [0.0, 1e3, 0.0]
         rng = np.random.default_rng(0)
         for _ in range(50):
-            links = sample_links(bufs, 0, rng)
+            links = sample_links(table, rng)
             assert links[0] == 1
 
     def test_self_sample_means_no_link(self):
-        bufs = [ExperienceBuffer.fresh(2) for _ in range(2)]
-        bufs[0].totals[0] = [1e3, 0.0]
-        links = sample_links(bufs, 0, np.random.default_rng(1))
+        table = PolicyTable.fresh(2)
+        table.totals[0] = [1e3, 0.0]
+        links = sample_links(table, np.random.default_rng(1))
         assert links[0] == -1
 
     def test_deterministic_per_seed(self):
-        bufs = [ExperienceBuffer.fresh(4) for _ in range(4)]
-        a = sample_links(bufs, 0, np.random.default_rng(7))
-        b = sample_links(bufs, 0, np.random.default_rng(7))
+        table = PolicyTable.fresh(4)
+        a = sample_links(table, np.random.default_rng(7))
+        b = sample_links(table, np.random.default_rng(7))
         assert np.array_equal(a, b)
 
     def test_empirical_frequencies(self):
-        buf = ExperienceBuffer.fresh(3)
-        buf.totals[0] = [0.0, 1.0, 2.0]
-        target = link_probabilities(buf)
+        table = PolicyTable.fresh(3)
+        table.totals[0] = [0.0, 1.0, 2.0]
+        target = link_probabilities(table)[0]
         rng = np.random.default_rng(11)
         n = 100_000
         hits = np.zeros(3)
-        bufs = [buf, ExperienceBuffer.fresh(3), ExperienceBuffer.fresh(3)]
         for _ in range(n):
-            links = sample_links(bufs, 0, rng)
+            links = sample_links(table, rng)
             chosen = links[0] if links[0] >= 0 else 0
             hits[chosen] += 1
         assert np.allclose(hits / n, target, atol=0.01)
 
     def test_no_link_disallowed(self):
-        bufs = [ExperienceBuffer.fresh(2) for _ in range(2)]
+        table = PolicyTable.fresh(2)
         rng = np.random.default_rng(3)
         for _ in range(100):
-            links = sample_links(bufs, 0, rng, allow_no_link=False)
+            links = sample_links(table, rng, allow_no_link=False)
             assert links[0] == 1
             assert links[1] == 0
+
+    @pytest.mark.parametrize("allow_no_link", [True, False])
+    def test_matches_per_row_searchsorted(self, allow_no_link):
+        # Reference: the per-receiver loop, one searchsorted per row on the
+        # same uniform draws, clamped to the last action.
+        rng = np.random.default_rng(31)
+        for n in (2, 3, 7, 10, 33):
+            table = PolicyTable(
+                totals=rng.normal(0.0, 3.0, size=(n, n)),
+                counts=rng.integers(1, 9, size=(n, n)),
+            )
+            seed = int(rng.integers(0, 2**31))
+            u = np.random.default_rng(seed).random(n)
+            expect = np.empty(n, dtype=np.int64)
+            for i in range(n):
+                avg = table.totals[i] / table.counts[i]
+                p = np.exp(avg - avg.max())
+                p = p / p.sum()
+                if not allow_no_link:
+                    p[i] = 0.0
+                    p = p / p.sum()
+                choice = min(int(np.searchsorted(np.cumsum(p), u[i])), n - 1)
+                expect[i] = -1 if choice == i else choice
+            got = sample_links(table, np.random.default_rng(seed), allow_no_link=allow_no_link)
+            assert np.array_equal(got, expect)
 
 
 class TestRewards:
@@ -121,18 +151,18 @@ class TestRewards:
         )
 
     def test_inter_cluster_load(self):
-        links = np.array([1, -1, 0])
-        req = {0: np.array([3, 0, 4]), 2: np.array([1, 1, 1])}
+        # Ledger: links 1 -> 0 and 0 -> 2, with their request rows.
+        receivers, transmitters = np.array([0, 2]), np.array([1, 0])
+        req = np.array([[3, 0, 4], [1, 1, 1]])
         assignment = np.array([0, 1, 1])
-        load = inter_cluster_load(links, req, assignment, 2)
+        load = inter_cluster_load(receivers, transmitters, req, assignment, 2)
         # Link 1 -> 0 crosses into cluster 0 (7 points requested);
         # link 0 -> 2 crosses into cluster 1 (3 points).
         assert load.tolist() == [7.0, 3.0]
 
     def test_no_cross_links_zero(self):
-        links = np.array([1, 0])
-        req = {0: np.array([5]), 1: np.array([5])}
-        load = inter_cluster_load(links, req, np.array([0, 0]), 1)
+        req = np.array([[5], [5]])
+        load = inter_cluster_load(np.array([0, 1]), np.array([1, 0]), req, np.array([0, 0]), 1)
         assert load.tolist() == [0.0]
 
     def test_global_reward_value(self):
@@ -148,33 +178,37 @@ class TestRewards:
 
 class TestUpdatePolicy:
     def test_single_update_average(self):
-        buf = ExperienceBuffer.fresh(3)
-        update_policy(buf, 0, 1, 2.0)
-        assert buf.averages()[1] == pytest.approx(1.0)
-        assert buf.counts[0].tolist() == [1, 2, 1]
+        table = one_agent(3)
+        update_policy(table, np.array([1]), np.array([2.0]))
+        assert table.averages()[0, 1] == pytest.approx(1.0)
+        assert table.counts[0].tolist() == [1, 2, 1]
 
     def test_two_updates_running_average(self):
-        buf = ExperienceBuffer.fresh(2)
-        update_policy(buf, 0, 0, 1.0)
-        update_policy(buf, 0, 0, 3.0)
-        assert buf.averages()[0] == pytest.approx(4.0 / 3.0)
+        table = one_agent(2)
+        update_policy(table, np.array([0]), np.array([1.0]))
+        update_policy(table, np.array([0]), np.array([3.0]))
+        assert table.averages()[0, 0] == pytest.approx(4.0 / 3.0)
 
     def test_touches_single_cell(self):
-        buf = ExperienceBuffer.fresh(4)
-        before_t = buf.totals.copy()
-        before_c = buf.counts.copy()
-        update_policy(buf, 0, 2, 5.0)
-        delta_t = buf.totals - before_t
-        delta_c = buf.counts - before_c
-        assert delta_t[0, 2] == 5.0 and np.count_nonzero(delta_t) == 1
-        assert delta_c[0, 2] == 1 and np.count_nonzero(delta_c) == 1
+        # One update touches exactly one cell per agent: its chosen action.
+        table = PolicyTable.fresh(4)
+        before_t = table.totals.copy()
+        before_c = table.counts.copy()
+        chosen = np.array([2, 0, 3, 3])
+        update_policy(table, chosen, np.array([5.0, 1.0, 2.0, 3.0]))
+        delta_t = table.totals - before_t
+        delta_c = table.counts - before_c
+        assert np.array_equal(np.argwhere(delta_t), [[0, 2], [1, 0], [2, 3], [3, 3]])
+        assert delta_t[np.arange(4), chosen].tolist() == [5.0, 1.0, 2.0, 3.0]
+        assert np.array_equal(np.argwhere(delta_c), np.argwhere(delta_t))
+        assert delta_c.sum() == 4
 
     def test_probability_increases_after_good_reward(self):
-        buf = ExperienceBuffer.fresh(3)
-        buf.totals[0] = [0.5, 0.5, 0.5]
-        before = link_probabilities(buf)[2]
-        update_policy(buf, 0, 2, 4.0)  # well above the prior average 0.5
-        assert link_probabilities(buf)[2] > before
+        table = one_agent(3)
+        table.totals[0] = [0.5, 0.5, 0.5]
+        before = link_probabilities(table)[0, 2]
+        update_policy(table, np.array([2]), np.array([4.0]))  # well above the prior average 0.5
+        assert link_probabilities(table)[0, 2] > before
 
 
 def dominance_scenario():
@@ -196,7 +230,7 @@ def expected_mean_reward(scenario, weights, policies) -> float:
     """Exact expectation of an episode's mean overall reward when every
     device samples its link from its policy, over all joint link choices."""
     n = scenario.counts.shape[0]
-    probs = [link_probabilities(buf) for buf in policies]
+    probs = link_probabilities(policies)
     total = 0.0
     for combo in itertools.product(range(n), repeat=n):
         links = np.array([-1 if combo[i] == i else combo[i] for i in range(n)])
@@ -214,30 +248,28 @@ class TestTraining:
         scenario = dominance_scenario()
         w = RewardWeights(alpha1=0.0, alpha2=0.0, alpha3=0.0, gamma=0.0)
         result = train(scenario, 200, w, np.random.default_rng(5))
-        for buf in result.policies:
-            assert np.allclose(link_probabilities(buf), 1.0 / 3.0)
-        assert np.allclose(result.mean_reward_trace(), 0.0)
+        assert np.allclose(link_probabilities(result.policies), 1.0 / 3.0)
+        assert np.allclose(result.mean_reward, 0.0)
 
     def test_dominant_link_learned(self):
         scenario = dominance_scenario()
         w = RewardWeights(alpha1=2.0, alpha2=2.0, alpha3=0.0, gamma=0.0, diversity_min=2)
         result = train(scenario, 2000, w, np.random.default_rng(9))
-        p = link_probabilities(result.policies[0])
+        p = link_probabilities(result.policies)[0]
         assert p[1] > 0.9
         assert extract_graph(result.policies)[0] == 1
 
     def test_counts_increase_once_per_episode(self):
         scenario = dominance_scenario()
         result = train(scenario, 50, RewardWeights(), np.random.default_rng(1))
-        for buf in result.policies:
-            assert buf.counts.sum() == 3 + 50
+        assert result.policies.counts.sum(axis=1).tolist() == [3 + 50] * 3
 
     def test_overall_reward_identity(self):
         scenario = dominance_scenario()
         w = RewardWeights(alpha1=1.3, alpha2=0.7, alpha3=0.2, gamma=0.6, budgets=4.0)
         rng = np.random.default_rng(3)
         for _ in range(20):
-            links = sample_links([ExperienceBuffer.fresh(3) for _ in range(3)], 0, rng)
+            links = sample_links(PolicyTable.fresh(3), rng)
             out = run_episode(scenario, links, w)
             expect = out.local_rewards + w.gamma * out.global_rewards[
                 scenario.partition.assignment
@@ -252,7 +284,7 @@ class TestTraining:
         scenario = dominance_scenario()
         w = RewardWeights(alpha1=2.0, alpha2=2.0, alpha3=0.0, gamma=0.5, diversity_min=2)
         result = train(scenario, 2000, w, np.random.default_rng(2))
-        fresh = [ExperienceBuffer.fresh(3) for _ in range(3)]
+        fresh = PolicyTable.fresh(3)
         assert expected_mean_reward(scenario, w, result.policies) > expected_mean_reward(
             scenario, w, fresh
         )
@@ -261,14 +293,14 @@ class TestTraining:
         # Stationary 3-armed bandit through the policy/update machinery:
         # strictly ordered deterministic rewards per arm.
         arm_rewards = np.array([0.4, 1.2, 2.4])
-        buf = ExperienceBuffer.fresh(3)
+        table = one_agent(3)
         rng = np.random.default_rng(17)
         pulls = np.zeros(3)
         for _ in range(5000):
-            p = link_probabilities(buf)
+            p = link_probabilities(table)[0]
             arm = int(rng.choice(3, p=p))
             pulls[arm] += 1
-            update_policy(buf, 0, arm, float(arm_rewards[arm]))
+            update_policy(table, np.array([arm]), arm_rewards[[arm]])
         assert pulls[2] > pulls[1] > pulls[0]
 
 
@@ -323,18 +355,17 @@ class TestBruteForceOptimality:
 
 class TestExtractGraph:
     def test_fresh_buffers_tie_break_lowest_index(self):
-        bufs = [ExperienceBuffer.fresh(3) for _ in range(3)]
-        graph = extract_graph(bufs)
+        graph = extract_graph(PolicyTable.fresh(3))
         # Index 0 wins every tie; device 0 reads it as "no link".
         assert graph == {0: None, 1: 0, 2: 0}
 
     def test_dominant_cell_wins(self):
-        bufs = [ExperienceBuffer.fresh(3) for _ in range(3)]
-        bufs[2].totals[0] = [0.0, 3.0, 0.0]
-        assert extract_graph(bufs)[2] == 1
+        table = PolicyTable.fresh(3)
+        table.totals[2] = [0.0, 3.0, 0.0]
+        assert extract_graph(table)[2] == 1
 
     def test_no_link_disallowed_masks_self(self):
-        bufs = [ExperienceBuffer.fresh(2) for _ in range(2)]
-        bufs[0].totals[0] = [5.0, 0.0]  # self is the argmax but masked
-        graph = extract_graph(bufs, allow_no_link=False)
+        table = PolicyTable.fresh(2)
+        table.totals[0] = [5.0, 0.0]  # self is the argmax but masked
+        graph = extract_graph(table, allow_no_link=False)
         assert graph == {0: 1, 1: 0}
