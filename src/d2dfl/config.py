@@ -9,8 +9,11 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
+
+import numpy as np
 
 
 class ConfigError(ValueError):
@@ -155,6 +158,35 @@ def _parse_value(key: str, raw: str):
         raise ConfigError(f"key {key!r}: cannot parse {raw!r} as {kind}") from exc
 
 
+def class_allocation(cfg: ScenarioConfig) -> np.ndarray:
+    """Points a device holds in each of its drawn classes, largest first.
+
+    Successive chosen classes get skew_ratio times the previous class's
+    share (1.0 = even split), so local distributions are skewed within the
+    subset as well as across it. Shares are rounded with largest remainders
+    so each budget is spent exactly, and every drawn class keeps at least
+    one point (taken from the largest share), so extreme skew ratios still
+    touch classes_per_device classes; the first entry is below 1 when
+    samples_per_device cannot cover that.
+    """
+    shares = cfg.skew_ratio ** np.arange(cfg.classes_per_device)
+    shares = shares / shares.sum() * cfg.samples_per_device
+    floors = np.floor(shares).astype(np.int64)
+    remainder_order = np.argsort(-(shares - floors), kind="stable")
+    leftover = cfg.samples_per_device - floors.sum()
+    alloc = floors.copy()
+    alloc[remainder_order[:leftover]] += 1
+    short = alloc == 0
+    alloc[short] = 1
+    alloc[0] -= short.sum()
+    return alloc
+
+
+def held_out(n_points: int, test_fraction: float) -> int:
+    """Points of one class a device gives to the pooled test split."""
+    return int(round(n_points * test_fraction))
+
+
 def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
     """Check every invariant; raise ConfigError naming the first bad key."""
 
@@ -162,6 +194,9 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
         if not cond:
             raise ConfigError(f"key {key!r}: {rule} (got {getattr(cfg, key)!r})")
 
+    for key, kind in _FIELD_TYPES.items():
+        if kind == "float":
+            need(math.isfinite(getattr(cfg, key)), key, "must be finite")
     need(cfg.n_devices >= 2, "n_devices", "must be >= 2")
     need(cfg.n_classes >= 1, "n_classes", "must be >= 1")
     need(
@@ -209,6 +244,13 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
     need(0.0 < cfg.test_fraction < 1.0, "test_fraction", "must lie in (0, 1)")
     for key, choices in _CHOICES.items():
         need(getattr(cfg, key) in choices, key, f"must be one of {choices}")
+    alloc = class_allocation(cfg)
+    need(alloc[0] >= 1, "samples_per_device", "too small for classes_per_device at this skew_ratio")
+    need(
+        any(held_out(int(a), cfg.test_fraction) for a in alloc),
+        "test_fraction",
+        f"holds out no test point from {cfg.samples_per_device} samples_per_device",
+    )
     return cfg
 
 

@@ -5,15 +5,25 @@ classifier or a one-hidden-layer tanh perceptron) so parameter vectors stay
 flat and small and every gradient is finite-difference checkable. Supported
 schemes: fedavg and fedprox (local minibatch steps, periodic parameter
 averaging) and fedsgd (one full-batch gradient per round, applied globally).
+
+Devices train in blocks: the parameters of K devices are stacked as (K, P)
+and each local step is one gradient over their stacked (K, B, d) minibatches,
+with the same arithmetic per device as a single-device step, so results do
+not depend on how devices are blocked.
 """
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 SCHEMES = ("fedavg", "fedprox", "fedsgd")
+# Devices trained together in one stacked gradient step. Bounds the memory a
+# round adds (a block's concatenated data and its (K, B, d) minibatches);
+# larger blocks save little per-call time once K is in the tens.
+DEVICE_BLOCK = 32
 
 
 @dataclass
@@ -74,21 +84,23 @@ def init_params(spec: ModelSpec, rng: np.random.Generator, scale: float = 0.01) 
 
 
 def _unpack(spec: ModelSpec, params: np.ndarray):
+    """Weight and bias views of flat parameters, (P,) or stacked (K, P)."""
+    lead = params.shape[:-1]
     if spec.kind == "linear":
         w_end = spec.in_dim * spec.n_classes
-        w = params[:w_end].reshape(spec.in_dim, spec.n_classes)
-        b = params[w_end:]
+        w = params[..., :w_end].reshape(*lead, spec.in_dim, spec.n_classes)
+        b = params[..., w_end:]
         return w, b
     if spec.kind == "mlp":
         d, h, c = spec.in_dim, spec.hidden, spec.n_classes
         idx = 0
-        w1 = params[idx : idx + d * h].reshape(d, h)
+        w1 = params[..., idx : idx + d * h].reshape(*lead, d, h)
         idx += d * h
-        b1 = params[idx : idx + h]
+        b1 = params[..., idx : idx + h]
         idx += h
-        w2 = params[idx : idx + h * c].reshape(h, c)
+        w2 = params[..., idx : idx + h * c].reshape(*lead, h, c)
         idx += h * c
-        b2 = params[idx:]
+        b2 = params[..., idx:]
         return w1, b1, w2, b2
     raise ValueError(f"unknown model kind {spec.kind!r}")
 
@@ -102,9 +114,56 @@ def logits(spec: ModelSpec, params: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=1, keepdims=True)
+    z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _stacked_grad(
+    spec: ModelSpec,
+    params: np.ndarray,
+    x: np.ndarray,
+    y: np.ndarray,
+    prox_mu: float,
+    anchor: np.ndarray | None,
+    need_loss: bool,
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """Gradients of K devices at once: params (K, P), x (K, B, d), y (K, B).
+
+    Returns the (K,) mean cross-entropies (None unless need_loss) and the
+    (K, P) gradients, proximal pull included. Each slice is computed with
+    the same matmul, reduction and elementwise calls as a single device, so
+    a device's gradient does not depend on the block it is stacked in.
+    """
+    n = x.shape[1]
+    at_label = (np.arange(len(params))[:, None], np.arange(n), y)
+    if spec.kind == "linear":
+        w, b = _unpack(spec, params)
+        probs = _softmax(x @ w + b[:, None])
+    else:
+        w1, b1, w2, b2 = _unpack(spec, params)
+        hid = np.tanh(x @ w1 + b1[:, None])
+        probs = _softmax(hid @ w2 + b2[:, None])
+    ce = -np.log(probs[at_label] + 1e-300).mean(axis=1) if need_loss else None
+    delta = probs
+    delta[at_label] -= 1.0
+    delta /= n
+    if spec.kind == "linear":
+        parts = [x.swapaxes(1, 2) @ delta, delta.sum(axis=1)]
+    else:
+        dhid = (delta @ w2.swapaxes(1, 2)) * (1.0 - hid**2)
+        parts = [
+            x.swapaxes(1, 2) @ dhid,
+            dhid.sum(axis=1),
+            hid.swapaxes(1, 2) @ delta,
+            delta.sum(axis=1),
+        ]
+    grad = np.concatenate([p.reshape(len(params), -1) for p in parts], axis=1)
+    if prox_mu > 0.0:
+        if anchor is None:
+            raise ValueError("proximal term needs an anchor parameter vector")
+        grad += prox_mu * (params - anchor)
+    return ce, grad
 
 
 def loss_and_grad(
@@ -114,43 +173,77 @@ def loss_and_grad(
     y: np.ndarray,
     prox_mu: float = 0.0,
     anchor: np.ndarray | None = None,
-) -> tuple[float, np.ndarray]:
+) -> tuple[float | np.ndarray, np.ndarray]:
     """Mean cross-entropy (plus an optional proximal pull toward anchor)
-    and its gradient with respect to the flat parameter vector."""
-    n = x.shape[0]
-    if spec.kind == "linear":
-        w, b = _unpack(spec, params)
-        probs = _softmax(x @ w + b)
-        ce = -np.log(probs[np.arange(n), y] + 1e-300).mean()
-        delta = probs
-        delta[np.arange(n), y] -= 1.0
-        delta /= n
-        grad = np.concatenate([(x.T @ delta).ravel(), delta.sum(axis=0)])
-    else:
-        w1, b1, w2, b2 = _unpack(spec, params)
-        hid = np.tanh(x @ w1 + b1)
-        probs = _softmax(hid @ w2 + b2)
-        ce = -np.log(probs[np.arange(n), y] + 1e-300).mean()
-        delta = probs
-        delta[np.arange(n), y] -= 1.0
-        delta /= n
-        dhid = (delta @ w2.T) * (1.0 - hid**2)
-        grad = np.concatenate(
-            [
-                (x.T @ dhid).ravel(),
-                dhid.sum(axis=0),
-                (hid.T @ delta).ravel(),
-                delta.sum(axis=0),
-            ]
-        )
-    loss = ce
+    and its gradient with respect to the flat parameter vector.
+
+    Takes one device, params (P,), x (n, d), y (n,), and returns a float
+    and a (P,) gradient; or K devices stacked, params (K, P), x (K, B, d),
+    y (K, B), and returns (K,) losses and (K, P) gradients.
+    """
+    single = params.ndim == 1
+    if single:
+        params, x, y = params[None], x[None], y[None]
+    loss, grad = _stacked_grad(spec, params, x, y, prox_mu, anchor, need_loss=True)
     if prox_mu > 0.0:
-        if anchor is None:
-            raise ValueError("proximal term needs an anchor parameter vector")
         diff = params - anchor
-        loss = loss + 0.5 * prox_mu * float(diff @ diff)
-        grad = grad + prox_mu * diff
-    return float(loss), grad
+        loss = loss + 0.5 * prox_mu * (diff * diff).sum(axis=1)
+    if single:
+        return float(loss[0]), grad[0]
+    return loss, grad
+
+
+def _train_block(
+    spec: ModelSpec,
+    start: np.ndarray,
+    block: list[LabeledSet],
+    rngs: list[np.random.Generator],
+    steps: int,
+    lr: float,
+    batch_size: int,
+    prox_mu: float,
+    anchor: np.ndarray | None,
+) -> np.ndarray:
+    """Local gradient steps for K non-empty devices that all start from the
+    same parameters (P,); returns their (K, P) local parameters.
+
+    The block either has more data per device than one batch, and each
+    device draws its minibatches for all steps in one call on its own
+    generator (the same stream as one draw per step), or every device holds
+    the same number of points, at most batch_size, and takes full-batch
+    steps drawing nothing.
+    """
+    x_cat = np.concatenate([d.x for d in block])
+    y_cat = np.concatenate([d.y for d in block])
+    sizes = np.array([len(d) for d in block])
+    if sizes[0] <= batch_size:
+        full = (x_cat.reshape(len(block), sizes[0], -1), y_cat.reshape(len(block), -1))
+        batches = itertools.repeat(full, steps)
+    else:
+        offsets = np.cumsum(sizes) - sizes
+        idx = np.stack(
+            [rng.integers(0, n, size=(steps, batch_size)) for rng, n in zip(rngs, sizes)],
+            axis=1,
+        ) + offsets[:, None]
+        batches = ((x_cat[i], y_cat[i]) for i in idx)
+    out = np.repeat(start[None], len(block), axis=0)
+    for x, y in batches:
+        _, grad = _stacked_grad(spec, out, x, y, prox_mu, anchor, need_loss=False)
+        out -= lr * grad
+    return out
+
+
+def _device_blocks(sizes: list[int], batch_size: float) -> list[list[int]]:
+    """Positions of the devices that train together, at most DEVICE_BLOCK
+    per block. Devices with more points than batch_size share blocks in
+    order; the rest take full-batch steps and are grouped by equal size, so
+    no block needs padded rows."""
+    groups: dict[int | None, list[int]] = {None: []}
+    for pos, n in enumerate(sizes):
+        groups.setdefault(None if n > batch_size else n, []).append(pos)
+    return [
+        g[k : k + DEVICE_BLOCK] for g in groups.values() for k in range(0, len(g), DEVICE_BLOCK)
+    ]
 
 
 def local_train(
@@ -174,29 +267,17 @@ def local_train(
     dataset instead and nothing is drawn from rng. Empty datasets train
     nothing.
     """
-    if len(data) == 0:
+    if len(data) == 0 or scheme == "fedsgd":
         return params.copy()
-    if scheme == "fedsgd":
-        return params.copy()
-    out = params.copy()
     mu = prox_mu if scheme == "fedprox" else 0.0
     anchor = global_params if scheme == "fedprox" else None
-    n = len(data)
-    for _ in range(steps):
-        if batch_size >= n:
-            x, y = data.x, data.y
-        else:
-            idx = rng.integers(0, n, size=batch_size)
-            x, y = data.x[idx], data.y[idx]
-        _, grad = loss_and_grad(spec, out, x, y, mu, anchor)
-        out -= lr * grad
-    return out
+    return _train_block(spec, params, [data], [rng], steps, lr, batch_size, mu, anchor)[0]
 
 
 def full_batch_grad(spec: ModelSpec, params: np.ndarray, data: LabeledSet) -> np.ndarray:
     """One full-batch gradient, accumulated but not applied (fedsgd)."""
-    _, grad = loss_and_grad(spec, params, data.x, data.y)
-    return grad
+    _, grad = _stacked_grad(spec, params[None], data.x[None], data.y[None], 0.0, None, False)
+    return grad[0]
 
 
 def aggregate(
@@ -249,46 +330,51 @@ def run_fl(
     """Alternate local training and aggregation for the configured total
     steps, evaluating the global model after each aggregation.
 
-    Stragglers train locally but contribute nothing to aggregations; they
-    still receive every broadcast global model.
+    Every participant (a non-straggler with data) starts each round from
+    the broadcast global model; participants are trained in blocks of at
+    most DEVICE_BLOCK devices, one stacked (K, P) gradient per local step,
+    each device drawing its minibatches from its own generator. Stragglers
+    contribute nothing to aggregations, and their generators feed nothing
+    else, so they are not trained at all.
     """
-    n = len(datasets)
     params_g = init_params(spec, rng)
-    device_rngs = [np.random.default_rng(rng.integers(0, 2**63)) for _ in range(n)]
+    device_rngs = [np.random.default_rng(rng.integers(0, 2**63)) for _ in datasets]
+    active = [
+        i for i, data in enumerate(datasets) if len(data) and i not in config.stragglers
+    ]
+    sizes = [len(datasets[i]) for i in active]
+    weights = [float(n) if config.weighting == "data" else 1.0 for n in sizes]
+    fedsgd = config.scheme == "fedsgd"
+    blocks = _device_blocks(sizes, np.inf if fedsgd else config.batch_size)
+    mu = config.prox_mu if config.scheme == "fedprox" else 0.0
     accuracy: list[float] = []
     participants: list[int] = []
     for _ in range(config.n_rounds):
-        payloads: list[np.ndarray] = []
-        weights: list[float] = []
-        n_part = 0
-        for i, data in enumerate(datasets):
-            if len(data) == 0:
-                continue
-            if config.scheme == "fedsgd":
-                payload = full_batch_grad(spec, params_g, data)
+        payloads = np.empty((len(active), spec.n_params))
+        for pos in blocks:
+            block = [datasets[active[p]] for p in pos]
+            if fedsgd:
+                x = np.stack([d.x for d in block])
+                y = np.stack([d.y for d in block])
+                start = np.repeat(params_g[None], len(block), axis=0)
+                payloads[pos] = _stacked_grad(spec, start, x, y, 0.0, None, False)[1]
             else:
-                payload = local_train(
+                payloads[pos] = _train_block(
                     spec,
                     params_g,
-                    data,
-                    steps=config.tau_a,
-                    lr=config.learning_rate,
-                    rng=device_rngs[i],
-                    batch_size=config.batch_size,
-                    scheme=config.scheme,
-                    global_params=params_g,
-                    prox_mu=config.prox_mu,
+                    block,
+                    [device_rngs[active[p]] for p in pos],
+                    config.tau_a,
+                    config.learning_rate,
+                    config.batch_size,
+                    mu,
+                    params_g,
                 )
-            if i in config.stragglers:
-                continue
-            n_part += 1
-            payloads.append(payload)
-            weights.append(float(len(data)) if config.weighting == "data" else 1.0)
         params_g = aggregate(
-            payloads, weights, config.scheme, params_g, lr=config.learning_rate
+            list(payloads), weights, config.scheme, params_g, lr=config.learning_rate
         )
         accuracy.append(evaluate(spec, params_g, test))
-        participants.append(n_part)
+        participants.append(len(active))
     return FlTrace(accuracy=accuracy, participants=participants)
 
 

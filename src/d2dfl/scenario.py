@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fl
-from .config import ScenarioConfig
+from .config import ScenarioConfig, class_allocation, held_out
 from .exchange import EXPECTED, STOCHASTIC, ExchangeResult, run_exchange
 from .network import (
     ChannelParams,
@@ -69,28 +69,10 @@ class Scenario:
 
 
 def _non_iid_counts(cfg: ScenarioConfig, rng: np.random.Generator) -> np.ndarray:
-    """Split each device's sample budget over its drawn class subset.
-
-    Successive chosen classes get skew_ratio times the previous class's
-    share (1.0 = even split), so local distributions are skewed within the
-    subset as well as across it. Shares are rounded with largest remainders
-    so each budget is spent exactly.
-    """
+    """Split each device's sample budget over its drawn class subset, the
+    largest share to the first drawn class (see class_allocation)."""
     counts = np.zeros((cfg.n_devices, cfg.n_classes), dtype=np.int64)
-    shares = cfg.skew_ratio ** np.arange(cfg.classes_per_device)
-    shares = shares / shares.sum() * cfg.samples_per_device
-    floors = np.floor(shares).astype(np.int64)
-    remainder_order = np.argsort(-(shares - floors), kind="stable")
-    leftover = cfg.samples_per_device - floors.sum()
-    alloc = floors.copy()
-    alloc[remainder_order[:leftover]] += 1
-    # Every drawn class keeps at least one sample (taken from the largest
-    # share) so extreme skew ratios still touch classes_per_device classes.
-    short = alloc == 0
-    alloc[short] = 1
-    alloc[0] -= short.sum()
-    if alloc[0] < 1:
-        raise ValueError("samples_per_device too small for classes_per_device")
+    alloc = class_allocation(cfg)
     for i in range(cfg.n_devices):
         counts[i, _draw_classes(cfg, rng)] = alloc
     return counts
@@ -125,6 +107,20 @@ def _draw_classes(cfg: ScenarioConfig, rng: np.random.Generator) -> np.ndarray:
     return np.array(chosen, dtype=np.int64)
 
 
+def draw_trust(
+    n_devices: int, n_classes: int, density: float, rng: np.random.Generator
+) -> np.ndarray:
+    """Bernoulli(density) int8 trust tensor (N, N, L), trust[j, i, l].
+
+    Drawn one transmitter row at a time into the int8 result, so no float
+    (N, N, L) temporary is made; the stream equals one (N, N, L) draw.
+    """
+    trust = np.empty((n_devices, n_devices, n_classes), dtype=np.int8)
+    for row in trust:
+        row[...] = rng.random((n_devices, n_classes)) < density
+    return trust
+
+
 def generate_scenario(cfg: ScenarioConfig, root_seed: int | None = None) -> Scenario:
     """Build a full scenario from a validated config.
 
@@ -155,10 +151,7 @@ def generate_scenario(cfg: ScenarioConfig, root_seed: int | None = None) -> Scen
     drop = drop_matrix(rss, channel)
     partition = partition_clusters(rss, cfg.alpha_d, channel)
 
-    trust_rng = named_rng(seed, "trust")
-    trust = (
-        trust_rng.random((cfg.n_devices, cfg.n_devices, cfg.n_classes)) < cfg.trust_density
-    ).astype(np.int8)
+    trust = draw_trust(cfg.n_devices, cfg.n_classes, cfg.trust_density, named_rng(seed, "trust"))
 
     data_rng = named_rng(seed, "data")
     drawn = _non_iid_counts(cfg, data_rng)
@@ -174,7 +167,7 @@ def generate_scenario(cfg: ScenarioConfig, root_seed: int | None = None) -> Scen
         keep_idx, test_idx = [], []
         for cls in range(cfg.n_classes):
             cls_idx = np.flatnonzero(full.y == cls)
-            n_test = int(round(len(cls_idx) * cfg.test_fraction))
+            n_test = held_out(len(cls_idx), cfg.test_fraction)
             test_idx.extend(cls_idx[:n_test])
             keep_idx.extend(cls_idx[n_test:])
         keep_idx = np.array(sorted(keep_idx), dtype=np.int64)

@@ -1,4 +1,9 @@
+import math
+import warnings
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from d2dfl.config import (
     ConfigError,
@@ -9,6 +14,7 @@ from d2dfl.config import (
     save_config,
     with_overrides,
 )
+from d2dfl.experiment import run_experiment
 
 
 class TestParsing:
@@ -66,6 +72,82 @@ class TestValidation:
             with_overrides(ScenarioConfig(), trust_density=1.5)
         with pytest.raises(ConfigError, match="unknown key"):
             with_overrides(ScenarioConfig(), warp=1)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_float_names_key(self, value):
+        with pytest.raises(ConfigError, match="'area_size': must be finite"):
+            with_overrides(ScenarioConfig(), area_size=value)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [dict(samples_per_device=1, classes_per_device=1), dict(samples_per_device=5)],
+    )
+    def test_empty_test_split_names_key(self, overrides):
+        with pytest.raises(ConfigError, match="'test_fraction': holds out no test point"):
+            with_overrides(ScenarioConfig(), **overrides)
+
+    def test_too_few_samples_names_key(self):
+        with pytest.raises(ConfigError, match="'samples_per_device'"):
+            with_overrides(ScenarioConfig(), samples_per_device=3)
+
+
+@st.composite
+def small_configs(draw):
+    """Overrides for tiny runs around the crash-prone corners: few points
+    per device, small test fractions, few classes, every scheme, model,
+    baseline and delivery mode; half of them also set one float key to a
+    non-finite or zero value."""
+    n_classes = draw(st.integers(1, 5))
+    overrides = {
+        "n_devices": draw(st.integers(2, 5)),
+        "n_classes": n_classes,
+        "classes_per_device": draw(st.integers(1, n_classes)),
+        "samples_per_device": draw(st.integers(1, 24)),
+        "skew_ratio": draw(st.floats(0.05, 1.0)),
+        "trust_density": draw(st.floats(0.0, 1.0)),
+        "class_threshold": draw(st.integers(0, 6)),
+        "feature_dim": draw(st.integers(1, 3)),
+        "area_size": draw(st.floats(1.0, 1e6)),
+        "alpha_d": draw(st.floats(0.01, 0.99)),
+        "shadowing_sigma": draw(st.floats(0.0, 8.0)),
+        "diversity_min": draw(st.integers(0, n_classes)),
+        "cluster_budget": draw(st.floats(0.0, 50.0)),
+        "episodes": draw(st.integers(1, 3)),
+        "allow_no_link": draw(st.booleans()),
+        "scheme": draw(st.sampled_from(["fedavg", "fedprox", "fedsgd"])),
+        "tau_a": draw(st.integers(1, 2)),
+        "total_steps": draw(st.integers(2, 4)),
+        "learning_rate": draw(st.floats(0.01, 1.0)),
+        "batch_size": draw(st.integers(1, 8)),
+        "weighting": draw(st.sampled_from(["data", "uniform"])),
+        "straggler_fraction": draw(st.floats(0.0, 1.0)),
+        "model": draw(st.sampled_from(["linear", "mlp"])),
+        "hidden_units": draw(st.integers(1, 3)),
+        "baseline": draw(st.sampled_from(["rl", "uniform", "none"])),
+        "delivery": draw(st.sampled_from(["expected", "stochastic"])),
+        "test_fraction": draw(st.floats(0.01, 0.99)),
+    }
+    if draw(st.booleans()):
+        floats = sorted(k for k, v in overrides.items() if isinstance(v, float))
+        key = draw(st.sampled_from(floats))
+        overrides[key] = draw(st.sampled_from([math.inf, -math.inf, math.nan, 0.0]))
+    return overrides
+
+
+class TestValidatedConfigsRun:
+    @settings(max_examples=150, deadline=None)
+    @given(small_configs(), st.integers(0, 3))
+    def test_validates_and_runs_or_names_key(self, overrides, seed):
+        try:
+            cfg = with_overrides(ScenarioConfig(), seed=seed, **overrides)
+        except ConfigError as exc:
+            assert any(f"key {key!r}" in str(exc) for key in overrides), str(exc)
+            return
+        with warnings.catch_warnings():
+            # A round whose devices are all stragglers or empty warns.
+            warnings.simplefilter("ignore", UserWarning)
+            result = run_experiment(cfg)
+        assert len(result.fl_trace.accuracy) == cfg.total_steps // cfg.tau_a
 
 
 class TestRoundTrip:

@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from d2dfl.fl import (
     FlConfig,
@@ -269,3 +273,113 @@ class TestModelShapes:
         g = full_batch_grad(LINEAR, params, data)
         _, ref = loss_and_grad(LINEAR, params, data.x, data.y)
         assert np.array_equal(g, ref)
+
+
+def loop_oracle(spec, datasets, test, config, rng):
+    """run_fl as a plain loop: every device with data, stragglers included,
+    trains step by step on its own generator through the single-device
+    loss_and_grad; stragglers' payloads are then dropped."""
+    params_g = init_params(spec, rng)
+    device_rngs = [np.random.default_rng(rng.integers(0, 2**63)) for _ in datasets]
+    accuracy, participants = [], []
+    for _ in range(config.n_rounds):
+        payloads, weights = [], []
+        for i, data in enumerate(datasets):
+            n = len(data)
+            if n == 0:
+                continue
+            if config.scheme == "fedsgd":
+                payload = loss_and_grad(spec, params_g, data.x, data.y)[1]
+            else:
+                mu = config.prox_mu if config.scheme == "fedprox" else 0.0
+                payload = params_g.copy()
+                for _ in range(config.tau_a):
+                    if config.batch_size >= n:
+                        x, y = data.x, data.y
+                    else:
+                        idx = device_rngs[i].integers(0, n, size=config.batch_size)
+                        x, y = data.x[idx], data.y[idx]
+                    _, grad = loss_and_grad(spec, payload, x, y, mu, params_g)
+                    payload -= config.learning_rate * grad
+            if i in config.stragglers:
+                continue
+            payloads.append(payload)
+            weights.append(float(n) if config.weighting == "data" else 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            params_g = aggregate(payloads, weights, config.scheme, params_g, config.learning_rate)
+        accuracy.append(evaluate(spec, params_g, test))
+        participants.append(len(payloads))
+    return accuracy, participants
+
+
+@st.composite
+def fl_inputs(draw):
+    spec = ModelSpec(
+        kind=draw(st.sampled_from(["linear", "mlp"])),
+        in_dim=draw(st.integers(1, 4)),
+        n_classes=draw(st.integers(2, 4)),
+        hidden=draw(st.integers(1, 5)),
+    )
+    batch_size = draw(st.integers(1, 6))
+    size = st.one_of(
+        st.sampled_from([0, max(batch_size - 1, 0), batch_size, batch_size + 1]),
+        st.integers(0, 3 * batch_size),
+    )
+    sizes = draw(st.lists(size, min_size=1, max_size=40))
+    strag = draw(st.sampled_from(["none", "some", "all"]))
+    if strag == "some":
+        stragglers = frozenset(draw(st.sets(st.integers(0, len(sizes) - 1))))
+    else:
+        stragglers = frozenset(range(len(sizes)) if strag == "all" else ())
+    tau_a = draw(st.integers(1, 3))
+    config = FlConfig(
+        scheme=draw(st.sampled_from(["fedavg", "fedprox", "fedsgd"])),
+        tau_a=tau_a,
+        total_steps=tau_a * draw(st.integers(1, 3)),
+        learning_rate=draw(st.floats(0.01, 1.0)),
+        prox_mu=draw(st.sampled_from([0.0, 0.3])),
+        batch_size=batch_size,
+        weighting=draw(st.sampled_from(["data", "uniform"])),
+        stragglers=stragglers,
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    datasets = [
+        LabeledSet(
+            rng.normal(size=(n, spec.in_dim)), rng.integers(0, spec.n_classes, n), spec.n_classes
+        )
+        for n in sizes
+    ]
+    test = LabeledSet(
+        rng.normal(size=(30, spec.in_dim)), rng.integers(0, spec.n_classes, 30), spec.n_classes
+    )
+    return spec, datasets, test, config, draw(st.integers(0, 2**32 - 1))
+
+
+class TestBatchedMatchesLoop:
+    @settings(max_examples=150, deadline=None)
+    @given(fl_inputs())
+    def test_equal_to_per_device_loop(self, inputs):
+        spec, datasets, test, config, seed = inputs
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            trace = run_fl(spec, datasets, test, config, np.random.default_rng(seed))
+        oracle_rng = np.random.default_rng(seed)
+        accuracy, participants = loop_oracle(spec, datasets, test, config, oracle_rng)
+        assert trace.accuracy == accuracy
+        assert trace.participants == participants
+
+    @pytest.mark.parametrize("spec", [LINEAR, MLP], ids=["linear", "mlp"])
+    def test_stacked_gradient_equals_each_device(self, spec):
+        rng = np.random.default_rng(13)
+        params = rng.normal(0, 0.5, size=(5, spec.n_params))
+        x = rng.normal(size=(5, 7, spec.in_dim))
+        y = rng.integers(0, spec.n_classes, size=(5, 7))
+        anchor = rng.normal(size=spec.n_params)
+        loss, grad = loss_and_grad(spec, params, x, y, prox_mu=0.4, anchor=anchor)
+        for k in range(5):
+            ref_loss, ref_grad = loss_and_grad(
+                spec, params[k], x[k], y[k], prox_mu=0.4, anchor=anchor
+            )
+            assert np.array_equal(grad[k], ref_grad)
+            assert loss[k] == pytest.approx(ref_loss, rel=1e-12)

@@ -4,6 +4,7 @@ import pytest
 from d2dfl.config import ScenarioConfig, with_overrides
 from d2dfl.exchange import EXPECTED, STOCHASTIC
 from d2dfl.scenario import (
+    draw_trust,
     generate_scenario,
     materialize_exchange,
     named_rng,
@@ -85,6 +86,18 @@ class TestGenerateScenario:
         assert s.partition.assignment.shape == (SMALL.n_devices,)
         assert np.all(s.partition.assignment >= 0)
         assert s.partition.k >= 1
+
+
+class TestDrawTrust:
+    @pytest.mark.parametrize(
+        "n, n_classes, density, seed",
+        [(1, 1, 0.5, 0), (2, 3, 0.8, 1), (7, 5, 0.3, 2), (40, 8, 0.8, 3), (300, 8, 0.8, 4)],
+    )
+    def test_rows_equal_one_shot_draw(self, n, n_classes, density, seed):
+        one_shot = (np.random.default_rng(seed).random((n, n, n_classes)) < density).astype(np.int8)
+        rows = draw_trust(n, n_classes, density, np.random.default_rng(seed))
+        assert rows.dtype == np.int8
+        assert np.array_equal(rows, one_shot)
 
 
 class TestUniformBaselineLinks:
