@@ -187,7 +187,7 @@ def loss_and_grad(
     loss, grad = _stacked_grad(spec, params, x, y, prox_mu, anchor, need_loss=True)
     if prox_mu > 0.0:
         diff = params - anchor
-        loss = loss + 0.5 * prox_mu * (diff * diff).sum(axis=1)
+        loss = loss + 0.5 * prox_mu * np.array([d @ d for d in diff])
     if single:
         return float(loss[0]), grad[0]
     return loss, grad
@@ -233,7 +233,7 @@ def _train_block(
     return out
 
 
-def _device_blocks(sizes: list[int], batch_size: float) -> list[list[int]]:
+def _device_blocks(sizes: list[int], batch_size: int) -> list[list[int]]:
     """Positions of the devices that train together, at most DEVICE_BLOCK
     per block. Devices with more points than batch_size share blocks in
     order; the rest take full-batch steps and are grouped by equal size, so
@@ -333,7 +333,8 @@ def run_fl(
     Every participant (a non-straggler with data) starts each round from
     the broadcast global model; participants are trained in blocks of at
     most DEVICE_BLOCK devices, one stacked (K, P) gradient per local step,
-    each device drawing its minibatches from its own generator. Stragglers
+    each device drawing its minibatches from its own generator; under
+    fedsgd each participant sends one full_batch_grad instead. Stragglers
     contribute nothing to aggregations, and their generators feed nothing
     else, so they are not trained at all.
     """
@@ -344,25 +345,20 @@ def run_fl(
     ]
     sizes = [len(datasets[i]) for i in active]
     weights = [float(n) if config.weighting == "data" else 1.0 for n in sizes]
-    fedsgd = config.scheme == "fedsgd"
-    blocks = _device_blocks(sizes, np.inf if fedsgd else config.batch_size)
+    blocks = _device_blocks(sizes, config.batch_size)
     mu = config.prox_mu if config.scheme == "fedprox" else 0.0
     accuracy: list[float] = []
     participants: list[int] = []
     for _ in range(config.n_rounds):
-        payloads = np.empty((len(active), spec.n_params))
-        for pos in blocks:
-            block = [datasets[active[p]] for p in pos]
-            if fedsgd:
-                x = np.stack([d.x for d in block])
-                y = np.stack([d.y for d in block])
-                start = np.repeat(params_g[None], len(block), axis=0)
-                payloads[pos] = _stacked_grad(spec, start, x, y, 0.0, None, False)[1]
-            else:
+        if config.scheme == "fedsgd":
+            payloads = [full_batch_grad(spec, params_g, datasets[i]) for i in active]
+        else:
+            payloads = np.empty((len(active), spec.n_params))
+            for pos in blocks:
                 payloads[pos] = _train_block(
                     spec,
                     params_g,
-                    block,
+                    [datasets[active[p]] for p in pos],
                     [device_rngs[active[p]] for p in pos],
                     config.tau_a,
                     config.learning_rate,

@@ -275,10 +275,48 @@ class TestModelShapes:
         assert np.array_equal(g, ref)
 
 
+def reference_loss_and_grad(spec, params, x, y, prox_mu=0.0, anchor=None):
+    """Single-device loss and gradient written with 2-D matrix products
+    (x @ w + b, x.T @ delta, delta.sum(axis=0)), independent of the stacked
+    kernel that fl uses."""
+    n, d, c = x.shape[0], spec.in_dim, spec.n_classes
+    rows = np.arange(n)
+    if spec.kind == "linear":
+        w, b = params[: d * c].reshape(d, c), params[d * c :]
+        z = x @ w + b
+    else:
+        h = spec.hidden
+        w1 = params[: d * h].reshape(d, h)
+        b1 = params[d * h : d * h + h]
+        w2 = params[d * h + h : d * h + h + h * c].reshape(h, c)
+        b2 = params[d * h + h + h * c :]
+        hid = np.tanh(x @ w1 + b1)
+        z = hid @ w2 + b2
+    z = z - z.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    probs = e / e.sum(axis=1, keepdims=True)
+    loss = -np.log(probs[rows, y] + 1e-300).mean()
+    delta = probs
+    delta[rows, y] -= 1.0
+    delta /= n
+    if spec.kind == "linear":
+        grad = np.concatenate([(x.T @ delta).ravel(), delta.sum(axis=0)])
+    else:
+        dhid = (delta @ w2.T) * (1.0 - hid**2)
+        grad = np.concatenate(
+            [(x.T @ dhid).ravel(), dhid.sum(axis=0), (hid.T @ delta).ravel(), delta.sum(axis=0)]
+        )
+    if prox_mu > 0.0:
+        diff = params - anchor
+        loss = loss + 0.5 * prox_mu * float(diff @ diff)
+        grad = grad + prox_mu * diff
+    return float(loss), grad
+
+
 def loop_oracle(spec, datasets, test, config, rng):
     """run_fl as a plain loop: every device with data, stragglers included,
-    trains step by step on its own generator through the single-device
-    loss_and_grad; stragglers' payloads are then dropped."""
+    trains step by step on its own generator through
+    reference_loss_and_grad; stragglers' payloads are then dropped."""
     params_g = init_params(spec, rng)
     device_rngs = [np.random.default_rng(rng.integers(0, 2**63)) for _ in datasets]
     accuracy, participants = [], []
@@ -289,7 +327,7 @@ def loop_oracle(spec, datasets, test, config, rng):
             if n == 0:
                 continue
             if config.scheme == "fedsgd":
-                payload = loss_and_grad(spec, params_g, data.x, data.y)[1]
+                payload = reference_loss_and_grad(spec, params_g, data.x, data.y)[1]
             else:
                 mu = config.prox_mu if config.scheme == "fedprox" else 0.0
                 payload = params_g.copy()
@@ -299,7 +337,7 @@ def loop_oracle(spec, datasets, test, config, rng):
                     else:
                         idx = device_rngs[i].integers(0, n, size=config.batch_size)
                         x, y = data.x[idx], data.y[idx]
-                    _, grad = loss_and_grad(spec, payload, x, y, mu, params_g)
+                    _, grad = reference_loss_and_grad(spec, payload, x, y, mu, params_g)
                     payload -= config.learning_rate * grad
             if i in config.stragglers:
                 continue
@@ -378,8 +416,22 @@ class TestBatchedMatchesLoop:
         anchor = rng.normal(size=spec.n_params)
         loss, grad = loss_and_grad(spec, params, x, y, prox_mu=0.4, anchor=anchor)
         for k in range(5):
-            ref_loss, ref_grad = loss_and_grad(
+            ref_loss, ref_grad = reference_loss_and_grad(
                 spec, params[k], x[k], y[k], prox_mu=0.4, anchor=anchor
             )
             assert np.array_equal(grad[k], ref_grad)
             assert loss[k] == pytest.approx(ref_loss, rel=1e-12)
+
+    @pytest.mark.parametrize("mu", [0.0, 0.4])
+    @pytest.mark.parametrize("spec", [LINEAR, MLP], ids=["linear", "mlp"])
+    def test_single_device_equals_reference_bitwise(self, spec, mu):
+        rng = np.random.default_rng(17)
+        for n in (1, 7, 32, 300):
+            params = rng.normal(0, 0.5, size=spec.n_params)
+            x = rng.normal(size=(n, spec.in_dim))
+            y = rng.integers(0, spec.n_classes, size=n)
+            anchor = rng.normal(size=spec.n_params)
+            loss, grad = loss_and_grad(spec, params, x, y, prox_mu=mu, anchor=anchor)
+            ref_loss, ref_grad = reference_loss_and_grad(spec, params, x, y, mu, anchor)
+            assert loss == ref_loss
+            assert np.array_equal(grad, ref_grad)
