@@ -17,6 +17,7 @@ from .config import ConfigError, ScenarioConfig, load_config, with_overrides
 from .experiment import (
     discover_links,
     emit_metrics,
+    links_json,
     reward_weights_from,
     rl_records,
     run_experiment,
@@ -81,7 +82,7 @@ def _cmd_train(args) -> int:
     print(
         json.dumps(
             {
-                "links": {str(rx): tx for rx, tx in links.items()},
+                "links": links_json(links),
                 "episodes": cfg.episodes,
                 "final_mean_reward": records[-1].mean_reward if records else None,
             },

@@ -183,19 +183,15 @@ def integerize_buffers(buffers: np.ndarray) -> np.ndarray:
     return floors
 
 
-def _active_links(links, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _active_links(links: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """(receivers, transmitters) of the real links, sorted by transmitter
     then receiver."""
-    if isinstance(links, dict):
-        pairs = [(rx, tx) for rx, tx in links.items() if tx is not None]
-        rx, tx = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-        if np.any((rx < 0) | (rx >= n) | (tx < 0) | (tx >= n)):
-            raise IndexError(f"link index out of range for {n} devices")
-    else:
-        tx = np.asarray(links, dtype=np.int64)
-        if tx.shape != (n,):
-            raise ValueError(f"link array must have shape ({n},)")
-        rx = np.arange(n)
+    tx = np.asarray(links, dtype=np.int64)
+    if tx.shape != (n,):
+        raise ValueError(f"link array must have shape ({n},)")
+    if tx.min() < -1 or tx.max() >= n:
+        raise IndexError(f"link index out of range for {n} devices")
+    rx = np.arange(n)
     active = (tx >= 0) & (tx != rx)
     rx, tx = rx[active], tx[active]
     order = np.lexsort((rx, tx))
@@ -203,7 +199,7 @@ def _active_links(links, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def run_exchange(
-    links: dict[int, int | None] | np.ndarray,
+    links: np.ndarray,
     counts: np.ndarray,
     thresholds: np.ndarray,
     trust: np.ndarray,
@@ -215,10 +211,10 @@ def run_exchange(
     """Execute one full message-passing round over the predicted links.
 
     Args:
-        links: receiver -> transmitter map, as a dict (None entries mean no
-            incoming link) or as an (N,) array of transmitter indices per
-            receiver (-1 means no link). Self links are ignored. At most one
-            incoming link per receiver by construction.
+        links: (N,) int array, entry i the transmitter of receiver i; -1
+            (or i itself) means no incoming link. Any other entry outside
+            [0, N) raises IndexError. At most one incoming link per receiver
+            by construction.
         counts: (N, L) per-device class-distribution vectors.
         thresholds: (N, L) per-device, per-class thresholds.
         trust: (N, N, L) trust[j, i, l] = 1 iff device j may send class l

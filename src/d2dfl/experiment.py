@@ -135,7 +135,7 @@ def read_metrics(path: str | Path, fmt: str = "csv") -> list[MetricsRecord]:
 class ExperimentResult:
     config: ScenarioConfig
     scenario: Scenario
-    links: dict[int, int | None]
+    links: np.ndarray  # (N,) transmitter per receiver, -1 for none
     records: list[MetricsRecord]
     summary: dict
     rl_result: rl.TrainResult | None = None
@@ -155,8 +155,9 @@ def reward_weights_from(cfg: ScenarioConfig, n_clusters: int) -> rl.RewardWeight
 
 def discover_links(
     cfg: ScenarioConfig, scenario: Scenario
-) -> tuple[dict[int, int | None], rl.TrainResult | None]:
-    """Produce the exchange graph for the configured baseline."""
+) -> tuple[np.ndarray, rl.TrainResult | None]:
+    """Produce the exchange graph for the configured baseline, as an (N,)
+    transmitter array with -1 for no link."""
     if cfg.baseline == "rl":
         weights = reward_weights_from(cfg, scenario.partition.k)
         result = rl.train(
@@ -168,10 +169,16 @@ def discover_links(
         )
         return rl.extract_graph(result.policies, allow_no_link=cfg.allow_no_link), result
     if cfg.baseline == "uniform":
-        return dict(uniform_baseline_links(cfg.n_devices, named_rng(cfg.seed, "rl"))), None
+        return uniform_baseline_links(cfg.n_devices, named_rng(cfg.seed, "rl")), None
     if cfg.baseline == "none":
-        return {}, None
+        return np.full(cfg.n_devices, -1, dtype=np.int64), None
     raise ConfigError(f"key 'baseline': unknown value {cfg.baseline!r}")
+
+
+def links_json(links: np.ndarray) -> dict[str, int | None]:
+    """A link array as a JSON object: receiver index -> transmitter, null
+    for no link."""
+    return {str(rx): None if tx < 0 else tx for rx, tx in enumerate(links.tolist())}
 
 
 def rl_records(
@@ -204,15 +211,9 @@ def rl_records(
     return records
 
 
-def graph_stats(
-    scenario: Scenario, links: dict[int, int | None], exchange: ExchangeResult
-) -> dict:
+def graph_stats(scenario: Scenario, links: np.ndarray, exchange: ExchangeResult) -> dict:
     """Success probability and inter-cluster request load of a fixed graph,
     from the executed exchange's request ledger."""
-    links_arr = np.full(scenario.n_devices, -1, dtype=np.int64)
-    for rx, tx in links.items():
-        if tx is not None and tx != rx:
-            links_arr[rx] = tx
     load = rl.inter_cluster_load(
         exchange.receivers,
         exchange.transmitters,
@@ -220,7 +221,7 @@ def graph_stats(
         scenario.partition.assignment,
         scenario.partition.k,
     )
-    return {"mean_link_success": rl.link_success(scenario.drop, links_arr), "cluster_load": load}
+    return {"mean_link_success": rl.link_success(scenario.drop, links), "cluster_load": load}
 
 
 def run_experiment(cfg: ScenarioConfig, run_id: str | None = None) -> ExperimentResult:
@@ -314,7 +315,7 @@ def run_experiment(cfg: ScenarioConfig, run_id: str | None = None) -> Experiment
         "seed": cfg.seed,
         "n_devices": n,
         "n_clusters": scenario.partition.k,
-        "links": {str(rx): links.get(rx) for rx in range(n)},
+        "links": links_json(links),
         "points_delivered": exchange_result.delivered_total(),
         "mean_link_success": stats["mean_link_success"],
         "cluster_load": [float(v) for v in stats["cluster_load"]],

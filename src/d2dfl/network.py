@@ -118,8 +118,7 @@ def generate_rss(
     n = positions.shape[0]
     if n < 2:
         raise ValueError("need at least two devices")
-    diff = positions[:, None, :] - positions[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=-1))
+    dist = pairwise_distances(positions)
     off = ~np.eye(n, dtype=bool)
     if np.any(dist[off] == 0):
         raise ValueError("coincident device positions")

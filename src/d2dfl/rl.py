@@ -269,12 +269,13 @@ def train(
 def extract_graph(
     policies: PolicyTable,
     allow_no_link: bool = True,
-) -> dict[int, int | None]:
-    """Greedy readout: per receiver the argmax-average transmitter, ties to
-    the lowest index; the self action reads as no link."""
+) -> np.ndarray:
+    """Greedy readout as an (N,) transmitter array: per receiver the
+    argmax-average transmitter, ties to the lowest index; the self action
+    reads as no link (-1)."""
     avg = policies.averages()
     own = np.arange(avg.shape[0])
     if not allow_no_link:
         avg[own, own] = -np.inf
-    best = avg.argmax(axis=1).tolist()
-    return {i: None if b == i else b for i, b in enumerate(best)}
+    best = avg.argmax(axis=1)
+    return np.where(best == own, -1, best)

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import fl
 from .config import ScenarioConfig, class_allocation, held_out
-from .exchange import EXPECTED, STOCHASTIC, ExchangeResult, run_exchange
+from .exchange import ExchangeResult, run_exchange
 from .network import (
     ChannelParams,
     ClusterPartition,
@@ -121,6 +121,16 @@ def draw_trust(
     return trust
 
 
+def held_out_mask(y: np.ndarray, counts: np.ndarray, test_fraction: float) -> np.ndarray:
+    """Mask of the points one device gives to the test split: the first
+    held_out(counts[c], test_fraction) points of every class c. y must hold
+    each class as one contiguous block in class order, as dataset_from_counts
+    emits it, so a point's rank in its class is its offset in its block."""
+    n_test = np.array([held_out(int(c), test_fraction) for c in counts], dtype=np.int64)
+    rank = np.arange(len(y)) - (np.cumsum(counts) - counts)[y]
+    return rank < n_test[y]
+
+
 def generate_scenario(cfg: ScenarioConfig, root_seed: int | None = None) -> Scenario:
     """Build a full scenario from a validated config.
 
@@ -160,22 +170,15 @@ def generate_scenario(cfg: ScenarioConfig, root_seed: int | None = None) -> Scen
     datasets: list[fl.LabeledSet] = []
     test_x, test_y = [], []
     counts = np.zeros_like(drawn)
-    for i in range(cfg.n_devices):
-        full = fl.dataset_from_counts(means, drawn[i], data_rng, cfg.feature_noise)
+    for i, drawn_i in enumerate(drawn):
+        full = fl.dataset_from_counts(means, drawn_i, data_rng, cfg.feature_noise)
         # Hold out test_fraction per class so the test pool mirrors the
         # global distribution; devices keep the remainder.
-        keep_idx, test_idx = [], []
-        for cls in range(cfg.n_classes):
-            cls_idx = np.flatnonzero(full.y == cls)
-            n_test = held_out(len(cls_idx), cfg.test_fraction)
-            test_idx.extend(cls_idx[:n_test])
-            keep_idx.extend(cls_idx[n_test:])
-        keep_idx = np.array(sorted(keep_idx), dtype=np.int64)
-        test_sel = np.array(sorted(test_idx), dtype=np.int64)
-        datasets.append(fl.LabeledSet(full.x[keep_idx], full.y[keep_idx], cfg.n_classes))
-        if test_sel.size:
-            test_x.append(full.x[test_sel])
-            test_y.append(full.y[test_sel])
+        test = held_out_mask(full.y, drawn_i, cfg.test_fraction)
+        datasets.append(fl.LabeledSet(full.x[~test], full.y[~test], cfg.n_classes))
+        if test.any():
+            test_x.append(full.x[test])
+            test_y.append(full.y[test])
         counts[i] = datasets[i].class_counts()
     test_set = fl.LabeledSet(
         np.concatenate(test_x), np.concatenate(test_y), cfg.n_classes
@@ -199,33 +202,30 @@ def generate_scenario(cfg: ScenarioConfig, root_seed: int | None = None) -> Scen
     )
 
 
-def uniform_baseline_links(n_devices: int, rng: np.random.Generator) -> dict[int, int]:
-    """Random-graph baseline: every receiver picks one transmitter uniformly
-    from the other devices (one incoming edge each, never none)."""
+def uniform_baseline_links(n_devices: int, rng: np.random.Generator) -> np.ndarray:
+    """Random-graph baseline as an (N,) transmitter array: every receiver
+    picks one transmitter uniformly from the other devices (one incoming
+    edge each, never none). Draws the same stream as one
+    rng.integers(1, n_devices) call per receiver in receiver order."""
     if n_devices < 2:
         raise ValueError("need at least two devices")
-    links: dict[int, int] = {}
-    for rx in range(n_devices):
-        offset = int(rng.integers(1, n_devices))
-        links[rx] = (rx + offset) % n_devices
-    return links
+    return (np.arange(n_devices) + rng.integers(1, n_devices, size=n_devices)) % n_devices
 
 
 def materialize_exchange(
     scenario: Scenario,
-    links: dict[int, int | None],
+    links: np.ndarray,
     mode: str,
     rng: np.random.Generator,
 ) -> ExchangeResult:
-    """Run the exchange with whole data points and move the actual samples.
+    """Run the exchange over an (N,) transmitter array (-1 for no link)
+    with whole data points and move the actual samples.
 
     Transmitted points leave the sender's dataset whether or not they
     survive the channel; delivered points join the receiver's. Updates
     scenario.datasets and scenario.counts in place and returns the count
     ledger. In expected mode the delivered counts are rounded.
     """
-    if mode not in (EXPECTED, STOCHASTIC):
-        raise ValueError(f"unknown delivery mode {mode!r}")
     result = run_exchange(
         links,
         scenario.counts,
@@ -238,23 +238,20 @@ def materialize_exchange(
     )
     # Pass 1: pick the transmitted points from every sender's pre-exchange
     # dataset, so a relay never forwards points it receives this round.
-    keep_masks = {i: np.ones(len(d), dtype=bool) for i, d in enumerate(scenario.datasets)}
+    keep_masks = [np.ones(len(d), dtype=bool) for d in scenario.datasets]
     gains: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
-    for plan in result.plans:
-        tx_set = scenario.datasets[plan.transmitter]
-        keep = keep_masks[plan.transmitter]
-        for cls in range(scenario.n_classes):
-            n_sent = int(plan.buffered[cls])
-            n_got = int(plan.delivered[cls])
-            if n_sent == 0:
-                continue
+    for rx, tx, sent, got in zip(
+        result.receivers.tolist(), result.transmitters.tolist(), result.buffered, result.delivered
+    ):
+        tx_set = scenario.datasets[tx]
+        keep = keep_masks[tx]
+        for cls in np.flatnonzero(sent):
             candidates = np.flatnonzero((tx_set.y == cls) & keep)
-            picked = rng.choice(candidates, size=n_sent, replace=False)
+            picked = rng.choice(candidates, size=int(sent[cls]), replace=False)
             keep[picked] = False
-            if n_got:
-                gains.setdefault(plan.receiver, []).append(
-                    (tx_set.x[picked[:n_got]], tx_set.y[picked[:n_got]])
-                )
+            arrived = picked[: int(got[cls])]
+            if arrived.size:
+                gains.setdefault(rx, []).append((tx_set.x[arrived], tx_set.y[arrived]))
     # Pass 2: rebuild every touched dataset.
     for i, data in enumerate(scenario.datasets):
         gained = gains.get(i, [])

@@ -37,7 +37,7 @@ def test_criterion_01_golden_protocol():
     thresholds = np.full((n, n_classes), 10, dtype=np.int64)
     trust = np.ones((n, n, n_classes), dtype=np.int8)
     res = run_exchange(
-        {1: 0, 2: 0}, counts, thresholds, trust, np.zeros((n, n)), mode=EXPECTED
+        np.array([-1, 0, 0]), counts, thresholds, trust, np.zeros((n, n)), mode=EXPECTED
     )
     assert len(res.plans) == 2
     for plan in res.plans:
@@ -91,7 +91,7 @@ def test_criterion_03_trust_safety():
         floor = np.minimum(counts, thresholds)
         for _ in range(100):
             episodes += 1
-            links = {}
+            links = np.full(n, -1)
             for rx in range(n):
                 tx = int(rng.integers(0, n))
                 if tx != rx:
@@ -114,7 +114,7 @@ def test_criterion_04_conservation():
         counts = rng.integers(0, 200, size=(n, n_classes)).astype(np.int64)
         thresholds = rng.integers(0, 150, size=(n, n_classes)).astype(np.int64)
         trust = (rng.random((n, n, n_classes)) < 0.7).astype(np.int8)
-        links = {}
+        links = np.full(n, -1)
         for rx in range(n):
             tx = int(rng.integers(0, n))
             if tx != rx:

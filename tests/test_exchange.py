@@ -57,9 +57,11 @@ class TestAvailableVector:
         assert offer.tolist() == [0]
 
     def test_receiver_out_of_range(self):
+        # A link for receiver 7 of 2 devices needs an entry past the last row.
         counts = np.array([[5], [9]])
-        with pytest.raises(IndexError):
-            run_exchange({7: 0}, counts, np.ones_like(counts), full_trust(2, 1), no_drop(2))
+        links = np.array([-1, -1, -1, -1, -1, -1, -1, 0])
+        with pytest.raises(ValueError):
+            run_exchange(links, counts, np.ones_like(counts), full_trust(2, 1), no_drop(2))
 
 
 class TestRequirementVector:
@@ -199,7 +201,7 @@ class TestRunExchange:
     def test_empty_links_change_nothing(self):
         counts = np.array([[5, 5], [1, 9]])
         res = run_exchange(
-            {},
+            np.full(2, -1),
             counts,
             np.zeros((2, 2), dtype=int),
             full_trust(2, 2),
@@ -216,7 +218,7 @@ class TestRunExchange:
         counts[0, 3] = 20
         thresholds = np.full((n, n_classes), 10, dtype=np.int64)
         res = run_exchange(
-            {1: 0, 2: 0},
+            np.array([-1, 0, 0]),
             counts,
             thresholds,
             full_trust(n, n_classes),
@@ -238,7 +240,7 @@ class TestRunExchange:
         counts = rng.integers(0, 30, size=(3, 3)).astype(np.int64)
         thresholds = rng.integers(0, 20, size=(3, 3)).astype(np.int64)
         res = run_exchange(
-            {1: 0, 2: 1},
+            np.array([-1, 0, 1]),
             counts,
             thresholds,
             full_trust(3, 3),
@@ -255,7 +257,7 @@ class TestRunExchange:
         drop = rng.uniform(0, 0.9, size=(4, 4))
         np.fill_diagonal(drop, 0.0)
         res = run_exchange(
-            {0: 3, 1: 0, 2: 0},
+            np.array([3, 0, 0, -1]),
             counts,
             thresholds,
             full_trust(4, 3),
@@ -272,8 +274,8 @@ class TestRunExchange:
             thresholds = rng.integers(0, 40, size=(n, n_classes)).astype(np.int64)
             trust = (rng.random((n, n, n_classes)) < 0.6).astype(np.int8)
             drop = rng.uniform(0, 1, size=(n, n))
-            links = {rx: int(rng.integers(0, n)) for rx in range(n)}
-            links = {rx: tx for rx, tx in links.items() if tx != rx}
+            links = np.array([int(rng.integers(0, n)) for _ in range(n)])
+            links[links == np.arange(n)] = -1
             res = run_exchange(links, counts, thresholds, trust, drop)
             floor = np.minimum(counts, thresholds)
             assert np.all(res.updated >= floor - 1e-9)
@@ -286,7 +288,7 @@ class TestRunExchange:
             thresholds = rng.integers(0, 25, size=(n, n_classes)).astype(np.int64)
             trust = (rng.random((n, n, n_classes)) < 0.5).astype(np.int8)
             drop = rng.uniform(0, 0.5, size=(n, n))
-            links = {rx: (rx + 1) % n for rx in range(n)}
+            links = (np.arange(n) + 1) % n
             res = run_exchange(links, counts, thresholds, trust, drop)
             for plan in res.plans:
                 for cls in range(n_classes):
@@ -301,7 +303,7 @@ class TestRunExchange:
             thresholds = rng.integers(0, 30, size=(n, n_classes)).astype(np.int64)
             trust = (rng.random((n, n, n_classes)) < 0.7).astype(np.int8)
             drop = rng.uniform(0, 1, size=(n, n))
-            links = {rx: int((rx + rng.integers(1, n)) % n) for rx in range(n)}
+            links = np.array([int((rx + rng.integers(1, n)) % n) for rx in range(n)])
             res = run_exchange(links, counts, thresholds, trust, drop, mode=EXPECTED)
             for p in res.plans:
                 assert np.all(p.delivered >= 0)
@@ -314,7 +316,7 @@ class TestRunExchange:
         counts = rng.integers(0, 30, size=(3, 3)).astype(np.int64)
         thresholds = rng.integers(0, 25, size=(3, 3)).astype(np.int64)
         res = run_exchange(
-            {0: 1}, counts, thresholds, full_trust(3, 3), no_drop(3)
+            np.array([1, -1, -1]), counts, thresholds, full_trust(3, 3), no_drop(3)
         )
         assert np.all(res.updated[0] >= counts[0])
 
@@ -325,7 +327,7 @@ class TestRunExchange:
         drop = np.full((3, 3), 0.3)
         np.fill_diagonal(drop, 0.0)
         res = run_exchange(
-            {2: 0, 0: 1},
+            np.array([1, -1, 0]),
             counts,
             thresholds,
             full_trust(3, 2),
@@ -343,12 +345,20 @@ class TestRunExchange:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             run_exchange(
-                {},
+                np.full(2, -1),
                 np.zeros((2, 2)),
                 np.zeros((2, 3)),
                 full_trust(2, 2),
                 no_drop(2),
             )
+
+    @pytest.mark.parametrize("bad", [-2, 3])
+    def test_transmitter_out_of_range(self, bad):
+        # -1 is the only negative entry; N names no device.
+        counts = np.array([[5], [9], [1]])
+        links = np.array([-1, bad, 0])
+        with pytest.raises(IndexError, match="out of range for 3 devices"):
+            run_exchange(links, counts, np.ones_like(counts), full_trust(3, 1), no_drop(3))
 
 
 def loop_exchange(links, counts, thresholds, trust, drop, mode, rng, integer_payloads):
@@ -358,8 +368,8 @@ def loop_exchange(links, counts, thresholds, trust, drop, mode, rng, integer_pay
     delivered) ledger in that order."""
     counts = np.asarray(counts, dtype=float)
     by_tx = {}
-    for rx, tx in links.items():
-        if tx is not None and tx != rx:
+    for rx, tx in enumerate(links.tolist()):
+        if tx >= 0 and tx != rx:
             by_tx.setdefault(tx, []).append(rx)
     updated = counts.copy()
     ledger = []
@@ -420,10 +430,9 @@ def exchange_inputs(draw):
     drop = np.array(
         draw(st.lists(st.floats(0.0, 1.0), min_size=n * n, max_size=n * n))
     ).reshape(n, n)
-    # None and self both mean "no link"; several receivers may share a
+    # -1 and self both mean "no link"; several receivers may share a
     # transmitter, and a device may both send and receive.
-    choices = st.one_of(st.none(), st.integers(0, n - 1))
-    links = {rx: draw(choices) for rx in draw(st.permutations(range(n)))}
+    links = np.array(draw(st.lists(st.integers(-1, n - 1), min_size=n, max_size=n)))
     return links, counts, thresholds, trust, drop
 
 
@@ -455,14 +464,3 @@ class TestLoopOracle:
     @given(exchange_inputs(), st.booleans(), st.integers(0, 2**32 - 1))
     def test_stochastic_mode_equal_seeds(self, inputs, integer_payloads, seed):
         self.check(inputs, STOCHASTIC, integer_payloads, seed)
-
-    @settings(max_examples=100, deadline=None)
-    @given(exchange_inputs())
-    def test_array_links_match_dict_links(self, inputs):
-        links, counts, thresholds, trust, drop = inputs
-        as_array = np.array([-1 if links[rx] is None else links[rx] for rx in range(len(links))])
-        a = run_exchange(links, counts, thresholds, trust, drop)
-        b = run_exchange(as_array, counts, thresholds, trust, drop)
-        assert np.array_equal(a.updated, b.updated)
-        assert np.array_equal(a.receivers, b.receivers)
-        assert np.array_equal(a.requested, b.requested)

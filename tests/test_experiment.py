@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from d2dfl.exchange import run_exchange
 from d2dfl.experiment import (
     CSV_HEADER,
     MetricsRecord,
+    discover_links,
     emit_metrics,
     read_metrics,
     render_metrics,
@@ -31,6 +34,19 @@ FAST = with_overrides(
     cluster_budget=40.0,
     seed=2,
 )
+
+# A briefly trained graph with allow_no_link on: some receivers keep no link.
+MIXED = with_overrides(FAST, allow_no_link=True, episodes=5, seed=0)
+
+
+def assert_links_json(links_obj, links):
+    """A JSON "links" object maps each receiver to its transmitter, or to
+    null when the link array holds -1."""
+    assert links_obj == {
+        str(rx): None if tx == -1 else int(tx) for rx, tx in enumerate(links)
+    }
+    assert None in links_obj.values()
+    assert any(tx is not None for tx in links_obj.values())
 
 
 def sample_records():
@@ -104,8 +120,12 @@ class TestRunExperiment:
         res = run_experiment(cfg)
         assert res.summary["d2d_energy_j"] == 0.0
         assert res.summary["points_delivered"] == 0.0
-        assert res.links == {}
+        assert res.links.tolist() == [-1] * cfg.n_devices
         assert all(rec.phase == "fl" for rec in res.records)
+
+    def test_summary_links_null_for_no_link(self):
+        res = run_experiment(MIXED)
+        assert_links_json(json.loads(json.dumps(res.summary))["links"], res.links)
 
     def test_deterministic_metric_bytes(self):
         r1 = run_experiment(FAST)
@@ -121,9 +141,8 @@ class TestRunExperiment:
         scenario = generate_scenario(FAST)
         trace = res.rl_result
         for ep_links, ep_load in zip(trace.links[:10], trace.cluster_load[:10]):
-            links = {rx: int(tx) for rx, tx in enumerate(ep_links) if tx >= 0}
             probe = run_exchange(
-                links,
+                ep_links,
                 scenario.counts,
                 scenario.thresholds,
                 scenario.trust,
@@ -267,6 +286,13 @@ class TestCli:
         parsed = read_metrics(out, "jsonl")
         assert len(parsed) == FAST.episodes
         assert "links" in capsys.readouterr().out
+
+    def test_train_links_null_for_no_link(self, tmp_path, capsys):
+        cfg_path = self._write_cfg(tmp_path, MIXED)
+        code = cli.main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "t.csv")])
+        assert code == 0
+        links, _ = discover_links(MIXED, generate_scenario(MIXED))
+        assert_links_json(json.loads(capsys.readouterr().out)["links"], links)
 
     def test_sweep_subcommand(self, tmp_path, capsys):
         cfg_path = self._write_cfg(tmp_path, with_overrides(FAST, baseline="none"))

@@ -348,8 +348,7 @@ class TestBruteForceOptimality:
         scenario = well_posed_scenario(123)
         oracle = brute_force_best_links(scenario, weights)
         result = train(scenario, 5000, weights, np.random.default_rng(123))
-        graph = extract_graph(result.policies)
-        learned = tuple(-1 if graph[i] is None else graph[i] for i in range(3))
+        learned = tuple(extract_graph(result.policies).tolist())
         assert learned == oracle
 
 
@@ -357,7 +356,7 @@ class TestExtractGraph:
     def test_fresh_buffers_tie_break_lowest_index(self):
         graph = extract_graph(PolicyTable.fresh(3))
         # Index 0 wins every tie; device 0 reads it as "no link".
-        assert graph == {0: None, 1: 0, 2: 0}
+        assert graph.tolist() == [-1, 0, 0]
 
     def test_dominant_cell_wins(self):
         table = PolicyTable.fresh(3)
@@ -368,4 +367,4 @@ class TestExtractGraph:
         table = PolicyTable.fresh(2)
         table.totals[0] = [5.0, 0.0]  # self is the argmax but masked
         graph = extract_graph(table, allow_no_link=False)
-        assert graph == {0: 1, 1: 0}
+        assert graph.tolist() == [1, 0]

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from d2dfl.config import ScenarioConfig, with_overrides
+from d2dfl.config import ScenarioConfig, held_out, with_overrides
 from d2dfl.exchange import EXPECTED, STOCHASTIC
 from d2dfl.scenario import (
     draw_trust,
     generate_scenario,
+    held_out_mask,
     materialize_exchange,
     named_rng,
     uniform_baseline_links,
@@ -100,21 +103,44 @@ class TestDrawTrust:
         assert np.array_equal(rows, one_shot)
 
 
+class TestHeldOutMask:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 40), min_size=1, max_size=6), st.floats(0.0, 1.0))
+    def test_matches_per_class_loop(self, counts, test_fraction):
+        # Classes in contiguous blocks, as dataset_from_counts emits them.
+        counts = np.array(counts, dtype=np.int64)
+        y = np.repeat(np.arange(len(counts)), counts)
+        expect = np.zeros(len(y), dtype=bool)
+        for cls in range(len(counts)):
+            cls_idx = np.flatnonzero(y == cls)
+            expect[cls_idx[: held_out(len(cls_idx), test_fraction)]] = True
+        assert np.array_equal(held_out_mask(y, counts, test_fraction), expect)
+
+
 class TestUniformBaselineLinks:
+    @pytest.mark.parametrize("n", [2, 3, 10, 100, 300, 1000])
+    def test_equals_per_receiver_draws(self, n):
+        for seed in range(3):
+            ref_rng = np.random.default_rng(seed)
+            expect = [(rx + int(ref_rng.integers(1, n))) % n for rx in range(n)]
+            rng = np.random.default_rng(seed)
+            assert uniform_baseline_links(n, rng).tolist() == expect
+            assert rng.random() == ref_rng.random()
+
     def test_two_devices_link_each_other(self):
         links = uniform_baseline_links(2, np.random.default_rng(0))
-        assert links == {0: 1, 1: 0}
+        assert links.tolist() == [1, 0]
 
     def test_deterministic_per_seed(self):
         a = uniform_baseline_links(8, np.random.default_rng(5))
         b = uniform_baseline_links(8, np.random.default_rng(5))
-        assert a == b
+        assert np.array_equal(a, b)
 
     def test_never_self(self):
         rng = np.random.default_rng(1)
         for _ in range(200):
             links = uniform_baseline_links(5, rng)
-            assert all(rx != tx for rx, tx in links.items())
+            assert np.all(links != np.arange(5))
 
     def test_empirical_uniformity(self):
         rng = np.random.default_rng(2)
@@ -146,7 +172,7 @@ class TestMaterializeExchange:
     def test_counts_match_datasets_exactly(self):
         for mode in (EXPECTED, STOCHASTIC):
             s = self._scenario(seed=3)
-            links = {rx: (rx + 1) % 5 for rx in range(5)}
+            links = (np.arange(5) + 1) % 5
             materialize_exchange(s, links, mode, named_rng(3, "exchange"))
             for i, data in enumerate(s.datasets):
                 assert np.array_equal(data.class_counts(), s.counts[i]), mode
@@ -156,7 +182,7 @@ class TestMaterializeExchange:
         s.drop[:] = 0.0
         before = s.counts.sum(axis=0).copy()
         total_before = sum(len(d) for d in s.datasets)
-        links = {rx: (rx + 2) % 5 for rx in range(5)}
+        links = (np.arange(5) + 2) % 5
         materialize_exchange(s, links, EXPECTED, named_rng(4, "exchange"))
         assert np.array_equal(s.counts.sum(axis=0), before)
         assert sum(len(d) for d in s.datasets) == total_before
@@ -166,7 +192,7 @@ class TestMaterializeExchange:
         s.drop[:] = 0.5
         np.fill_diagonal(s.drop, 0.0)
         total_before = sum(len(d) for d in s.datasets)
-        links = {rx: (rx + 1) % 5 for rx in range(5)}
+        links = (np.arange(5) + 1) % 5
         result = materialize_exchange(s, links, STOCHASTIC, named_rng(5, "exchange"))
         sent = sum(p.buffered.sum() for p in result.plans)
         arrived = sum(p.delivered.sum() for p in result.plans)
@@ -175,7 +201,7 @@ class TestMaterializeExchange:
 
     def test_trust_respected_in_moved_points(self):
         s = self._scenario(seed=6, trust_density=0.4)
-        links = {rx: (rx + 1) % 5 for rx in range(5)}
+        links = (np.arange(5) + 1) % 5
         result = materialize_exchange(s, links, STOCHASTIC, named_rng(6, "exchange"))
         for plan in result.plans:
             for cls in range(s.n_classes):
@@ -185,7 +211,7 @@ class TestMaterializeExchange:
     def test_deterministic(self):
         s1 = self._scenario(seed=7)
         s2 = self._scenario(seed=7)
-        links = {0: 1, 2: 3}
+        links = np.array([1, -1, 3, -1, -1])
         materialize_exchange(s1, links, STOCHASTIC, named_rng(7, "exchange"))
         materialize_exchange(s2, links, STOCHASTIC, named_rng(7, "exchange"))
         assert np.array_equal(s1.counts, s2.counts)
