@@ -29,7 +29,6 @@ _GRID = 2.0**20
 
 EXPECTED = "expected"
 STOCHASTIC = "stochastic"
-DELIVERY_MODES = (EXPECTED, STOCHASTIC)
 
 
 @dataclass
@@ -192,7 +191,9 @@ def _active_links(links: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     if tx.min() < -1 or tx.max() >= n:
         raise IndexError(f"link index out of range for {n} devices")
     rx = np.arange(n)
-    active = (tx >= 0) & (tx != rx)
+    if np.any(tx == rx):
+        raise ValueError("a receiver cannot be its own transmitter; -1 means no link")
+    active = tx >= 0
     rx, tx = rx[active], tx[active]
     order = np.lexsort((rx, tx))
     return rx[order], tx[order]
@@ -212,9 +213,9 @@ def run_exchange(
 
     Args:
         links: (N,) int array, entry i the transmitter of receiver i; -1
-            (or i itself) means no incoming link. Any other entry outside
-            [0, N) raises IndexError. At most one incoming link per receiver
-            by construction.
+            means no incoming link. Any other entry outside [0, N) raises
+            IndexError, and entry i equal to i raises ValueError. At most one
+            incoming link per receiver by construction.
         counts: (N, L) per-device class-distribution vectors.
         thresholds: (N, L) per-device, per-class thresholds.
         trust: (N, N, L) trust[j, i, l] = 1 iff device j may send class l
@@ -235,8 +236,6 @@ def run_exchange(
         raise ValueError("thresholds shape must match counts")
     if trust.shape != (n, n, n_classes):
         raise ValueError("trust tensor must be (N, N, L)")
-    if mode not in DELIVERY_MODES:
-        raise ValueError(f"unknown delivery mode {mode!r}")
 
     rx, tx = _active_links(links, n)
     available = available_vector(counts[tx], thresholds[tx], trust[tx, rx])

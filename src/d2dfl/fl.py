@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-SCHEMES = ("fedavg", "fedprox", "fedsgd")
 # Devices trained together in one stacked gradient step. Bounds the memory a
 # round adds (a block's concatenated data and its (K, B, d) minibatches);
 # larger blocks save little per-call time once K is in the tens.
@@ -67,12 +66,6 @@ class FlConfig:
     batch_size: int = 32
     weighting: str = "data"  # "data" (size-proportional) or "uniform"
     stragglers: frozenset[int] = field(default_factory=frozenset)
-
-    def __post_init__(self):
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
-        if not 1 <= self.tau_a <= self.total_steps:
-            raise ValueError("need 1 <= tau_a <= total_steps")
 
     @property
     def n_rounds(self) -> int:

@@ -26,12 +26,6 @@ class ChannelParams:
     rate_r: float = 1.0
     noise_sigma2: float = 1e-4
 
-    def __post_init__(self):
-        if self.noise_sigma2 <= 0:
-            raise ValueError(f"noise_sigma2 must be > 0, got {self.noise_sigma2}")
-        if self.rate_r < 0:
-            raise ValueError(f"rate_r must be >= 0, got {self.rate_r}")
-
 
 @dataclass(frozen=True)
 class EnergyParams:
@@ -46,14 +40,6 @@ class EnergyParams:
     elec_energy_per_bit: float = 50e-9
     amp_energy_per_bit_per_dist2: float = 100e-12
     d2s_distance_factor: float = 3.0
-
-    def __post_init__(self):
-        if self.per_point_bits <= 0:
-            raise ValueError(f"per_point_bits must be positive, got {self.per_point_bits}")
-        if self.elec_energy_per_bit < 0 or self.amp_energy_per_bit_per_dist2 < 0:
-            raise ValueError("energy coefficients must be nonnegative")
-        if self.d2s_distance_factor <= 0:
-            raise ValueError(f"d2s_distance_factor must be > 0, got {self.d2s_distance_factor}")
 
 
 @dataclass(frozen=True)
@@ -148,21 +134,19 @@ def mean_d2d_distance(positions: np.ndarray) -> float:
     return float(dist[iu].mean())
 
 
-def partition_clusters(rss: np.ndarray, alpha_d: float, params: ChannelParams) -> ClusterPartition:
+def partition_clusters(drop: np.ndarray, alpha_d: float) -> ClusterPartition:
     """Partition devices into clusters whose internal links all satisfy the
     reliability bound in both directions.
 
-    Greedy clique growth over the reliable graph: seed each cluster with the
-    lowest-index unassigned device, then add unassigned devices in ascending
-    index order that are adjacent to every current member. An edge requires
-    drop probability <= alpha_d in both directions because the RSS matrix
-    may be asymmetric. Singletons are always feasible.
+    drop is the (N, N) drop-probability matrix of drop_matrix. Greedy clique
+    growth over the reliable graph: seed each cluster with the lowest-index
+    unassigned device, then add unassigned devices in ascending index order
+    that are adjacent to every current member. An edge requires drop
+    probability <= alpha_d in both directions because the RSS matrix may be
+    asymmetric. Singletons are always feasible.
     """
-    if not 0 < alpha_d < 1:
-        raise ValueError(f"alpha_d must lie in (0, 1), got {alpha_d}")
-    pd = drop_matrix(rss, params)
-    n = pd.shape[0]
-    reliable = (pd <= alpha_d) & (pd.T <= alpha_d)
+    n = drop.shape[0]
+    reliable = (drop <= alpha_d) & (drop.T <= alpha_d)
     np.fill_diagonal(reliable, True)
 
     assignment = np.full(n, -1, dtype=int)

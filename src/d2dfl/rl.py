@@ -243,8 +243,6 @@ def train(
     the no-link action). Distributions reset every episode: training probes
     counterfactual exchanges, real data moves only after graph extraction.
     """
-    if episodes <= 0:
-        raise ValueError(f"episodes must be positive, got {episodes}")
     n = scenario.counts.shape[0]
     own = np.arange(n)
     policies = PolicyTable.fresh(n)

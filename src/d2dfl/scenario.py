@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fl
-from .config import ScenarioConfig, class_allocation, held_out
+from .config import ScenarioConfig, class_allocation, held_out, validate_config
 from .exchange import ExchangeResult, run_exchange
 from .network import (
     ChannelParams,
@@ -48,7 +48,6 @@ class Scenario:
     datasets: list[fl.LabeledSet]
     test_set: fl.LabeledSet
     class_means: np.ndarray  # (L, d)
-    channel: ChannelParams
     energy: EnergyParams
 
     @property
@@ -132,7 +131,7 @@ def held_out_mask(y: np.ndarray, counts: np.ndarray, test_fraction: float) -> np
 
 
 def generate_scenario(cfg: ScenarioConfig, root_seed: int | None = None) -> Scenario:
-    """Build a full scenario from a validated config.
+    """Build a full scenario from a config, validated here first.
 
     Deterministic per (config, seed): positions are uniform in a square,
     RSS follows the configured path loss, trust entries are i.i.d.
@@ -140,8 +139,8 @@ def generate_scenario(cfg: ScenarioConfig, root_seed: int | None = None) -> Scen
     classes_per_device classes, and a test split (test_fraction of every
     device's data) is pooled globally before any exchange happens.
     """
+    validate_config(cfg)
     seed = cfg.seed if root_seed is None else root_seed
-    channel = ChannelParams(rate_r=cfg.rate_r, noise_sigma2=cfg.noise_sigma2)
     energy = EnergyParams(
         per_point_bits=cfg.per_point_bits,
         elec_energy_per_bit=cfg.elec_energy_per_bit,
@@ -158,8 +157,8 @@ def generate_scenario(cfg: ScenarioConfig, root_seed: int | None = None) -> Scen
         shadowing_sigma=cfg.shadowing_sigma,
         rng=named_rng(seed, "channel"),
     )
-    drop = drop_matrix(rss, channel)
-    partition = partition_clusters(rss, cfg.alpha_d, channel)
+    drop = drop_matrix(rss, ChannelParams(rate_r=cfg.rate_r, noise_sigma2=cfg.noise_sigma2))
+    partition = partition_clusters(drop, cfg.alpha_d)
 
     trust = draw_trust(cfg.n_devices, cfg.n_classes, cfg.trust_density, named_rng(seed, "trust"))
 
@@ -197,7 +196,6 @@ def generate_scenario(cfg: ScenarioConfig, root_seed: int | None = None) -> Scen
         datasets=datasets,
         test_set=test_set,
         class_means=means,
-        channel=channel,
         energy=energy,
     )
 

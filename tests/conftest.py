@@ -2,7 +2,7 @@ import numpy as np
 
 from d2dfl import fl
 from d2dfl.config import ScenarioConfig
-from d2dfl.network import ChannelParams, ClusterPartition, EnergyParams
+from d2dfl.network import ClusterPartition, EnergyParams
 from d2dfl.scenario import Scenario
 
 
@@ -41,6 +41,5 @@ def make_scenario(
         datasets=[empty for _ in range(n)],
         test_set=empty,
         class_means=np.zeros((n_classes, 2)),
-        channel=ChannelParams(),
         energy=EnergyParams(),
     )

@@ -15,6 +15,7 @@ from d2dfl.config import (
     with_overrides,
 )
 from d2dfl.experiment import run_experiment
+from d2dfl.scenario import generate_scenario
 
 
 class TestParsing:
@@ -89,6 +90,26 @@ class TestValidation:
     def test_too_few_samples_names_key(self):
         with pytest.raises(ConfigError, match="'samples_per_device'"):
             with_overrides(ScenarioConfig(), samples_per_device=3)
+
+    @pytest.mark.parametrize(
+        "key, bad",
+        [
+            ("noise_sigma2", 0.0),
+            ("rate_r", -1.0),
+            ("per_point_bits", 0),
+            ("elec_energy_per_bit", -1.0),
+            ("d2s_distance_factor", 0.0),
+            ("alpha_d", 1.5),
+            ("scheme", "x"),
+            ("tau_a", 0),
+            ("episodes", 0),
+        ],
+    )
+    def test_scenario_generation_validates(self, key, bad):
+        # A directly built config never passes through load_config or
+        # with_overrides; generate_scenario is on every pipeline path.
+        with pytest.raises(ConfigError, match=f"key '{key}'"):
+            generate_scenario(ScenarioConfig(**{key: bad}))
 
 
 @st.composite

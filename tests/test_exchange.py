@@ -360,6 +360,14 @@ class TestRunExchange:
         with pytest.raises(IndexError, match="out of range for 3 devices"):
             run_exchange(links, counts, np.ones_like(counts), full_trust(3, 1), no_drop(3))
 
+    def test_self_link_rejected(self):
+        # -1 is the only "no link": a receiver naming itself is an error,
+        # not a silent no-op that rl.link_success would score as a link.
+        counts = np.array([[5], [9], [1]])
+        links = np.array([-1, 1, 0])
+        with pytest.raises(ValueError, match="own transmitter"):
+            run_exchange(links, counts, np.ones_like(counts), full_trust(3, 1), no_drop(3))
+
 
 def loop_exchange(links, counts, thresholds, trust, drop, mode, rng, integer_payloads):
     """Reference exchange, one link at a time: transmitters ascending, each
@@ -430,9 +438,10 @@ def exchange_inputs(draw):
     drop = np.array(
         draw(st.lists(st.floats(0.0, 1.0), min_size=n * n, max_size=n * n))
     ).reshape(n, n)
-    # -1 and self both mean "no link"; several receivers may share a
-    # transmitter, and a device may both send and receive.
+    # -1 means "no link" (a self draw becomes one); several receivers may
+    # share a transmitter, and a device may both send and receive.
     links = np.array(draw(st.lists(st.integers(-1, n - 1), min_size=n, max_size=n)))
+    links[links == np.arange(n)] = -1
     return links, counts, thresholds, trust, drop
 
 

@@ -121,13 +121,13 @@ class TestPartitionClusters:
 
     def test_all_reliable_single_cluster(self):
         w = np.full((4, 4), 100.0)
-        part = partition_clusters(w, alpha_d=0.5, params=self._params())
+        part = partition_clusters(drop_matrix(w, self._params()), alpha_d=0.5)
         assert part.k == 1
         assert np.all(part.assignment == 0)
 
     def test_no_pair_reliable_singletons(self):
         w = np.full((4, 4), 1e-6)
-        part = partition_clusters(w, alpha_d=0.01, params=self._params())
+        part = partition_clusters(drop_matrix(w, self._params()), alpha_d=0.01)
         assert part.k == 4
         assert sorted(part.assignment) == [0, 1, 2, 3]
 
@@ -136,12 +136,12 @@ class TestPartitionClusters:
         w = np.full((4, 4), 1e-6)
         for a, b in ((0, 1), (2, 3)):
             w[a, b] = w[b, a] = 100.0
-        part = partition_clusters(w, alpha_d=0.5, params=self._params())
+        pd = drop_matrix(w, self._params())
+        part = partition_clusters(pd, alpha_d=0.5)
         assert part.k == 2
         assert part.assignment[0] == part.assignment[1]
         assert part.assignment[2] == part.assignment[3]
         assert part.assignment[0] != part.assignment[2]
-        pd = drop_matrix(w, self._params())
         reliable = (pd <= 0.5) & (pd.T <= 0.5)
         np.fill_diagonal(reliable, True)
         assert brute_force_min_clusters(reliable) == 2
@@ -154,7 +154,7 @@ class TestPartitionClusters:
             n = int(rng.integers(2, 9))
             w = rng.uniform(0.0, 2.0, size=(n, n))
             pd = drop_matrix(w, params)
-            part = partition_clusters(w, alpha_d=alpha, params=params)
+            part = partition_clusters(pd, alpha_d=alpha)
             assert np.all(part.assignment >= 0)
             assert part.k == len(set(part.assignment.tolist()))
             for k in range(part.k):
@@ -163,10 +163,6 @@ class TestPartitionClusters:
                     for b in members:
                         if a != b:
                             assert pd[a, b] <= alpha
-
-    def test_invalid_alpha_rejected(self):
-        with pytest.raises(ValueError):
-            partition_clusters(np.ones((3, 3)), alpha_d=1.5, params=self._params())
 
 
 class TestEnergy:

@@ -240,10 +240,6 @@ def expected_mean_reward(scenario, weights, policies) -> float:
 
 
 class TestTraining:
-    def test_invalid_episode_count(self):
-        with pytest.raises(ValueError):
-            train(dominance_scenario(), 0, RewardWeights(), np.random.default_rng(0))
-
     def test_zero_weights_keep_policies_uniform(self):
         scenario = dominance_scenario()
         w = RewardWeights(alpha1=0.0, alpha2=0.0, alpha3=0.0, gamma=0.0)
