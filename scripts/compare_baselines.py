@@ -14,7 +14,7 @@ import argparse
 import numpy as np
 
 from d2dfl.config import ScenarioConfig, load_config, with_overrides
-from d2dfl.experiment import run_experiment
+from d2dfl.experiment import run_experiments
 
 BASELINES = ("rl", "uniform", "none")
 
@@ -26,14 +26,21 @@ def main() -> int:
     args = parser.parse_args()
     base = load_config(args.config) if args.config else ScenarioConfig()
 
-    rows = {b: [] for b in BASELINES}
+    # Each baseline's seeds run as one batch; rows print seed by seed.
+    rows = {
+        b: [
+            r.summary
+            for r in run_experiments(
+                [with_overrides(base, baseline=b, seed=seed) for seed in range(args.seeds)]
+            )
+        ]
+        for b in BASELINES
+    }
     print(f"{'seed':>4} {'baseline':>8} {'accuracy':>9} {'success':>8} {'points':>7} "
           f"{'d2d_J':>10} {'d2s_J':>10}")
     for seed in range(args.seeds):
         for baseline in BASELINES:
-            cfg = with_overrides(base, baseline=baseline, seed=seed)
-            summary = run_experiment(cfg).summary
-            rows[baseline].append(summary)
+            summary = rows[baseline][seed]
             print(
                 f"{seed:>4} {baseline:>8} {summary['final_accuracy']:>9.4f} "
                 f"{summary['mean_link_success']:>8.3f} {summary['points_delivered']:>7.0f} "

@@ -3,7 +3,7 @@ federated learning: lossy wireless links, trust-constrained message passing,
 decentralized bandit-style link policies, and a desk-scale FL harness."""
 
 from .config import ScenarioConfig, load_config, save_config
-from .experiment import run_experiment, sweep_experiment
+from .experiment import run_experiment, run_experiments, sweep_experiment
 from .scenario import generate_scenario
 
 __all__ = [
@@ -12,5 +12,6 @@ __all__ = [
     "save_config",
     "generate_scenario",
     "run_experiment",
+    "run_experiments",
     "sweep_experiment",
 ]

@@ -10,7 +10,10 @@ One exchange round runs, for every predicted link j -> i:
  5. every device updates its class-distribution vector.
 
 All stages run on a ledger of the M active links at once: one row per link,
-in (transmitter, receiver) ascending order, as (M, L) arrays.
+in (transmitter, receiver) ascending order, as (M, L) arrays. Offers and
+requests read per-device surplus and deficit tables (class_margins). RL
+training scores its expected-value exchanges with these same stage functions
+on a receiver-ordered ledger; their sums are exact in any link order.
 
 Counts are integers up to step 3; the proportional split can produce
 fractional buffers, which are kept as reals during reward computation and
@@ -76,61 +79,56 @@ class ExchangeResult:
         return float(sum(self.delivered.sum(axis=1)))
 
 
-def available_vector(
-    counts_tx: np.ndarray,
-    thresholds_tx: np.ndarray,
-    trusted: np.ndarray,
-) -> np.ndarray:
-    """Per-class count each transmitter offers over its link.
+def class_margins(counts: np.ndarray, thresholds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-device, per-class (surplus, deficit) as floats: how far counts lie
+    above, and below, their thresholds, each clamped at zero. A class has at
+    most one of the two."""
+    counts = np.asarray(counts, dtype=float)
+    return np.maximum(counts - thresholds, 0.0), np.maximum(thresholds - counts, 0.0)
 
-    Surplus over the transmitter's own thresholds, clamped at zero, and
+
+def available_vector(surplus_tx: np.ndarray, trusted: np.ndarray) -> np.ndarray:
+    """Per-class count each transmitter offers over its link: its surplus,
     zeroed for classes the receiver is not trusted with (trusted == 0).
     Rows are links; a single link may be passed as 1-D vectors.
     """
-    surplus = np.maximum(np.asarray(counts_tx) - np.asarray(thresholds_tx), 0)
-    return np.where(np.asarray(trusted) != 0, surplus, 0)
+    return np.where(np.asarray(trusted) != 0, surplus_tx, 0)
 
 
-def requirement_vector(
-    available: np.ndarray,
-    counts_rx: np.ndarray,
-    thresholds_rx: np.ndarray,
-) -> np.ndarray:
+def requirement_vector(available: np.ndarray, deficit_rx: np.ndarray) -> np.ndarray:
     """Per-class count the receiver requests from one offer.
 
     The full offer when the deficit covers it, the deficit when positive but
     smaller than the offer, zero otherwise.
     """
-    available = np.asarray(available)
-    deficit = np.asarray(thresholds_rx) - np.asarray(counts_rx)
-    return np.clip(deficit, 0, available)
+    return np.minimum(deficit_rx, available)
 
 
 def transmission_buffers(
     requested: np.ndarray,
     transmitters: np.ndarray,
-    counts: np.ndarray,
-    thresholds: np.ndarray,
+    surplus: np.ndarray,
 ) -> np.ndarray:
     """Fill each link's request from its transmitter's surplus.
 
-    requested holds one (L,) row per link and transmitters its sender; counts
-    and thresholds are the (N, L) device arrays. When a transmitter's total
-    demand for a class fits in its surplus every request is served in full;
-    otherwise the surplus is split proportionally to demand. Fractional
-    shares are floored onto a fine binary grid (error < 1e-6 per entry) so
-    downstream count arithmetic stays exact.
+    requested holds one (L,) row per link and transmitters its sender;
+    surplus is the (N, L) device table of class_margins. When a transmitter's
+    total demand for a class fits in its surplus every request is served in
+    full; otherwise the surplus is split proportionally to demand.
+    Fractional shares are floored onto a fine binary grid (error < 1e-6 per
+    entry) so downstream count arithmetic stays exact. Demands are integers,
+    so their sum is the same in any link order.
     """
     requested = np.asarray(requested, dtype=float)
     transmitters = np.asarray(transmitters, dtype=np.int64)
-    counts = np.asarray(counts, dtype=float)
-    surplus = np.maximum(counts - np.asarray(thresholds), 0.0)[transmitters]
-    total = np.zeros_like(counts)
+    total = np.zeros(np.shape(surplus))
     np.add.at(total, transmitters, requested)
     total = total[transmitters]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        share = np.floor(requested / total * surplus * _GRID) / _GRID
-    return np.where(total > surplus, share, requested)
+    have = surplus[transmitters]
+    split = total > have
+    share = np.divide(requested, total, out=np.zeros_like(requested), where=split)
+    share = np.floor(share * have * _GRID) / _GRID
+    return np.where(split, share, requested)
 
 
 def deliver(
@@ -182,19 +180,46 @@ def integerize_buffers(buffers: np.ndarray) -> np.ndarray:
     return floors
 
 
-def _active_links(links: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(receivers, transmitters) of the real links, sorted by transmitter
-    then receiver."""
+def apply_transfers(
+    counts: np.ndarray,
+    receivers: np.ndarray,
+    transmitters: np.ndarray,
+    buffered: np.ndarray,
+    delivered: np.ndarray,
+) -> np.ndarray:
+    """Post-exchange distributions: every transmitter loses what it put on
+    the wire, every receiver (at most one link each) gains what arrived.
+
+    In any class a device either gives (it has a surplus) or gains (it has a
+    deficit), never both, and buffers lie on the _GRID lattice, so this
+    closed form equals applying the links one by one, in any order.
+    """
+    loss = np.zeros_like(counts)
+    np.add.at(loss, transmitters, buffered)
+    updated = counts - loss
+    updated[receivers] += delivered
+    return updated
+
+
+def check_links(links: np.ndarray, n: int) -> np.ndarray:
+    """The link array as int64, after checking that it is one entry per
+    receiver, each -1 or another device's index."""
     tx = np.asarray(links, dtype=np.int64)
     if tx.shape != (n,):
         raise ValueError(f"link array must have shape ({n},)")
     if tx.min() < -1 or tx.max() >= n:
         raise IndexError(f"link index out of range for {n} devices")
-    rx = np.arange(n)
-    if np.any(tx == rx):
+    if np.any(tx == np.arange(n)):
         raise ValueError("a receiver cannot be its own transmitter; -1 means no link")
-    active = tx >= 0
-    rx, tx = rx[active], tx[active]
+    return tx
+
+
+def _active_links(links: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(receivers, transmitters) of the real links, sorted by transmitter
+    then receiver."""
+    tx = check_links(links, n)
+    rx = np.flatnonzero(tx >= 0)
+    tx = tx[rx]
     order = np.lexsort((rx, tx))
     return rx[order], tx[order]
 
@@ -237,10 +262,11 @@ def run_exchange(
     if trust.shape != (n, n, n_classes):
         raise ValueError("trust tensor must be (N, N, L)")
 
+    surplus, deficit = class_margins(counts, thresholds)
     rx, tx = _active_links(links, n)
-    available = available_vector(counts[tx], thresholds[tx], trust[tx, rx])
-    requested = requirement_vector(available, counts[rx], thresholds[rx])
-    buffered = transmission_buffers(requested, tx, counts, thresholds)
+    available = available_vector(surplus[tx], trust[tx, rx])
+    requested = requirement_vector(available, deficit[rx])
+    buffered = transmission_buffers(requested, tx, surplus)
     if integer_payloads:
         # Rows are grouped by transmitter; each group splits one surplus.
         groups = np.split(buffered, np.flatnonzero(np.diff(tx)) + 1)
@@ -250,14 +276,7 @@ def run_exchange(
         if mode == EXPECTED:
             delivered = np.round(delivered)
         delivered = np.minimum(delivered, buffered)
-
-    # In any class a device either gives (it has a surplus) or gains (it has
-    # a deficit), never both, and buffers lie on the _GRID lattice, so this
-    # closed form equals applying the links one by one.
-    loss = np.zeros_like(counts)
-    np.add.at(loss, tx, buffered)
-    updated = counts - loss
-    updated[rx] += delivered
+    updated = apply_transfers(counts, rx, tx, buffered, delivered)
     if integer_payloads:
         updated = np.round(updated)
     return ExchangeResult(

@@ -1,6 +1,12 @@
 """Experiment orchestration: scenario -> link discovery -> materialized
 exchange -> federated training, with per-step metrics and energy accounting.
 
+run_experiments is the one pipeline: run_experiment, sweep_experiment and
+the CLI go through it. It trains the rl runs of a list of configs in batches
+(runs sharing n_devices, n_classes, episodes and allow_no_link train as one
+stacked policy table, see rl.train_runs), then finishes each run alone, in
+config order.
+
 Metrics are append-only records, one per RL episode and one per FL
 aggregation round, and can be written as CSV or JSON lines with identical
 fields. Output is byte-identical for equal (config, seed).
@@ -12,6 +18,7 @@ import io
 import json
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -153,21 +160,29 @@ def reward_weights_from(cfg: ScenarioConfig, n_clusters: int) -> rl.RewardWeight
     )
 
 
+def train_rl(cfgs: list[ScenarioConfig], scenarios: list[Scenario]) -> list[rl.TrainResult]:
+    """Train the rl runs of one batch together (see rl.train_runs); the
+    configs share n_devices, n_classes, episodes and allow_no_link."""
+    cfg = cfgs[0]
+    return rl.train_runs(
+        scenarios,
+        cfg.episodes,
+        [reward_weights_from(c, s.partition.k) for c, s in zip(cfgs, scenarios)],
+        [named_rng(c.seed, "rl") for c in cfgs],
+        allow_no_link=cfg.allow_no_link,
+    )
+
+
 def discover_links(
-    cfg: ScenarioConfig, scenario: Scenario
+    cfg: ScenarioConfig, scenario: Scenario, rl_result: rl.TrainResult | None = None
 ) -> tuple[np.ndarray, rl.TrainResult | None]:
     """Produce the exchange graph for the configured baseline, as an (N,)
-    transmitter array with -1 for no link."""
+    transmitter array with -1 for no link. An rl run reads its graph from
+    rl_result, trained here alone when not given."""
     if cfg.baseline == "rl":
-        weights = reward_weights_from(cfg, scenario.partition.k)
-        result = rl.train(
-            scenario,
-            cfg.episodes,
-            weights,
-            named_rng(cfg.seed, "rl"),
-            allow_no_link=cfg.allow_no_link,
-        )
-        return rl.extract_graph(result.policies, allow_no_link=cfg.allow_no_link), result
+        if rl_result is None:
+            (rl_result,) = train_rl([cfg], [scenario])
+        return rl.extract_graph(rl_result.policies, allow_no_link=cfg.allow_no_link), rl_result
     if cfg.baseline == "uniform":
         return uniform_baseline_links(cfg.n_devices, named_rng(cfg.seed, "rl")), None
     if cfg.baseline == "none":
@@ -224,17 +239,68 @@ def graph_stats(scenario: Scenario, links: np.ndarray, exchange: ExchangeResult)
     return {"mean_link_success": rl.link_success(scenario.drop, links), "cluster_load": load}
 
 
-def run_experiment(cfg: ScenarioConfig, run_id: str | None = None) -> ExperimentResult:
-    """Full pipeline for one configuration.
+def rl_batches(cfgs: list[ScenarioConfig]) -> list[list[int]]:
+    """Group the indices of the rl configs into training batches, in config
+    order: runs that share n_devices, n_classes (the stacked class tables),
+    episodes and allow_no_link, at most rl.BATCH_CELLS policy cells (R*N*N)
+    per batch, one run at the least."""
+    batches: list[list[int]] = []
+    open_batch: dict[tuple, list[int]] = {}
+    for i, cfg in enumerate(cfgs):
+        if cfg.baseline != "rl":
+            continue
+        key = (cfg.n_devices, cfg.n_classes, cfg.episodes, cfg.allow_no_link)
+        batch = open_batch.get(key)
+        if batch is None or (len(batch) + 1) * cfg.n_devices**2 > rl.BATCH_CELLS:
+            batch = open_batch[key] = []
+            batches.append(batch)
+        batch.append(i)
+    return batches
+
+
+def run_experiments(
+    cfgs: list[ScenarioConfig], run_ids: list[str] | None = None
+) -> Iterator[ExperimentResult]:
+    """Full pipeline for a list of configurations, one result per config,
+    yielded in config order; run ids default to "<baseline>-s<seed>".
 
     Stages: generate scenario; discover links (RL training, uniform draw, or
     none); materialize the exchange on the real datasets; run federated
-    training; collect metrics. Energy: D2D counts RL reward broadcasts and
-    the materialized point transfers, D2S counts one uplink and one downlink
-    of the model parameters per participant per aggregation.
+    training; collect metrics. The rl runs of one batch (see rl_batches)
+    generate their scenarios and train together when the first of them is
+    reached; everything after training runs per config. Each result is
+    byte-identical to running its config alone, and a batch's scenarios
+    are dropped as their results are yielded.
     """
-    run_id = run_id or f"{cfg.baseline}-s{cfg.seed}"
-    scenario = generate_scenario(cfg)
+    run_ids = run_ids or [f"{cfg.baseline}-s{cfg.seed}" for cfg in cfgs]
+    batch_of = {i: batch for batch in rl_batches(cfgs) for i in batch}
+    ready: dict[int, tuple[Scenario, rl.TrainResult | None]] = {}
+    for i, (cfg, run_id) in enumerate(zip(cfgs, run_ids)):
+        if i not in ready:
+            batch = batch_of.get(i)
+            if batch is None:
+                ready[i] = (generate_scenario(cfg), None)
+            else:
+                scenarios = [generate_scenario(cfgs[j]) for j in batch]
+                trained = train_rl([cfgs[j] for j in batch], scenarios)
+                ready.update(zip(batch, zip(scenarios, trained)))
+        scenario, rl_result = ready.pop(i)
+        yield _finish_experiment(cfg, run_id, scenario, rl_result)
+
+
+def run_experiment(cfg: ScenarioConfig, run_id: str | None = None) -> ExperimentResult:
+    """Full pipeline for one configuration (see run_experiments)."""
+    (result,) = run_experiments([cfg], [run_id] if run_id else None)
+    return result
+
+
+def _finish_experiment(
+    cfg: ScenarioConfig, run_id: str, scenario: Scenario, rl_result: rl.TrainResult | None
+) -> ExperimentResult:
+    """Every stage after RL training, for one run. Energy: D2D counts RL
+    reward broadcasts and the materialized point transfers, D2S counts one
+    uplink and one downlink of the model parameters per participant per
+    aggregation."""
     n = cfg.n_devices
     weights = reward_weights_from(cfg, scenario.partition.k)
     budgets = weights.budget_array(scenario.partition.k)
@@ -244,7 +310,7 @@ def run_experiment(cfg: ScenarioConfig, run_id: str | None = None) -> Experiment
     d2d_energy = 0.0
     d2s_energy = 0.0
 
-    links, rl_result = discover_links(cfg, scenario)
+    links, rl_result = discover_links(cfg, scenario, rl_result)
     if rl_result is not None:
         # Each device shares its scalar local reward with the other N-1
         # devices once per episode; this signaling is counted but modeled
@@ -343,18 +409,18 @@ def sweep_experiment(
     """Run one experiment per value of a single config key.
 
     Values arrive as strings (CLI form) and are parsed by the config file's
-    rule for the key. Records from all runs are concatenated, run ids carry
+    rule for the key. Every value is parsed and validated before any run
+    starts. Records from all runs are concatenated, run ids carry
     key=value.
     """
     if key not in {f.name for f in fields(ScenarioConfig)}:
         raise ConfigError(f"unknown sweep key {key!r}")
+    parsed = [_parse_value(key, raw) for raw in values]
+    cfgs = [with_overrides(base, **{key: value}) for value in parsed]
+    run_ids = [f"{cfg.baseline}-s{cfg.seed}-{key}={raw}" for cfg, raw in zip(cfgs, values)]
     all_records: list[MetricsRecord] = []
     summaries: list[dict] = []
-    for raw in values:
-        value = _parse_value(key, raw)
-        cfg = with_overrides(base, **{key: value})
-        run_id = f"{cfg.baseline}-s{cfg.seed}-{key}={raw}"
-        result = run_experiment(cfg, run_id=run_id)
+    for result, value in zip(run_experiments(cfgs, run_ids), parsed):
         all_records.extend(result.records)
         summary = dict(result.summary)
         summary["sweep_key"] = key

@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import ScenarioConfig
+
 # Devices trained together in one stacked gradient step. Bounds the memory a
 # round adds (a block's concatenated data and its (K, B, d) minibatches);
 # larger blocks save little per-call time once K is in the tens.
@@ -58,13 +60,15 @@ class ModelSpec:
 
 @dataclass
 class FlConfig:
-    scheme: str = "fedavg"
-    tau_a: int = 10  # local steps between aggregations
-    total_steps: int = 200
-    learning_rate: float = 0.1
-    prox_mu: float = 0.0
-    batch_size: int = 32
-    weighting: str = "data"  # "data" (size-proportional) or "uniform"
+    """Federated training settings; the defaults are ScenarioConfig's."""
+
+    scheme: str = ScenarioConfig.scheme
+    tau_a: int = ScenarioConfig.tau_a  # local steps between aggregations
+    total_steps: int = ScenarioConfig.total_steps
+    learning_rate: float = ScenarioConfig.learning_rate
+    prox_mu: float = ScenarioConfig.prox_mu
+    batch_size: int = ScenarioConfig.batch_size
+    weighting: str = ScenarioConfig.weighting  # "data" (size-proportional) or "uniform"
     stragglers: frozenset[int] = field(default_factory=frozenset)
 
     @property

@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import ScenarioConfig
+
 # Bits used when a device broadcasts a single scalar (e.g. a reward value)
 # or one model parameter: single-precision float on the wire.
 SCALAR_BITS = 32
@@ -20,11 +22,11 @@ class ChannelParams:
     """Shared channel model parameters.
 
     rate_r is the constant transmission rate, noise_sigma2 the common noise
-    power across channels.
+    power across channels. The defaults are ScenarioConfig's.
     """
 
-    rate_r: float = 1.0
-    noise_sigma2: float = 1e-4
+    rate_r: float = ScenarioConfig.rate_r
+    noise_sigma2: float = ScenarioConfig.noise_sigma2
 
 
 @dataclass(frozen=True)
@@ -33,13 +35,13 @@ class EnergyParams:
 
     Transmitting b bits over distance d costs b * (elec + amp * d^2) joules.
     The device-to-server distance is d2s_distance_factor times the mean
-    pairwise device distance.
+    pairwise device distance. The defaults are ScenarioConfig's.
     """
 
-    per_point_bits: int = 512
-    elec_energy_per_bit: float = 50e-9
-    amp_energy_per_bit_per_dist2: float = 100e-12
-    d2s_distance_factor: float = 3.0
+    per_point_bits: int = ScenarioConfig.per_point_bits
+    elec_energy_per_bit: float = ScenarioConfig.elec_energy_per_bit
+    amp_energy_per_bit_per_dist2: float = ScenarioConfig.amp_energy_per_bit_per_dist2
+    d2s_distance_factor: float = ScenarioConfig.d2s_distance_factor
 
 
 @dataclass(frozen=True)

@@ -2,24 +2,48 @@
 
 Every device is an agent whose Boltzmann (softmax) policy over incoming-link
 choices comes from running reward totals and pull counts per candidate
-transmitter. All agents share one policy table: two (N, N) arrays whose row
-i belongs to receiver i. A device may also pick itself, which means "no
+transmitter. A run's agents share one policy table: two (N, N) arrays whose
+row i belongs to receiver i. A device may also pick itself, which means "no
 incoming link". Training repeats: sample links, run an expected-value
 exchange on a scratch copy of the class distributions, score local and
 global rewards, and credit each device's chosen action. Each step acts on
 all devices at once.
+
+Independent runs with equal N, class count, episode count and no-link rule
+train together (train_runs): their tables stack run-major as one (R*N, N)
+table, every episode draws from each run's own generator, and one exchange
+is scored on the block-diagonal graph of all R runs. Every sum in that
+exchange adds integers or grid-floored buffers, which is exact in any order,
+and every per-run mean reduces one contiguous row, so each run's trace is
+bit-identical to training it alone. The exchange stages are exchange.py's
+own functions.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .exchange import EXPECTED, run_exchange
+from .config import ScenarioConfig
+from .exchange import (  # noqa: F401  (run_exchange: benchmark spans wrap rl.run_exchange)
+    apply_transfers,
+    available_vector,
+    check_links,
+    class_margins,
+    deliver,
+    requirement_vector,
+    run_exchange,
+    transmission_buffers,
+)
 
 if TYPE_CHECKING:
     from .scenario import Scenario
+
+# Cap on the policy cells R*N*N of one training batch: one N=1000 run. Bounds
+# the stacked tables a batch holds (policy totals and counts, and each
+# episode's probabilities); larger batches save little per-call time.
+BATCH_CELLS = 2**20
 
 
 @dataclass
@@ -31,12 +55,13 @@ class PolicyTable:
     always defined.
     """
 
-    totals: np.ndarray  # (N, N)
-    counts: np.ndarray  # (N, N)
+    totals: np.ndarray  # (N, N), or (R*N, N) for R stacked runs
+    counts: np.ndarray  # same shape
 
     @classmethod
-    def fresh(cls, n: int) -> "PolicyTable":
-        return cls(totals=np.zeros((n, n)), counts=np.ones((n, n), dtype=np.int64))
+    def fresh(cls, n: int, runs: int = 1) -> "PolicyTable":
+        shape = (runs * n, n)
+        return cls(totals=np.zeros(shape), counts=np.ones(shape, dtype=np.int64))
 
     def averages(self) -> np.ndarray:
         return self.totals / self.counts
@@ -44,27 +69,28 @@ class PolicyTable:
 
 @dataclass
 class RewardWeights:
-    """User-set reward trade-off weights.
+    """User-set reward trade-off weights; the defaults are ScenarioConfig's.
 
     alpha1 scales data diversity, alpha2 penalizes unreliable links, alpha3
     scales per-cluster budget slack, gamma couples each device to the global
     reward. diversity_min is the minimum number of satisfied classes before
     the diversity score pays out. budgets holds one request budget per
-    cluster (a scalar is broadcast).
+    cluster (a scalar is broadcast). Stacked runs hold (R, 1) columns and
+    (R, K) budgets, which broadcast against their (R, N) and (R, K) rewards.
     """
 
-    alpha1: float = 1.0
-    alpha2: float = 1.0
-    alpha3: float = 0.0
-    gamma: float = 0.5
-    diversity_min: int = 0
-    budgets: np.ndarray | float = 0.0
+    alpha1: float = ScenarioConfig.alpha1
+    alpha2: float = ScenarioConfig.alpha2
+    alpha3: float = ScenarioConfig.alpha3
+    gamma: float = ScenarioConfig.gamma
+    diversity_min: int = ScenarioConfig.diversity_min
+    budgets: np.ndarray | float = ScenarioConfig.cluster_budget
 
     def budget_array(self, n_clusters: int) -> np.ndarray:
         b = np.asarray(self.budgets, dtype=float)
         if b.ndim == 0:
             return np.full(n_clusters, float(b))
-        if b.shape != (n_clusters,):
+        if b.shape[-1] != n_clusters:
             raise ValueError(f"expected {n_clusters} budgets, got shape {b.shape}")
         return b
 
@@ -102,22 +128,25 @@ def link_probabilities(policies: PolicyTable) -> np.ndarray:
 
 def sample_links(
     policies: PolicyTable,
-    rng: np.random.Generator,
+    rng: np.random.Generator | Sequence[np.random.Generator],
     allow_no_link: bool = True,
 ) -> np.ndarray:
     """Sample one incoming-link choice per receiver.
 
-    Returns an (N,) array of transmitter indices with -1 for "no link"
-    (a receiver sampling itself). With allow_no_link=False the self action
-    is masked out and the row renormalized. One uniform draw per receiver
-    picks the first action whose cumulative probability reaches it.
+    Returns one transmitter index per table row, -1 for "no link" (a
+    receiver sampling itself). A table of R stacked runs takes one generator
+    per run, each drawing for its run's N rows in turn. With
+    allow_no_link=False the self action is masked out and the row
+    renormalized. One uniform draw per receiver picks the first action
+    whose cumulative probability reaches it.
     """
     p = link_probabilities(policies)
-    n = p.shape[0]
-    own = np.arange(n)
-    u = rng.random(n)
+    rows, n = p.shape
+    own = np.arange(rows) % n
+    rngs = [rng] if isinstance(rng, np.random.Generator) else rng
+    u = np.concatenate([g.random(n) for g in rngs])
     if not allow_no_link:
-        p[own, own] = 0.0
+        p[np.arange(rows), own] = 0.0
         p = p / p.sum(axis=1, keepdims=True)
     below = np.cumsum(p, axis=1) < u[:, None]
     choice = np.minimum(below.sum(axis=1), n - 1)
@@ -161,7 +190,8 @@ def inter_cluster_load(
     """Per-cluster total points requested over links crossing into it.
 
     receivers, transmitters and requested are an exchange ledger: one link
-    and its (L,) request row per entry, summed in ledger order.
+    and its (L,) request row per entry. Requests are whole points, so the
+    sums do not depend on the ledger's order.
     """
     cluster = assignment[receivers]
     crossing = assignment[transmitters] != cluster
@@ -175,18 +205,24 @@ def global_reward(
     cluster_load: np.ndarray,
     weights: RewardWeights,
 ) -> np.ndarray:
-    """Mean local reward plus weighted budget slack, one value per cluster."""
-    budgets = weights.budget_array(len(cluster_load))
-    return local_rewards.mean() + weights.alpha3 * (budgets - cluster_load)
+    """Mean local reward plus weighted budget slack, one value per cluster.
+    A leading run axis is kept: (R, N) rewards and (R, K) loads give (R, K)."""
+    budgets = weights.budget_array(cluster_load.shape[-1])
+    return local_rewards.mean(axis=-1, keepdims=True) + weights.alpha3 * (budgets - cluster_load)
 
 
-def link_success(drop: np.ndarray, links: np.ndarray) -> float:
+def link_success(drop: np.ndarray, links: np.ndarray) -> float | np.ndarray:
     """Mean success probability 1 - drop over the chosen links, in receiver
-    order (1.0 if there are none)."""
-    linked = links >= 0
-    if not linked.any():
-        return 1.0
-    return float(np.mean(1.0 - drop[linked, links[linked]]))
+    order (1.0 if there are none); one value per row of a 2-D links."""
+    rows = np.atleast_2d(links)
+    linked = rows >= 0
+    success = 1.0 - drop[np.arange(rows.shape[1]), np.where(linked, rows, 0)]
+    out = np.ones(len(rows))
+    full = linked.all(axis=1)
+    out[full] = success[full].mean(axis=1)
+    for e in np.flatnonzero(linked.any(axis=1) & ~full):
+        out[e] = success[e, linked[e]].mean()
+    return float(out[0]) if np.ndim(links) == 1 else out
 
 
 def update_policy(policies: PolicyTable, chosen: np.ndarray, rewards: np.ndarray) -> None:
@@ -197,36 +233,150 @@ def update_policy(policies: PolicyTable, chosen: np.ndarray, rewards: np.ndarray
     policies.counts[rows, chosen] += 1
 
 
+@dataclass
+class _Batch:
+    """R runs' scenarios and weights stacked run-major for scoring: row
+    r*N + i is device i of run r. Clusters are padded to the largest run's
+    K, so cluster c of run r has the flat id r*K + c. The drop matrices and
+    trust tensors are not copied: each episode gathers them run by run."""
+
+    counts: np.ndarray  # (R*N, L) float class distributions
+    surplus: np.ndarray  # (R*N, L)
+    deficit: np.ndarray  # (R*N, L)
+    thresholds: np.ndarray  # (R, N, L)
+    drop: list[np.ndarray]  # R matrices (N, N)
+    trust: list[np.ndarray]  # R tensors (N, N, L)
+    assignment: np.ndarray  # (R, N) cluster of each device in its run
+    cluster: np.ndarray  # (R*N,) flat cluster id
+    weights: RewardWeights  # (R, 1) columns, (R, K) budgets
+
+    @classmethod
+    def stack(cls, scenarios: Sequence["Scenario"], weights: Sequence[RewardWeights]) -> "_Batch":
+        runs, n = len(scenarios), scenarios[0].n_devices
+        k = max(s.partition.k for s in scenarios)
+        counts = np.concatenate([s.counts for s in scenarios]).astype(float)
+        thresholds = np.concatenate([s.thresholds for s in scenarios])
+        assignment = np.stack([s.partition.assignment for s in scenarios])
+        surplus, deficit = class_margins(counts, thresholds)
+        budgets = np.zeros((runs, k))
+        for row, s, w in zip(budgets, scenarios, weights):
+            row[: s.partition.k] = w.budget_array(s.partition.k)
+
+        def column(name: str) -> np.ndarray:
+            return np.array([[getattr(w, name)] for w in weights])
+
+        return cls(
+            counts=counts,
+            surplus=surplus,
+            deficit=deficit,
+            thresholds=thresholds.reshape(runs, n, -1),
+            drop=[s.drop for s in scenarios],
+            trust=[s.trust for s in scenarios],
+            assignment=assignment,
+            cluster=(assignment + k * np.arange(runs)[:, None]).ravel(),
+            weights=RewardWeights(
+                alpha1=column("alpha1"),
+                alpha2=column("alpha2"),
+                alpha3=column("alpha3"),
+                gamma=column("gamma"),
+                diversity_min=column("diversity_min"),
+                budgets=budgets,
+            ),
+        )
+
+    def score(self, links: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Expected-value exchange and rewards of one link choice per row
+        (the transmitter's index within its run, -1 for none). Returns the
+        overall and local rewards (R, N), global rewards (R, K) and
+        inter-cluster load (R, K). Sampled links are valid by construction
+        and the ledger is in receiver order."""
+        runs, n = self.assignment.shape
+        rx = np.flatnonzero(links >= 0)
+        rx_run, tx_run = rx % n, links[rx]
+        tx = rx - rx_run + tx_run
+        edges = np.searchsorted(rx, np.arange(runs + 1) * n).tolist()
+        trusted, p_link = [], []
+        for trust, drop, a, b in zip(self.trust, self.drop, edges, edges[1:]):
+            trusted.append(trust[tx_run[a:b], rx_run[a:b]])
+            p_link.append(drop[rx_run[a:b], tx_run[a:b]])
+        p_link = np.concatenate(p_link)
+        available = available_vector(self.surplus[tx], np.concatenate(trusted))
+        requested = requirement_vector(available, self.deficit[rx])
+        buffered = transmission_buffers(requested, tx, self.surplus)
+        delivered = deliver(buffered, p_link)
+        updated = apply_transfers(self.counts, rx, tx, buffered, delivered)
+        p_drop = np.zeros(len(links))
+        p_drop[rx] = p_link
+        locals_ = local_reward(
+            updated.reshape(self.thresholds.shape),
+            self.thresholds,
+            p_drop.reshape(runs, n),
+            self.weights,
+        )
+        k = self.weights.budgets.shape[1]
+        load = inter_cluster_load(rx, tx, requested, self.cluster, runs * k).reshape(runs, k)
+        globals_ = global_reward(locals_, load, self.weights)
+        overall = locals_ + self.weights.gamma * globals_.ravel()[self.cluster].reshape(runs, n)
+        return overall, locals_, globals_, load
+
+
 def run_episode(
     scenario: "Scenario",
     links: np.ndarray,
     weights: RewardWeights,
 ) -> EpisodeOutcome:
     """Score one link assignment with an expected-value exchange on a scratch
-    copy of the class distributions."""
-    assignment = scenario.partition.assignment
-    result = run_exchange(
-        links,
-        scenario.counts,
-        scenario.thresholds,
-        scenario.trust,
-        scenario.drop,
-        mode=EXPECTED,
-    )
-    p_drop = np.where(links >= 0, scenario.drop[np.arange(len(links)), links], 0.0)
-    locals_ = local_reward(result.updated, scenario.thresholds, p_drop, weights)
-    load = inter_cluster_load(
-        result.receivers, result.transmitters, result.requested, assignment, scenario.partition.k
-    )
-    globals_ = global_reward(locals_, load, weights)
+    copy of the class distributions, as a training episode does."""
+    checked = check_links(links, scenario.n_devices)
+    overall, locals_, globals_, load = _Batch.stack([scenario], [weights]).score(checked)
     return EpisodeOutcome(
         links=links,
-        local_rewards=locals_,
-        global_rewards=globals_,
-        overall_rewards=locals_ + weights.gamma * globals_[assignment],
-        cluster_load=load,
-        link_success=link_success(scenario.drop, links),
+        local_rewards=locals_[0],
+        global_rewards=globals_[0],
+        overall_rewards=overall[0],
+        cluster_load=load[0],
+        link_success=link_success(scenario.drop, checked),
     )
+
+
+def train_runs(
+    scenarios: Sequence["Scenario"],
+    episodes: int,
+    weights: Sequence[RewardWeights],
+    rngs: Sequence[np.random.Generator],
+    allow_no_link: bool = True,
+) -> list[TrainResult]:
+    """Train R independent runs together: one scenario, weights and
+    generator per run, all with the same device and class counts. Each
+    run's result is bit-identical to training it alone; see the module
+    docstring."""
+    batch = _Batch.stack(scenarios, weights)
+    runs, n = batch.assignment.shape
+    own = np.arange(runs * n) % n
+    policies = PolicyTable.fresh(n, runs)
+    links = np.empty((runs, episodes, n), dtype=np.int64)
+    mean_reward = np.empty((runs, episodes))
+    cluster_load = np.empty((runs, episodes, batch.weights.budgets.shape[1]))
+    for ep in range(episodes):
+        chosen = sample_links(policies, rngs, allow_no_link=allow_no_link)
+        overall, _, _, load = batch.score(chosen)
+        update_policy(policies, np.where(chosen >= 0, chosen, own), overall.ravel())
+        links[:, ep] = chosen.reshape(runs, n)
+        mean_reward[:, ep] = overall.mean(axis=1)
+        cluster_load[:, ep] = load
+    results = []
+    for i, scenario in enumerate(scenarios):
+        rows = slice(i * n, (i + 1) * n)
+        results.append(
+            TrainResult(
+                policies=PolicyTable(policies.totals[rows], policies.counts[rows]),
+                links=links[i],
+                mean_reward=mean_reward[i],
+                link_success=link_success(scenario.drop, links[i]),
+                cluster_load=cluster_load[i, :, : scenario.partition.k].copy(),
+            )
+        )
+    return results
 
 
 def train(
@@ -236,32 +386,14 @@ def train(
     rng: np.random.Generator,
     allow_no_link: bool = True,
 ) -> TrainResult:
-    """Run the full policy-training loop.
+    """Run the full policy-training loop for one run.
 
     Each episode samples links from the current policies, scores them, and
     updates every device's row at its chosen action (the self index for
     the no-link action). Distributions reset every episode: training probes
     counterfactual exchanges, real data moves only after graph extraction.
     """
-    n = scenario.counts.shape[0]
-    own = np.arange(n)
-    policies = PolicyTable.fresh(n)
-    trace = TrainResult(
-        policies=policies,
-        links=np.empty((episodes, n), dtype=np.int64),
-        mean_reward=np.empty(episodes),
-        link_success=np.empty(episodes),
-        cluster_load=np.empty((episodes, scenario.partition.k)),
-    )
-    for ep in range(episodes):
-        links = sample_links(policies, rng, allow_no_link=allow_no_link)
-        outcome = run_episode(scenario, links, weights)
-        update_policy(policies, np.where(links >= 0, links, own), outcome.overall_rewards)
-        trace.links[ep] = links
-        trace.mean_reward[ep] = outcome.overall_rewards.mean()
-        trace.link_success[ep] = outcome.link_success
-        trace.cluster_load[ep] = outcome.cluster_load
-    return trace
+    return train_runs([scenario], episodes, [weights], [rng], allow_no_link)[0]
 
 
 def extract_graph(

@@ -15,7 +15,7 @@ from conftest import make_scenario
 from d2dfl import fl, rl
 from d2dfl.config import ScenarioConfig, save_config, with_overrides
 from d2dfl.exchange import EXPECTED, run_exchange
-from d2dfl.experiment import run_experiment, sweep_experiment, render_metrics
+from d2dfl.experiment import run_experiments, sweep_experiment, render_metrics
 from d2dfl.network import ChannelParams, drop_probability
 from d2dfl.scenario import generate_scenario
 from d2dfl import cli
@@ -185,21 +185,22 @@ def battery():
     variants, and the aggregation-interval sweep, over seeds 0..9 of the
     default config."""
     cfg0 = ScenarioConfig()
-    runs = {}
+    keys, cfgs = [], []
     for seed in SEEDS:
         for baseline in ("rl", "uniform", "none"):
-            runs[(baseline, seed, 0.0, cfg0.tau_a)] = run_experiment(
-                with_overrides(cfg0, baseline=baseline, seed=seed)
-            )
+            keys.append((baseline, seed, 0.0, cfg0.tau_a))
+            cfgs.append(with_overrides(cfg0, baseline=baseline, seed=seed))
         for baseline in ("rl", "none"):
-            runs[(baseline, seed, 0.3, cfg0.tau_a)] = run_experiment(
+            keys.append((baseline, seed, 0.3, cfg0.tau_a))
+            cfgs.append(
                 with_overrides(cfg0, baseline=baseline, seed=seed, straggler_fraction=0.3)
             )
             for tau in (1, 5, 10, 20):
-                runs[(baseline, seed, 0.0, tau)] = run_experiment(
-                    with_overrides(cfg0, baseline=baseline, seed=seed, tau_a=tau)
-                )
-    return cfg0, runs
+                keys.append((baseline, seed, 0.0, tau))
+                cfgs.append(with_overrides(cfg0, baseline=baseline, seed=seed, tau_a=tau))
+    # One call: its rl runs share N, episodes and allow_no_link, so they
+    # train as one batch.
+    return cfg0, dict(zip(keys, run_experiments(cfgs)))
 
 
 def test_criterion_06_convergence_ordering(battery):

@@ -7,6 +7,7 @@ from d2dfl.exchange import (
     EXPECTED,
     STOCHASTIC,
     available_vector,
+    class_margins,
     deliver,
     integerize_buffers,
     requirement_vector,
@@ -26,13 +27,23 @@ def no_drop(n):
 def buffers_for(requests, counts_tx, thresholds_tx):
     """Split one transmitter's surplus over {receiver: request} demands."""
     receivers = list(requests)
+    surplus, _ = class_margins(np.asarray(counts_tx)[None], np.asarray(thresholds_tx)[None])
     out = transmission_buffers(
         np.stack([requests[r] for r in receivers]),
         np.zeros(len(receivers), dtype=np.int64),
-        np.asarray(counts_tx)[None],
-        np.asarray(thresholds_tx)[None],
+        surplus,
     )
     return dict(zip(receivers, out))
+
+
+def offer(counts_tx, thresholds_tx, trusted):
+    """The transmitter's offer over one link, from its counts."""
+    return available_vector(class_margins(counts_tx, thresholds_tx)[0], trusted)
+
+
+def request(available, counts_rx, thresholds_rx):
+    """The receiver's request from one offer, from its counts."""
+    return requirement_vector(available, class_margins(counts_rx, thresholds_rx)[1])
 
 
 def integerize(buffers):
@@ -45,16 +56,16 @@ class TestAvailableVector:
         counts = np.array([20, 20])
         thresholds = np.array([10, 10])
         trust = np.array([[1, 0], [1, 1]])
-        offer = available_vector(counts, thresholds, trust[0])
-        assert offer.tolist() == [10, 0]
+        got = offer(counts, thresholds, trust[0])
+        assert got.tolist() == [10, 0]
 
     def test_surplus_over_threshold(self):
-        offer = available_vector(np.array([20]), np.array([10]), np.array([1]))
-        assert offer.tolist() == [10]
+        got = offer(np.array([20]), np.array([10]), np.array([1]))
+        assert got.tolist() == [10]
 
     def test_deficit_clamps_to_zero(self):
-        offer = available_vector(np.array([5]), np.array([10]), np.array([1]))
-        assert offer.tolist() == [0]
+        got = offer(np.array([5]), np.array([10]), np.array([1]))
+        assert got.tolist() == [0]
 
     def test_receiver_out_of_range(self):
         # A link for receiver 7 of 2 devices needs an entry past the last row.
@@ -66,15 +77,15 @@ class TestAvailableVector:
 
 class TestRequirementVector:
     def test_deficit_at_least_offer_takes_offer(self):
-        q = requirement_vector(np.array([10]), np.array([0]), np.array([15]))
+        q = request(np.array([10]), np.array([0]), np.array([15]))
         assert q.tolist() == [10]
 
     def test_no_deficit_requests_nothing(self):
-        q = requirement_vector(np.array([10]), np.array([30]), np.array([10]))
+        q = request(np.array([10]), np.array([30]), np.array([10]))
         assert q.tolist() == [0]
 
     def test_partial_deficit_takes_deficit(self):
-        q = requirement_vector(np.array([10]), np.array([6]), np.array([10]))
+        q = request(np.array([10]), np.array([6]), np.array([10]))
         assert q.tolist() == [4]
 
 

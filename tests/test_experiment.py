@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from d2dfl import cli
-from d2dfl.config import ScenarioConfig, save_config, with_overrides
+from d2dfl import cli, experiment, rl
+from d2dfl.config import ConfigError, ScenarioConfig, save_config, with_overrides
 from d2dfl.exchange import run_exchange
 from d2dfl.experiment import (
     CSV_HEADER,
@@ -13,7 +13,9 @@ from d2dfl.experiment import (
     emit_metrics,
     read_metrics,
     render_metrics,
+    rl_batches,
     run_experiment,
+    run_experiments,
     sweep_experiment,
 )
 from d2dfl.network import SCALAR_BITS, energy_cost, transmit_energy
@@ -239,6 +241,50 @@ class TestSweep:
 
         with pytest.raises(ConfigError, match="episodes"):
             sweep_experiment(FAST, "episodes", ["abc"])
+
+    def test_sweep_bad_last_value_fails_before_any_run(self, monkeypatch):
+        calls = []
+        original = experiment.generate_scenario
+        monkeypatch.setattr(
+            experiment, "generate_scenario", lambda cfg: calls.append(cfg) or original(cfg)
+        )
+        with pytest.raises(ConfigError, match="'episodes'"):
+            sweep_experiment(FAST, "episodes", ["40", "20", "0"])
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "key, values",
+        [
+            ("seed", [2, 3, 4]),
+            ("n_devices", [5, 6, 5, 6]),
+            ("alpha1", [0.5, 1.0, 2.5]),
+            ("n_classes", [4, 5]),
+        ],
+    )
+    def test_sweep_bytes_equal_runs_one_by_one(self, key, values):
+        records, summaries = sweep_experiment(FAST, key, [str(v) for v in values])
+        alone = []
+        for value in values:
+            cfg = with_overrides(FAST, **{key: value})
+            alone.append(run_experiment(cfg, run_id=f"rl-s{cfg.seed}-{key}={value}"))
+        expect = [rec for res in alone for rec in res.records]
+        assert render_metrics(records, "csv") == render_metrics(expect, "csv")
+        assert render_metrics(records, "jsonl") == render_metrics(expect, "jsonl")
+        for summary, res in zip(summaries, alone):
+            assert {k: v for k, v in summary.items() if not k.startswith("sweep_")} == res.summary
+
+    def test_batches_group_by_shape_and_cap(self, monkeypatch):
+        cfgs = [
+            with_overrides(FAST, n_devices=n, seed=s)
+            for n, s in [(5, 0), (6, 0), (5, 1), (5, 2), (6, 1)]
+        ] + [with_overrides(FAST, baseline="none"), with_overrides(FAST, episodes=7)]
+        assert rl_batches(cfgs) == [[0, 2, 3], [1, 4], [6]]
+        monkeypatch.setattr(rl, "BATCH_CELLS", 2 * 6 * 6)
+        assert rl_batches(cfgs) == [[0, 2], [1, 4], [3], [6]]
+        capped = list(run_experiments(cfgs))
+        for cfg, res in zip(cfgs, capped):
+            assert render_metrics(res.records) == render_metrics(run_experiment(cfg).records)
+            assert res.summary == run_experiment(cfg).summary
 
     def test_sweep_deterministic(self):
         a = sweep_experiment(with_overrides(FAST, baseline="none"), "tau_a", ["5"])

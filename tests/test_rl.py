@@ -2,9 +2,14 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_scenario
 from d2dfl import rl
+from d2dfl.config import ScenarioConfig, with_overrides
+from d2dfl.exchange import EXPECTED, run_exchange
+from d2dfl.experiment import reward_weights_from
 from d2dfl.rl import (
     PolicyTable,
     RewardWeights,
@@ -17,8 +22,10 @@ from d2dfl.rl import (
     run_episode,
     sample_links,
     train,
+    train_runs,
     update_policy,
 )
+from d2dfl.scenario import generate_scenario
 
 
 def one_agent(n_actions: int) -> PolicyTable:
@@ -257,7 +264,8 @@ class TestTraining:
 
     def test_counts_increase_once_per_episode(self):
         scenario = dominance_scenario()
-        result = train(scenario, 50, RewardWeights(), np.random.default_rng(1))
+        w = RewardWeights(alpha1=1.0, alpha2=1.0, alpha3=0.0, gamma=0.5, diversity_min=0)
+        result = train(scenario, 50, w, np.random.default_rng(1))
         assert result.policies.counts.sum(axis=1).tolist() == [3 + 50] * 3
 
     def test_overall_reward_identity(self):
@@ -364,3 +372,145 @@ class TestExtractGraph:
         table.totals[0] = [5.0, 0.0]  # self is the argmax but masked
         graph = extract_graph(table, allow_no_link=False)
         assert graph.tolist() == [1, 0]
+
+
+def loop_episode(scenario, links, weights):
+    """One episode scored the per-run way: a run_exchange ledger, then the
+    reward formulas written out for a single run."""
+    n = len(links)
+    assignment, k = scenario.partition.assignment, scenario.partition.k
+    res = run_exchange(
+        links, scenario.counts, scenario.thresholds, scenario.trust, scenario.drop, mode=EXPECTED
+    )
+    p_drop = np.where(links >= 0, scenario.drop[np.arange(n), links], 0.0)
+    met = np.sum(np.floor(res.updated + 0.5) >= scenario.thresholds, axis=1)
+    score = np.where(met >= weights.diversity_min, met, 0)
+    local = weights.alpha1 * score - weights.alpha2 * p_drop
+    load = inter_cluster_load(res.receivers, res.transmitters, res.requested, assignment, k)
+    glob = local.mean() + weights.alpha3 * (weights.budget_array(k) - load)
+    return local + weights.gamma * glob[assignment], load
+
+
+def loop_train(scenario, episodes, weights, rng, allow_no_link):
+    """train as a plain per-run loop over loop_episode."""
+    n = scenario.n_devices
+    own = np.arange(n)
+    totals, counts = np.zeros((n, n)), np.ones((n, n), dtype=np.int64)
+    links = np.empty((episodes, n), dtype=np.int64)
+    mean_reward, success = np.empty(episodes), np.empty(episodes)
+    load = np.empty((episodes, scenario.partition.k))
+    for ep in range(episodes):
+        avg = totals / counts
+        z = np.exp(avg - avg.max(axis=1, keepdims=True))
+        p = z / z.sum(axis=1, keepdims=True)
+        u = rng.random(n)
+        if not allow_no_link:
+            p[own, own] = 0.0
+            p = p / p.sum(axis=1, keepdims=True)
+        choice = np.minimum((np.cumsum(p, axis=1) < u[:, None]).sum(axis=1), n - 1)
+        links[ep] = np.where(choice == own, -1, choice)
+        overall, load[ep] = loop_episode(scenario, links[ep], weights)
+        totals[own, choice] += overall
+        counts[own, choice] += 1
+        mean_reward[ep] = overall.mean()
+        linked = links[ep] >= 0
+        chosen = 1.0 - scenario.drop[linked, links[ep][linked]]
+        success[ep] = chosen.mean() if linked.any() else 1.0
+    return totals, counts, links, mean_reward, success, load
+
+
+def assert_runs_match_loop(scenarios, episodes, weights, seeds, allow_no_link):
+    results = train_runs(
+        scenarios, episodes, weights, [np.random.default_rng(s) for s in seeds], allow_no_link
+    )
+    for scenario, w, seed, got in zip(scenarios, weights, seeds, results):
+        totals, counts, links, mean_reward, success, load = loop_train(
+            scenario, episodes, w, np.random.default_rng(seed), allow_no_link
+        )
+        assert np.array_equal(got.policies.totals, totals)
+        assert np.array_equal(got.policies.counts, counts)
+        assert np.array_equal(got.links, links)
+        assert np.array_equal(got.mean_reward, mean_reward)
+        assert np.array_equal(got.link_success, success)
+        assert np.array_equal(got.cluster_load, load)
+
+
+@st.composite
+def run_batches(draw):
+    """R runs of N devices with their own channel, trust, clusters, weights
+    and budgets; N up to 40 so per-run rows of 8 or more take numpy's
+    pairwise sums."""
+    n = draw(st.integers(2, 40))
+    n_classes = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scenarios, weights = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        k = draw(st.integers(1, min(n, 4)))
+        assignment = np.concatenate([np.arange(k), rng.integers(0, k, n - k)])
+        drop = rng.uniform(0.0, 1.0, (n, n))
+        np.fill_diagonal(drop, 0.0)
+        scenarios.append(
+            make_scenario(
+                rng.integers(0, 40, (n, n_classes)),
+                rng.integers(0, 25, (n, n_classes)),
+                trust=(rng.random((n, n, n_classes)) < 0.7).astype(np.int8),
+                drop=drop,
+                assignment=rng.permutation(assignment),
+            )
+        )
+        weights.append(
+            RewardWeights(
+                alpha1=float(rng.uniform(0, 2)),
+                alpha2=float(rng.uniform(0, 3)),
+                alpha3=float(rng.uniform(0, 0.1)),
+                gamma=float(rng.uniform(0, 1)),
+                diversity_min=int(rng.integers(0, n_classes + 1)),
+                budgets=rng.uniform(0, 100, k),
+            )
+        )
+    seeds = [int(s) for s in rng.integers(0, 2**32, len(scenarios))]
+    return scenarios, weights, seeds
+
+
+class TestBatchedMatchesLoop:
+    """train_runs equals a per-run loop over run_exchange, run by run."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(run_batches(), st.integers(1, 12), st.booleans())
+    def test_equal_to_per_run_loop(self, batch, episodes, allow_no_link):
+        scenarios, weights, seeds = batch
+        assert_runs_match_loop(scenarios, episodes, weights, seeds, allow_no_link)
+
+    @pytest.mark.parametrize("allow_no_link", [False, True])
+    def test_two_generated_runs_at_n300(self, allow_no_link):
+        cfgs = [
+            with_overrides(ScenarioConfig(), n_devices=300, seed=4, allow_no_link=allow_no_link),
+            with_overrides(
+                ScenarioConfig(), n_devices=300, seed=9, alpha1=1.5, cluster_budget=60.0,
+                allow_no_link=allow_no_link,
+            ),
+        ]
+        scenarios = [generate_scenario(c) for c in cfgs]
+        weights = [reward_weights_from(c, s.partition.k) for c, s in zip(cfgs, scenarios)]
+        assert len({s.partition.k for s in scenarios}) == 2
+        assert_runs_match_loop(scenarios, 4, weights, [4, 9], allow_no_link)
+
+    def test_run_episode_equals_loop(self):
+        rng = np.random.default_rng(8)
+        drop = rng.uniform(0.0, 0.5, (6, 6))
+        np.fill_diagonal(drop, 0.0)
+        scenario = make_scenario(
+            rng.integers(0, 30, (6, 3)),
+            np.full((6, 3), 12),
+            drop=drop,
+            assignment=np.array([0, 1, 0, 1, 1, 0]),
+        )
+        w = RewardWeights(
+            alpha1=1.3, alpha2=0.7, alpha3=0.2, gamma=0.6, diversity_min=1, budgets=[4.0, 9.0]
+        )
+        for _ in range(20):
+            links = sample_links(PolicyTable.fresh(6), rng)
+            out = run_episode(scenario, links, w)
+            overall, load = loop_episode(scenario, links, w)
+            assert np.array_equal(out.overall_rewards, overall)
+            assert np.array_equal(out.cluster_load, load)
