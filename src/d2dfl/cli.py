@@ -95,8 +95,6 @@ def _cmd_train(args) -> int:
 def _cmd_sweep(args) -> int:
     cfg = _load(args)
     values = [v for v in args.values.split(",") if v]
-    if not values:
-        raise ConfigError("sweep needs at least one value")
     records, summaries = sweep_experiment(cfg, args.key, values)
     emit_metrics(records, args.out, args.format)
     print(json.dumps(summaries, indent=2))

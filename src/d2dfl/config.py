@@ -242,6 +242,7 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
     need(0.0 <= cfg.straggler_fraction <= 1.0, "straggler_fraction", "must lie in [0, 1]")
     need(cfg.hidden_units >= 1, "hidden_units", "must be >= 1")
     need(0.0 < cfg.test_fraction < 1.0, "test_fraction", "must lie in (0, 1)")
+    need(cfg.seed >= 0, "seed", "must be >= 0")
     for key, choices in _CHOICES.items():
         need(getattr(cfg, key) in choices, key, f"must be one of {choices}")
     alloc = class_allocation(cfg)

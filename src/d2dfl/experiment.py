@@ -409,12 +409,14 @@ def sweep_experiment(
     """Run one experiment per value of a single config key.
 
     Values arrive as strings (CLI form) and are parsed by the config file's
-    rule for the key. Every value is parsed and validated before any run
-    starts. Records from all runs are concatenated, run ids carry
-    key=value.
+    rule for the key; at least one is needed. Every value is parsed and
+    validated before any run starts. Records from all runs are
+    concatenated, run ids carry key=value.
     """
     if key not in {f.name for f in fields(ScenarioConfig)}:
         raise ConfigError(f"unknown sweep key {key!r}")
+    if not values:
+        raise ConfigError(f"key {key!r}: sweep needs at least one value")
     parsed = [_parse_value(key, raw) for raw in values]
     cfgs = [with_overrides(base, **{key: value}) for value in parsed]
     run_ids = [f"{cfg.baseline}-s{cfg.seed}-{key}={raw}" for cfg, raw in zip(cfgs, values)]

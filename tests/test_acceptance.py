@@ -196,6 +196,8 @@ def battery():
                 with_overrides(cfg0, baseline=baseline, seed=seed, straggler_fraction=0.3)
             )
             for tau in (1, 5, 10, 20):
+                if tau == cfg0.tau_a:
+                    continue  # the run above
                 keys.append((baseline, seed, 0.0, tau))
                 cfgs.append(with_overrides(cfg0, baseline=baseline, seed=seed, tau_a=tau))
     # One call: its rl runs share N, episodes and allow_no_link, so they

@@ -87,6 +87,12 @@ class TestValidation:
         with pytest.raises(ConfigError, match="'test_fraction': holds out no test point"):
             with_overrides(ScenarioConfig(), **overrides)
 
+    def test_negative_seed_names_key(self):
+        with pytest.raises(ConfigError, match="'seed': must be >= 0"):
+            with_overrides(ScenarioConfig(), seed=-1)
+        with pytest.raises(ConfigError, match="'seed'"):
+            parse_config("[run]\nseed = -3\n")
+
     def test_too_few_samples_names_key(self):
         with pytest.raises(ConfigError, match="'samples_per_device'"):
             with_overrides(ScenarioConfig(), samples_per_device=3)
@@ -157,12 +163,12 @@ def small_configs(draw):
 
 class TestValidatedConfigsRun:
     @settings(max_examples=150, deadline=None)
-    @given(small_configs(), st.integers(0, 3))
+    @given(small_configs(), st.integers(-3, 3))
     def test_validates_and_runs_or_names_key(self, overrides, seed):
         try:
             cfg = with_overrides(ScenarioConfig(), seed=seed, **overrides)
         except ConfigError as exc:
-            assert any(f"key {key!r}" in str(exc) for key in overrides), str(exc)
+            assert any(f"key {key!r}" in str(exc) for key in [*overrides, "seed"]), str(exc)
             return
         with warnings.catch_warnings():
             # A round whose devices are all stragglers or empty warns.

@@ -375,6 +375,19 @@ class TestCli:
         assert "episodes" in err and "abc" in err
         assert not out.exists()
 
+    def test_negative_seed_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "m.csv"
+        assert cli.main(["run", "--seed", "-1", "--out", str(out)]) == 1
+        assert "'seed'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep_no_values_names_key(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        code = cli.main(["sweep", "--key", "tau_a", "--values", ",", "--out", str(out)])
+        assert code == 1
+        assert "key 'tau_a'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_runtime_error_exit_code(self, tmp_path):
         # Unwritable output path surfaces as exit 2 after a valid config.
         cfg_path = self._write_cfg(tmp_path, with_overrides(FAST, baseline="none"))

@@ -9,6 +9,7 @@ from d2dfl.fl import (
     FlConfig,
     LabeledSet,
     ModelSpec,
+    _softmax,
     aggregate,
     dataset_from_counts,
     evaluate,
@@ -23,6 +24,17 @@ from d2dfl.fl import (
 
 LINEAR = ModelSpec(kind="linear", in_dim=4, n_classes=3)
 MLP = ModelSpec(kind="mlp", in_dim=4, n_classes=3, hidden=6)
+# numpy sums a last axis of 8 or more with eight accumulators, so the class
+# sums of 8 and of 17 classes (eight-accumulator blocks plus a remainder)
+# take other branches than those of 3 classes.
+WIDE_SPECS = {
+    "linear": LINEAR,
+    "mlp": MLP,
+    "linear-c8": ModelSpec(kind="linear", in_dim=4, n_classes=8),
+    "mlp-c8": ModelSpec(kind="mlp", in_dim=4, n_classes=8, hidden=6),
+    "linear-c17": ModelSpec(kind="linear", in_dim=4, n_classes=17),
+    "mlp-c17": ModelSpec(kind="mlp", in_dim=4, n_classes=17, hidden=6),
+}
 
 
 def toy_data(spec: ModelSpec, n=10, seed=0) -> LabeledSet:
@@ -356,7 +368,7 @@ def fl_inputs(draw):
     spec = ModelSpec(
         kind=draw(st.sampled_from(["linear", "mlp"])),
         in_dim=draw(st.integers(1, 4)),
-        n_classes=draw(st.integers(2, 4)),
+        n_classes=draw(st.one_of(st.integers(2, 4), st.integers(8, 20))),
         hidden=draw(st.integers(1, 5)),
     )
     batch_size = draw(st.integers(1, 6))
@@ -407,7 +419,7 @@ class TestBatchedMatchesLoop:
         assert trace.accuracy == accuracy
         assert trace.participants == participants
 
-    @pytest.mark.parametrize("spec", [LINEAR, MLP], ids=["linear", "mlp"])
+    @pytest.mark.parametrize("spec", WIDE_SPECS.values(), ids=WIDE_SPECS.keys())
     def test_stacked_gradient_equals_each_device(self, spec):
         rng = np.random.default_rng(13)
         params = rng.normal(0, 0.5, size=(5, spec.n_params))
@@ -423,7 +435,7 @@ class TestBatchedMatchesLoop:
             assert loss[k] == pytest.approx(ref_loss, rel=1e-12)
 
     @pytest.mark.parametrize("mu", [0.0, 0.4])
-    @pytest.mark.parametrize("spec", [LINEAR, MLP], ids=["linear", "mlp"])
+    @pytest.mark.parametrize("spec", WIDE_SPECS.values(), ids=WIDE_SPECS.keys())
     def test_single_device_equals_reference_bitwise(self, spec, mu):
         rng = np.random.default_rng(17)
         for n in (1, 7, 32, 300):
@@ -435,3 +447,22 @@ class TestBatchedMatchesLoop:
             ref_loss, ref_grad = reference_loss_and_grad(spec, params, x, y, mu, anchor)
             assert loss == ref_loss
             assert np.array_equal(grad, ref_grad)
+
+
+class TestSoftmax:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(st.sampled_from([1, 7, 8, 9, 16, 17, 128, 129, 144, 300]), st.integers(1, 300)),
+        st.tuples(st.integers(1, 4), st.integers(1, 40)),
+        st.sampled_from([0.01, 1.0, 30.0]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_equals_last_axis_formula_bitwise(self, n_classes, lead, scale, seed):
+        # Below 8, 8 to 128 and over 128 classes numpy's pairwise sum takes
+        # its three branches; the class-plane sum must repeat each exactly,
+        # and the sampled counts sit on each side of every boundary.
+        z = np.random.default_rng(seed).normal(0.0, scale, size=(*lead, n_classes))
+        e = np.exp(z - z.max(axis=-1, keepdims=True))
+        out = _softmax(z.copy())
+        assert out.flags.c_contiguous
+        assert np.array_equal(out, e / e.sum(axis=-1, keepdims=True))
