@@ -13,7 +13,9 @@ All stages run on a ledger of the M active links at once: one row per link,
 in (transmitter, receiver) ascending order, as (M, L) arrays. Offers and
 requests read per-device surplus and deficit tables (class_margins). RL
 training scores its expected-value exchanges with these same stage functions
-on a receiver-ordered ledger; their sums are exact in any link order.
+on a ledger of one row per device, in device order, where a device's own
+index means no link; their sums (bincounts over (device, class) cells) are
+exact in any link order.
 
 Counts are integers up to step 3; the proportional split can produce
 fractional buffers, which are kept as reals during reward computation and
@@ -87,6 +89,17 @@ def class_margins(counts: np.ndarray, thresholds: np.ndarray) -> tuple[np.ndarra
     return np.maximum(counts - thresholds, 0.0), np.maximum(thresholds - counts, 0.0)
 
 
+def _row_sums(rows: np.ndarray, values: np.ndarray, n_rows: int) -> np.ndarray:
+    """(n_rows, L) table of the (M, L) values summed by their row index: one
+    bincount over flat (row, class) cells. It adds each cell's values in
+    ledger order, so the sums are exact whenever the values are integers or
+    lie on the _GRID lattice."""
+    n_classes = values.shape[1]
+    cells = (rows * n_classes)[:, None] + np.arange(n_classes)
+    sums = np.bincount(cells.ravel(), weights=values.ravel(), minlength=n_rows * n_classes)
+    return sums.reshape(n_rows, n_classes)
+
+
 def available_vector(surplus_tx: np.ndarray, trusted: np.ndarray) -> np.ndarray:
     """Per-class count each transmitter offers over its link: its surplus,
     zeroed for classes the receiver is not trusted with (trusted == 0).
@@ -121,12 +134,10 @@ def transmission_buffers(
     """
     requested = np.asarray(requested, dtype=float)
     transmitters = np.asarray(transmitters, dtype=np.int64)
-    total = np.zeros(np.shape(surplus))
-    np.add.at(total, transmitters, requested)
-    total = total[transmitters]
-    have = surplus[transmitters]
+    total = _row_sums(transmitters, requested, len(surplus)).take(transmitters, axis=0)
+    have = surplus.take(transmitters, axis=0)
     split = total > have
-    share = np.divide(requested, total, out=np.zeros_like(requested), where=split)
+    share = np.divide(requested, total, out=np.zeros(requested.shape), where=split)
     share = np.floor(share * have * _GRID) / _GRID
     return np.where(split, share, requested)
 
@@ -145,7 +156,7 @@ def deliver(
     fractional buffer is never exceeded), drawing row by row.
     """
     p_drop = np.asarray(p_drop, dtype=float)
-    if not np.all((p_drop >= 0) & (p_drop <= 1)):
+    if not ((p_drop >= 0) & (p_drop <= 1)).all():
         raise ValueError(f"p_drop must lie in [0, 1], got {p_drop}")
     buffered = np.asarray(buffered, dtype=float)
     keep = (1.0 - p_drop)[:, None] if p_drop.ndim else 1.0 - p_drop
@@ -189,14 +200,14 @@ def apply_transfers(
 ) -> np.ndarray:
     """Post-exchange distributions: every transmitter loses what it put on
     the wire, every receiver (at most one link each) gains what arrived.
+    receivers may be slice(None) for a ledger of one row per device, in
+    device order.
 
     In any class a device either gives (it has a surplus) or gains (it has a
     deficit), never both, and buffers lie on the _GRID lattice, so this
     closed form equals applying the links one by one, in any order.
     """
-    loss = np.zeros_like(counts)
-    np.add.at(loss, transmitters, buffered)
-    updated = counts - loss
+    updated = counts - _row_sums(transmitters, buffered, len(counts))
     updated[receivers] += delivered
     return updated
 

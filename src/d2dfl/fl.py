@@ -361,6 +361,7 @@ def evaluate(spec: ModelSpec, params: np.ndarray, test: LabeledSet) -> float:
 class FlTrace:
     accuracy: list[float]  # test accuracy after each aggregation
     participants: list[int]  # participant count per round
+    params: np.ndarray  # (P,) global model after the last aggregation
 
 
 def run_fl(
@@ -414,7 +415,7 @@ def run_fl(
         )
         accuracy.append(evaluate(spec, params_g, test))
         participants.append(len(active))
-    return FlTrace(accuracy=accuracy, participants=participants)
+    return FlTrace(accuracy=accuracy, participants=participants, params=params_g)
 
 
 def make_class_means(n_classes: int, dim: int, rng: np.random.Generator, spread: float = 3.0) -> np.ndarray:

@@ -3,24 +3,26 @@
 Every device is an agent whose Boltzmann (softmax) policy over incoming-link
 choices comes from running reward totals and pull counts per candidate
 transmitter. A run's agents share one policy table: two (N, N) arrays whose
-row i belongs to receiver i. A device may also pick itself, which means "no
-incoming link". Training repeats: sample links, run an expected-value
-exchange on a scratch copy of the class distributions, score local and
-global rewards, and credit each device's chosen action. Each step acts on
-all devices at once.
+row i belongs to receiver i, and their averages totals / counts, kept up to
+date cell by cell. A device may also pick itself, which means "no incoming
+link". Training repeats: sample links, run an expected-value exchange on a
+scratch copy of the class distributions, score local and global rewards,
+and credit each device's chosen action. Each step acts on all devices at
+once.
 
 Independent runs with equal N, class count, episode count and no-link rule
 train together (train_runs): their tables stack run-major as one (R*N, N)
 table, every episode draws from each run's own generator, and one exchange
-is scored on the block-diagonal graph of all R runs. Every sum in that
-exchange adds integers or grid-floored buffers, which is exact in any order,
-and every per-run mean reduces one contiguous row, so each run's trace is
-bit-identical to training it alone. The exchange stages are exchange.py's
-own functions.
+is scored on the block-diagonal graph of all R runs. The scorer takes one
+action per row and treats every row as a link, a no-link row offering
+nothing. Every sum in that exchange adds integers or grid-floored buffers,
+which is exact in any order, and every per-run mean reduces one contiguous
+row, so each run's trace is bit-identical to training it alone. The
+exchange stages are exchange.py's own functions.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -41,8 +43,9 @@ if TYPE_CHECKING:
     from .scenario import Scenario
 
 # Cap on the policy cells R*N*N of one training batch: one N=1000 run. Bounds
-# the stacked tables a batch holds (policy totals and counts, and each
-# episode's probabilities); larger batches save little per-call time.
+# the stacked tables a batch holds (policy totals, counts and averages,
+# sample_links' work arrays, and the drop matrices and trust tensors of a
+# batch of two or more runs); larger batches save little per-call time.
 BATCH_CELLS = 2**20
 
 
@@ -52,11 +55,20 @@ class PolicyTable:
     column per action (candidate transmitter).
 
     Counts start at one so the initial policy is uniform and the average is
-    always defined.
+    always defined. The first sample_links call on a table divides out the
+    averages totals / counts and keeps them, with its work arrays;
+    update_policy then keeps them current cell by cell. From then on change
+    totals and counts only through update_policy.
     """
 
     totals: np.ndarray  # (N, N), or (R*N, N) for R stacked runs
     counts: np.ndarray  # same shape
+    _avg: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    # sample_links' reused arrays: probabilities, their reach mask, the
+    # draws, each row's own action and that action's flat cell
+    _work: tuple[np.ndarray, ...] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @classmethod
     def fresh(cls, n: int, runs: int = 1) -> "PolicyTable":
@@ -64,7 +76,9 @@ class PolicyTable:
         return cls(totals=np.zeros(shape), counts=np.ones(shape, dtype=np.int64))
 
     def averages(self) -> np.ndarray:
-        return self.totals / self.counts
+        """totals / counts: the kept table, which callers must not write to,
+        or a new one if the table keeps none."""
+        return self.totals / self.counts if self._avg is None else self._avg
 
 
 @dataclass
@@ -118,12 +132,19 @@ class TrainResult:
     cluster_load: np.ndarray  # (E, K)
 
 
+def _softmax_rows(avg: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Row-wise softmax of avg written into out; shift-invariant and safe
+    against overflow via max subtraction."""
+    np.subtract(avg, avg.max(axis=1, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=1, keepdims=True)
+    return out
+
+
 def link_probabilities(policies: PolicyTable) -> np.ndarray:
-    """Row-wise softmax over average experienced rewards; shift-invariant
-    and safe against overflow via max subtraction."""
+    """Row-wise softmax over average experienced rewards."""
     avg = policies.averages()
-    z = np.exp(avg - avg.max(axis=1, keepdims=True))
-    return z / z.sum(axis=1, keepdims=True)
+    return _softmax_rows(avg, np.empty_like(avg))
 
 
 def sample_links(
@@ -140,16 +161,29 @@ def sample_links(
     renormalized. One uniform draw per receiver picks the first action
     whose cumulative probability reaches it.
     """
-    p = link_probabilities(policies)
-    rows, n = p.shape
-    own = np.arange(rows) % n
+    rows, n = policies.totals.shape
     rngs = [rng] if isinstance(rng, np.random.Generator) else rng
-    u = np.concatenate([g.random(n) for g in rngs])
+    if len(rngs) * n != rows:
+        raise ValueError(f"{rows // n} stacked runs need as many generators, got {len(rngs)}")
+    if policies._avg is None:
+        policies._avg = policies.totals / policies.counts
+        own = np.arange(rows) % n
+        mask = np.empty((rows, n), dtype=bool)
+        policies._work = (np.empty((rows, n)), mask, np.empty(rows), own, n * np.arange(rows) + own)
+    p, reach, u, own, self_cells = policies._work
+    _softmax_rows(policies._avg, p)
+    for r, g in enumerate(rngs):
+        g.random(n, out=u[r * n : (r + 1) * n])
     if not allow_no_link:
-        p[np.arange(rows), own] = 0.0
-        p = p / p.sum(axis=1, keepdims=True)
-    below = np.cumsum(p, axis=1) < u[:, None]
-    choice = np.minimum(below.sum(axis=1), n - 1)
+        p.put(self_cells, 0.0)
+        p /= p.sum(axis=1, keepdims=True)
+    np.add.accumulate(p, axis=1, out=p)  # np.cumsum
+    # Cumulative sums of non-negative terms never decrease, so the first
+    # reaching action is the first True. The last action takes draws that
+    # rounding leaves above every cumulative sum.
+    np.greater_equal(p, u[:, None], out=reach)
+    reach[:, -1] = True
+    choice = reach.argmax(axis=1)
     return np.where(choice == own, -1, choice)
 
 
@@ -162,7 +196,7 @@ def diversity_score(counts: np.ndarray, thresholds: np.ndarray, min_classes: int
     threshold comparison (integer inputs are unaffected).
     """
     whole = np.floor(np.asarray(counts, dtype=float) + 0.5)
-    met = np.sum(whole >= np.asarray(thresholds), axis=-1)
+    met = (whole >= np.asarray(thresholds)).sum(axis=-1)
     return np.where(met >= min_classes, met, 0)
 
 
@@ -190,14 +224,14 @@ def inter_cluster_load(
     """Per-cluster total points requested over links crossing into it.
 
     receivers, transmitters and requested are an exchange ledger: one link
-    and its (L,) request row per entry. Requests are whole points, so the
-    sums do not depend on the ledger's order.
+    and its (L,) request row per entry; receivers may be slice(None) for a
+    ledger of one row per device, in device order. Requests are whole
+    points, so the sums do not depend on the ledger's order.
     """
     cluster = assignment[receivers]
-    crossing = assignment[transmitters] != cluster
-    load = np.zeros(n_clusters)
-    np.add.at(load, cluster[crossing], np.abs(requested[crossing]).sum(axis=1))
-    return load
+    crossing = assignment.take(transmitters) != cluster
+    points = np.where(crossing, requested.sum(axis=1), 0.0)
+    return np.bincount(cluster, weights=points, minlength=n_clusters)
 
 
 def global_reward(
@@ -208,7 +242,8 @@ def global_reward(
     """Mean local reward plus weighted budget slack, one value per cluster.
     A leading run axis is kept: (R, N) rewards and (R, K) loads give (R, K)."""
     budgets = weights.budget_array(cluster_load.shape[-1])
-    return local_rewards.mean(axis=-1, keepdims=True) + weights.alpha3 * (budgets - cluster_load)
+    mean = local_rewards.sum(axis=-1, keepdims=True) / local_rewards.shape[-1]
+    return mean + weights.alpha3 * (budgets - cluster_load)
 
 
 def link_success(drop: np.ndarray, links: np.ndarray) -> float | np.ndarray:
@@ -227,26 +262,42 @@ def link_success(drop: np.ndarray, links: np.ndarray) -> float | np.ndarray:
 
 def update_policy(policies: PolicyTable, chosen: np.ndarray, rewards: np.ndarray) -> None:
     """Credit every agent's chosen action: row i adds rewards[i] to its
-    total at column chosen[i] and bumps that count."""
-    rows = np.arange(len(chosen))
-    policies.totals[rows, chosen] += rewards
-    policies.counts[rows, chosen] += 1
+    total at column chosen[i] and bumps that count. Kept averages are
+    divided again at those cells only, which gives the same IEEE values as
+    dividing the whole table."""
+    cells = np.arange(0, policies.totals.size, policies.totals.shape[1]) + chosen
+    totals = policies.totals.take(cells) + rewards
+    counts = policies.counts.take(cells) + 1
+    policies.totals.put(cells, totals)
+    policies.counts.put(cells, counts)
+    if policies._avg is not None:
+        policies._avg.put(cells, totals / counts)
+
+
+def _stacked(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """Per-run arrays concatenated run-major; a single run's array itself."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
 @dataclass
 class _Batch:
     """R runs' scenarios and weights stacked run-major for scoring: row
     r*N + i is device i of run r. Clusters are padded to the largest run's
-    K, so cluster c of run r has the flat id r*K + c. The drop matrices and
-    trust tensors are not copied: each episode gathers them run by run."""
+    K, so cluster c of run r has the flat id r*K + c. Drop matrices and
+    trust tensors are stacked run-major and flattened, so that one index
+    gathers every row's link: drop_r[i, j] is drop[(r*N + i)*N + j] and
+    trust_r[j, i] is trust[(r*N + j)*N + i]. For a single run both are
+    views of the scenario's arrays."""
 
     counts: np.ndarray  # (R*N, L) float class distributions
     surplus: np.ndarray  # (R*N, L)
     deficit: np.ndarray  # (R*N, L)
-    thresholds: np.ndarray  # (R, N, L)
-    drop: list[np.ndarray]  # R matrices (N, N)
-    trust: list[np.ndarray]  # R tensors (N, N, L)
-    assignment: np.ndarray  # (R, N) cluster of each device in its run
+    thresholds: np.ndarray  # (R, N, L) float, so comparisons with counts need no cast
+    drop: np.ndarray  # (R*N*N,)
+    trust: np.ndarray  # (R*N*N, L)
+    own: np.ndarray  # (R*N,) device index within its run
+    run_start: np.ndarray  # (R*N,) row of device 0 of the row's run
+    drop_rows: np.ndarray  # (R*N,) flat index of each row's first drop entry
     cluster: np.ndarray  # (R*N,) flat cluster id
     weights: RewardWeights  # (R, 1) columns, (R, K) budgets
 
@@ -255,7 +306,7 @@ class _Batch:
         runs, n = len(scenarios), scenarios[0].n_devices
         k = max(s.partition.k for s in scenarios)
         counts = np.concatenate([s.counts for s in scenarios]).astype(float)
-        thresholds = np.concatenate([s.thresholds for s in scenarios])
+        thresholds = np.concatenate([s.thresholds for s in scenarios]).astype(float)
         assignment = np.stack([s.partition.assignment for s in scenarios])
         surplus, deficit = class_margins(counts, thresholds)
         budgets = np.zeros((runs, k))
@@ -270,9 +321,11 @@ class _Batch:
             surplus=surplus,
             deficit=deficit,
             thresholds=thresholds.reshape(runs, n, -1),
-            drop=[s.drop for s in scenarios],
-            trust=[s.trust for s in scenarios],
-            assignment=assignment,
+            drop=_stacked([s.drop for s in scenarios]).reshape(-1),
+            trust=_stacked([s.trust for s in scenarios]).reshape(-1, counts.shape[1]),
+            own=np.tile(np.arange(n), runs),
+            run_start=np.repeat(n * np.arange(runs), n),
+            drop_rows=n * np.arange(runs * n),
             cluster=(assignment + k * np.arange(runs)[:, None]).ravel(),
             weights=RewardWeights(
                 alpha1=column("alpha1"),
@@ -284,29 +337,26 @@ class _Batch:
             ),
         )
 
-    def score(self, links: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Expected-value exchange and rewards of one link choice per row
-        (the transmitter's index within its run, -1 for none). Returns the
-        overall and local rewards (R, N), global rewards (R, K) and
-        inter-cluster load (R, K). Sampled links are valid by construction
-        and the ledger is in receiver order."""
-        runs, n = self.assignment.shape
-        rx = np.flatnonzero(links >= 0)
-        rx_run, tx_run = rx % n, links[rx]
-        tx = rx - rx_run + tx_run
-        edges = np.searchsorted(rx, np.arange(runs + 1) * n).tolist()
-        trusted, p_link = [], []
-        for trust, drop, a, b in zip(self.trust, self.drop, edges, edges[1:]):
-            trusted.append(trust[tx_run[a:b], rx_run[a:b]])
-            p_link.append(drop[rx_run[a:b], tx_run[a:b]])
-        p_link = np.concatenate(p_link)
-        available = available_vector(self.surplus[tx], np.concatenate(trusted))
-        requested = requirement_vector(available, self.deficit[rx])
+    def score(self, actions: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Expected-value exchange and rewards of one action per row (the
+        transmitter's index within its run, the row's own index for no
+        link). Returns the overall and local rewards (R, N), global rewards
+        (R, K) and inter-cluster load (R, K).
+
+        Every row is a ledger entry, in receiver order. A no-link row needs
+        no mask: no class has both a surplus and a deficit, so its request
+        is zero whatever the device's trust in itself, and its drop penalty
+        is set to zero."""
+        runs, n = self.thresholds.shape[:2]
+        rx = slice(None)  # every row is its own receiver, in order
+        tx = self.run_start + actions
+        p_drop = np.where(actions == self.own, 0.0, self.drop.take(self.drop_rows + actions))
+        trusted = self.trust.take(tx * n + self.own, axis=0)
+        available = available_vector(self.surplus.take(tx, axis=0), trusted)
+        requested = requirement_vector(available, self.deficit)
         buffered = transmission_buffers(requested, tx, self.surplus)
-        delivered = deliver(buffered, p_link)
+        delivered = deliver(buffered, p_drop)
         updated = apply_transfers(self.counts, rx, tx, buffered, delivered)
-        p_drop = np.zeros(len(links))
-        p_drop[rx] = p_link
         locals_ = local_reward(
             updated.reshape(self.thresholds.shape),
             self.thresholds,
@@ -316,7 +366,7 @@ class _Batch:
         k = self.weights.budgets.shape[1]
         load = inter_cluster_load(rx, tx, requested, self.cluster, runs * k).reshape(runs, k)
         globals_ = global_reward(locals_, load, self.weights)
-        overall = locals_ + self.weights.gamma * globals_.ravel()[self.cluster].reshape(runs, n)
+        overall = locals_ + self.weights.gamma * globals_.take(self.cluster).reshape(runs, n)
         return overall, locals_, globals_, load
 
 
@@ -328,7 +378,8 @@ def run_episode(
     """Score one link assignment with an expected-value exchange on a scratch
     copy of the class distributions, as a training episode does."""
     checked = check_links(links, scenario.n_devices)
-    overall, locals_, globals_, load = _Batch.stack([scenario], [weights]).score(checked)
+    actions = np.where(checked >= 0, checked, np.arange(len(checked)))
+    overall, locals_, globals_, load = _Batch.stack([scenario], [weights]).score(actions)
     return EpisodeOutcome(
         links=links,
         local_rewards=locals_[0],
@@ -351,19 +402,20 @@ def train_runs(
     run's result is bit-identical to training it alone; see the module
     docstring."""
     batch = _Batch.stack(scenarios, weights)
-    runs, n = batch.assignment.shape
-    own = np.arange(runs * n) % n
+    runs, n = batch.thresholds.shape[:2]
     policies = PolicyTable.fresh(n, runs)
     links = np.empty((runs, episodes, n), dtype=np.int64)
     mean_reward = np.empty((runs, episodes))
     cluster_load = np.empty((runs, episodes, batch.weights.budgets.shape[1]))
     for ep in range(episodes):
         chosen = sample_links(policies, rngs, allow_no_link=allow_no_link)
-        overall, _, _, load = batch.score(chosen)
-        update_policy(policies, np.where(chosen >= 0, chosen, own), overall.ravel())
+        actions = np.where(chosen >= 0, chosen, batch.own)
+        overall, _, _, load = batch.score(actions)
+        update_policy(policies, actions, overall.ravel())
         links[:, ep] = chosen.reshape(runs, n)
-        mean_reward[:, ep] = overall.mean(axis=1)
+        overall.sum(axis=1, out=mean_reward[:, ep])  # divided by n after the loop
         cluster_load[:, ep] = load
+    mean_reward /= n
     results = []
     for i, scenario in enumerate(scenarios):
         rows = slice(i * n, (i + 1) * n)
@@ -406,6 +458,7 @@ def extract_graph(
     avg = policies.averages()
     own = np.arange(avg.shape[0])
     if not allow_no_link:
+        avg = avg.copy()
         avg[own, own] = -np.inf
     best = avg.argmax(axis=1)
     return np.where(best == own, -1, best)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from d2dfl.exchange import (
     EXPECTED,
     STOCHASTIC,
+    apply_transfers,
     available_vector,
     class_margins,
     deliver,
@@ -484,3 +487,63 @@ class TestLoopOracle:
     @given(exchange_inputs(), st.booleans(), st.integers(0, 2**32 - 1))
     def test_stochastic_mode_equal_seeds(self, inputs, integer_payloads, seed):
         self.check(inputs, STOCHASTIC, integer_payloads, seed)
+
+
+def loop_buffers(requested, transmitters, surplus):
+    """transmission_buffers one link and class at a time in Python floats."""
+    buffered = np.zeros(requested.shape)
+    for m, tx in enumerate(transmitters):
+        for cls in range(requested.shape[1]):
+            total = 0.0
+            for q, t in zip(requested[:, cls], transmitters):
+                if t == tx:
+                    total += q
+            q, have = requested[m, cls], surplus[tx, cls]
+            if total > have:
+                buffered[m, cls] = math.floor(q / total * have * 2.0**20) / 2.0**20
+            else:
+                buffered[m, cls] = q
+    return buffered
+
+
+@st.composite
+def stage_ledgers(draw):
+    """An exchange ledger as the stages see it: transmitters unsorted and
+    repeated, self rows, some all-zero request rows, distinct receivers
+    (every device in order when every_row), requests from class margins."""
+    n = draw(st.integers(1, 7))
+    n_classes = draw(st.integers(1, 4))
+    every_row = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    counts = rng.integers(0, 60, (n, n_classes)).astype(float)
+    surplus, deficit = class_margins(counts, rng.integers(0, 40, (n, n_classes)))
+    m = n if every_row else draw(st.integers(0, n))
+    receivers = np.arange(n) if every_row else rng.permutation(n)[:m]
+    transmitters = rng.integers(0, n, m)
+    trusted = rng.random((m, n_classes)) < 0.7
+    available = available_vector(surplus[transmitters], trusted)
+    requested = requirement_vector(available, deficit[receivers])
+    requested[rng.random(m) < 0.3] = 0.0
+    return counts, surplus, receivers, transmitters, requested, rng.uniform(0.0, 1.0, m), every_row
+
+
+class TestStagesMatchLoop:
+    """transmission_buffers and apply_transfers equal a per-link loop bit
+    for bit, on any ledger order."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(stage_ledgers())
+    def test_buffers_and_transfers(self, ledger):
+        counts, surplus, receivers, transmitters, requested, p_drop, every_row = ledger
+        buffered = transmission_buffers(requested, transmitters, surplus)
+        assert np.array_equal(buffered, loop_buffers(requested, transmitters, surplus))
+        delivered = deliver(buffered, p_drop)
+        expect = counts.copy()
+        for rx, tx, buf, got in zip(receivers, transmitters, buffered, delivered):
+            expect[tx] -= buf
+            expect[rx] += got
+        got = apply_transfers(counts, receivers, transmitters, buffered, delivered)
+        assert np.array_equal(got, expect)
+        if every_row:
+            got = apply_transfers(counts, slice(None), transmitters, buffered, delivered)
+            assert np.array_equal(got, expect)

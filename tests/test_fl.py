@@ -328,7 +328,9 @@ def reference_loss_and_grad(spec, params, x, y, prox_mu=0.0, anchor=None):
 def loop_oracle(spec, datasets, test, config, rng):
     """run_fl as a plain loop: every device with data, stragglers included,
     trains step by step on its own generator through
-    reference_loss_and_grad; stragglers' payloads are then dropped."""
+    reference_loss_and_grad; stragglers' payloads are then dropped.
+    Returns the per-round accuracy and participants and the final global
+    parameters."""
     params_g = init_params(spec, rng)
     device_rngs = [np.random.default_rng(rng.integers(0, 2**63)) for _ in datasets]
     accuracy, participants = [], []
@@ -360,7 +362,7 @@ def loop_oracle(spec, datasets, test, config, rng):
             params_g = aggregate(payloads, weights, config.scheme, params_g, config.learning_rate)
         accuracy.append(evaluate(spec, params_g, test))
         participants.append(len(payloads))
-    return accuracy, participants
+    return accuracy, participants, params_g
 
 
 @st.composite
@@ -368,7 +370,9 @@ def fl_inputs(draw):
     spec = ModelSpec(
         kind=draw(st.sampled_from(["linear", "mlp"])),
         in_dim=draw(st.integers(1, 4)),
-        n_classes=draw(st.one_of(st.integers(2, 4), st.integers(8, 20))),
+        n_classes=draw(
+            st.one_of(st.integers(2, 4), st.sampled_from([7, 8, 9, 16, 17]), st.integers(8, 20))
+        ),
         hidden=draw(st.integers(1, 5)),
     )
     batch_size = draw(st.integers(1, 6))
@@ -415,9 +419,10 @@ class TestBatchedMatchesLoop:
             warnings.simplefilter("ignore", UserWarning)
             trace = run_fl(spec, datasets, test, config, np.random.default_rng(seed))
         oracle_rng = np.random.default_rng(seed)
-        accuracy, participants = loop_oracle(spec, datasets, test, config, oracle_rng)
+        accuracy, participants, params = loop_oracle(spec, datasets, test, config, oracle_rng)
         assert trace.accuracy == accuracy
         assert trace.participants == participants
+        assert np.array_equal(trace.params, params)
 
     @pytest.mark.parametrize("spec", WIDE_SPECS.values(), ids=WIDE_SPECS.keys())
     def test_stacked_gradient_equals_each_device(self, spec):

@@ -63,6 +63,15 @@ class TestLinkProbabilities:
         assert np.allclose(p.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
 
+class _TopDraws:
+    """A generator stand-in whose every uniform draw is the largest double
+    below 1."""
+
+    def random(self, size, out):
+        out[:] = np.nextafter(1.0, 0.0)
+        return out
+
+
 class TestSampleLinks:
     def test_point_mass_always_selected(self):
         table = PolicyTable.fresh(3)
@@ -130,6 +139,48 @@ class TestSampleLinks:
             got = sample_links(table, np.random.default_rng(seed), allow_no_link=allow_no_link)
             assert np.array_equal(got, expect)
 
+    def test_draw_above_every_cumulative_sum_takes_last_action(self):
+        # Seven uniform probabilities add up to 0.9999999999999998, below
+        # the draw: every receiver takes the last action, device 6 itself.
+        table = PolicyTable.fresh(7)
+        assert np.cumsum(link_probabilities(table)[0])[-1] < np.nextafter(1.0, 0.0)
+        links = sample_links(table, [_TopDraws()])
+        assert links.tolist() == [6, 6, 6, 6, 6, 6, -1]
+
+    def test_generator_count_must_match_runs(self):
+        with pytest.raises(ValueError, match="generators"):
+            sample_links(PolicyTable.fresh(3, runs=2), [np.random.default_rng(0)])
+
+
+class TestKeptAverages:
+    """sample_links starts keeping totals / counts; update_policy keeps them
+    current cell by cell, and no reader writes to them."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 12), st.integers(0, 40), st.integers(0, 2**32 - 1))
+    def test_equal_to_division_after_updates(self, n, updates, seed):
+        rng = np.random.default_rng(seed)
+        table = PolicyTable(rng.normal(0.0, 3.0, (n, n)), rng.integers(1, 9, (n, n)))
+        sample_links(table, rng)
+        for _ in range(updates):
+            update_policy(table, rng.integers(0, n, n), rng.normal(0.0, 5.0, n))
+            if rng.random() < 0.3:
+                sample_links(table, rng, allow_no_link=bool(rng.integers(2)))
+        kept = table.averages()
+        assert np.array_equal(kept, table.totals / table.counts)
+        before = kept.copy()
+        extract_graph(table, allow_no_link=False)
+        extract_graph(table, allow_no_link=True)
+        link_probabilities(table)
+        assert table.averages() is kept
+        assert np.array_equal(kept, before)
+
+    def test_unsampled_table_divides_on_each_read(self):
+        table = PolicyTable(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[1, 2], [3, 8]]))
+        assert table.averages().tolist() == [[1.0, 1.0], [1.0, 0.5]]
+        table.totals[1, 1] = 8.0
+        assert table.averages()[1, 1] == 1.0
+
 
 class TestRewards:
     def test_diversity_below_bar_scores_zero(self):
@@ -166,6 +217,23 @@ class TestRewards:
         # Link 1 -> 0 crosses into cluster 0 (7 points requested);
         # link 0 -> 2 crosses into cluster 1 (3 points).
         assert load.tolist() == [7.0, 3.0]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 8), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_inter_cluster_load_equals_loop(self, n, k, seed):
+        # A ledger of one row per device in order (receivers slice(None)),
+        # including self rows, against a per-link sum.
+        rng = np.random.default_rng(seed)
+        assignment = rng.integers(0, k, n)
+        transmitters = rng.integers(0, n, n)
+        req = rng.integers(0, 9, (n, 3)).astype(float)
+        expect = np.zeros(k)
+        for rx, tx in enumerate(transmitters):
+            if assignment[tx] != assignment[rx]:
+                expect[assignment[rx]] += req[rx].sum()
+        for receivers in (np.arange(n), slice(None)):
+            load = inter_cluster_load(receivers, transmitters, req, assignment, k)
+            assert np.array_equal(load, expect)
 
     def test_no_cross_links_zero(self):
         req = np.array([[5], [5]])
@@ -439,7 +507,8 @@ def assert_runs_match_loop(scenarios, episodes, weights, seeds, allow_no_link):
 def run_batches(draw):
     """R runs of N devices with their own channel, trust, clusters, weights
     and budgets; N up to 40 so per-run rows of 8 or more take numpy's
-    pairwise sums."""
+    pairwise sums. Self entries are drawn too: a nonzero drop diagonal and
+    full self-trust, which the no-link action must ignore."""
     n = draw(st.integers(2, 40))
     n_classes = draw(st.integers(1, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -447,14 +516,14 @@ def run_batches(draw):
     for _ in range(draw(st.integers(1, 4))):
         k = draw(st.integers(1, min(n, 4)))
         assignment = np.concatenate([np.arange(k), rng.integers(0, k, n - k)])
-        drop = rng.uniform(0.0, 1.0, (n, n))
-        np.fill_diagonal(drop, 0.0)
+        trust = (rng.random((n, n, n_classes)) < 0.7).astype(np.int8)
+        trust[np.arange(n), np.arange(n)] = 1
         scenarios.append(
             make_scenario(
                 rng.integers(0, 40, (n, n_classes)),
                 rng.integers(0, 25, (n, n_classes)),
-                trust=(rng.random((n, n, n_classes)) < 0.7).astype(np.int8),
-                drop=drop,
+                trust=trust,
+                drop=rng.uniform(0.0, 1.0, (n, n)),
                 assignment=rng.permutation(assignment),
             )
         )
