@@ -18,10 +18,10 @@ from .experiment import (
     discover_links,
     emit_metrics,
     links_json,
-    reward_weights_from,
     rl_records,
     run_experiment,
     sweep_experiment,
+    train_rl,
 )
 from .scenario import generate_scenario
 
@@ -74,15 +74,13 @@ def _cmd_train(args) -> int:
     if cfg.baseline != "rl":
         cfg = with_overrides(cfg, baseline="rl")
     scenario = generate_scenario(cfg)
-    links, rl_result = discover_links(cfg, scenario)
-    weights = reward_weights_from(cfg, scenario.partition.k)
-    budgets = weights.budget_array(scenario.partition.k)
-    records = rl_records(rl_result, f"train-s{cfg.seed}", budgets)
+    (rl_result,) = train_rl([cfg], [scenario])
+    records = rl_records(cfg, scenario, rl_result, f"train-s{cfg.seed}")
     emit_metrics(records, args.out, args.format)
     print(
         json.dumps(
             {
-                "links": links_json(links),
+                "links": links_json(discover_links(cfg, rl_result)),
                 "episodes": cfg.episodes,
                 "final_mean_reward": records[-1].mean_reward if records else None,
             },

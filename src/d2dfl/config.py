@@ -10,7 +10,7 @@ from __future__ import annotations
 import configparser
 import io
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -80,53 +80,27 @@ class ScenarioConfig:
     seed: int = 0
 
 
-# section -> keys, in file order; every dataclass field appears exactly once.
-_SECTIONS: dict[str, tuple[str, ...]] = {
-    "scenario": (
-        "n_devices",
-        "n_classes",
-        "classes_per_device",
-        "samples_per_device",
-        "skew_ratio",
-        "trust_density",
-        "class_threshold",
-        "feature_dim",
-        "feature_spread",
-        "feature_noise",
-        "area_size",
-    ),
-    "channel": (
-        "alpha_d",
-        "rate_r",
-        "noise_sigma2",
-        "pathloss_exponent",
-        "ref_power",
-        "shadowing_sigma",
-    ),
-    "energy": (
-        "per_point_bits",
-        "elec_energy_per_bit",
-        "amp_energy_per_bit_per_dist2",
-        "d2s_distance_factor",
-    ),
-    "rewards": ("alpha1", "alpha2", "alpha3", "gamma", "diversity_min", "cluster_budget"),
-    "rl": ("episodes", "allow_no_link"),
-    "fl": (
-        "scheme",
-        "tau_a",
-        "total_steps",
-        "learning_rate",
-        "prox_mu",
-        "batch_size",
-        "weighting",
-        "straggler_fraction",
-        "model",
-        "hidden_units",
-    ),
-    "run": ("baseline", "delivery", "test_fraction", "seed"),
+# Each section's first key. A section holds the fields from its first key up
+# to the next section's, in ScenarioConfig's order, and is written in that
+# order: a key's section follows from its place in the dataclass.
+_SECTION_STARTS = {
+    "scenario": "n_devices",
+    "channel": "alpha_d",
+    "energy": "per_point_bits",
+    "rewards": "alpha1",
+    "rl": "episodes",
+    "fl": "scheme",
+    "run": "baseline",
 }
 
-_KEY_SECTION = {key: sec for sec, keys in _SECTIONS.items() for key in keys}
+
+def _sections() -> dict[str, tuple[str, ...]]:
+    names = [f.name for f in fields(ScenarioConfig)]
+    bounds = [names.index(key) for key in _SECTION_STARTS.values()] + [len(names)]
+    return {sec: tuple(names[a:b]) for sec, a, b in zip(_SECTION_STARTS, bounds, bounds[1:])}
+
+
+_SECTIONS = _sections()
 _FIELD_TYPES = {f.name: f.type for f in fields(ScenarioConfig)}
 
 _CHOICES = {
@@ -299,6 +273,4 @@ def with_overrides(cfg: ScenarioConfig, **overrides) -> ScenarioConfig:
     for key in overrides:
         if key not in _FIELD_TYPES:
             raise ConfigError(f"unknown key {key!r}")
-    merged = {f.name: getattr(cfg, f.name) for f in fields(ScenarioConfig)}
-    merged.update(overrides)
-    return validate_config(ScenarioConfig(**merged))
+    return validate_config(replace(cfg, **overrides))

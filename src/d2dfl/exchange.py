@@ -150,14 +150,13 @@ def deliver(
 ) -> np.ndarray:
     """Push transmission buffers through the lossy channel.
 
-    p_drop is one probability, or one per row of a 2-D buffered. Expected
-    mode scales by the success probability; stochastic mode drops each
-    point independently (binomial on the rounded buffer, clamped so a
-    fractional buffer is never exceeded), drawing row by row.
+    p_drop is one probability in [0, 1], or one per row of a 2-D buffered;
+    run_exchange checks a caller's drop matrix. Expected mode scales by the
+    success probability; stochastic mode drops each point independently
+    (binomial on the rounded buffer, clamped so a fractional buffer is never
+    exceeded), drawing row by row.
     """
     p_drop = np.asarray(p_drop, dtype=float)
-    if not ((p_drop >= 0) & (p_drop <= 1)).all():
-        raise ValueError(f"p_drop must lie in [0, 1], got {p_drop}")
     buffered = np.asarray(buffered, dtype=float)
     keep = (1.0 - p_drop)[:, None] if p_drop.ndim else 1.0 - p_drop
     if mode == EXPECTED:
@@ -256,7 +255,8 @@ def run_exchange(
         thresholds: (N, L) per-device, per-class thresholds.
         trust: (N, N, L) trust[j, i, l] = 1 iff device j may send class l
             to device i.
-        drop: (N, N) drop[i, j] = drop probability of link j -> i.
+        drop: (N, N) drop[i, j] = drop probability of link j -> i, each
+            in [0, 1].
         mode: expected-value or stochastic delivery. Stochastic draws are
             taken link by link in the ledger's (transmitter, receiver) order.
         integer_payloads: round buffers to whole points before delivery,
@@ -272,6 +272,8 @@ def run_exchange(
         raise ValueError("thresholds shape must match counts")
     if trust.shape != (n, n, n_classes):
         raise ValueError("trust tensor must be (N, N, L)")
+    if not ((drop >= 0) & (drop <= 1)).all():
+        raise ValueError("drop probabilities must lie in [0, 1]")
 
     surplus, deficit = class_margins(counts, thresholds)
     rx, tx = _active_links(links, n)

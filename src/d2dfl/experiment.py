@@ -34,21 +34,6 @@ from .scenario import (
     uniform_baseline_links,
 )
 
-CSV_HEADER = (
-    "run_id",
-    "phase",
-    "step",
-    "mean_reward",
-    "mean_link_success",
-    "cluster_load",
-    "budget_slack",
-    "test_accuracy",
-    "d2d_energy_j",
-    "d2s_energy_j",
-    "stragglers",
-)
-
-
 @dataclass
 class MetricsRecord:
     run_id: str
@@ -64,6 +49,11 @@ class MetricsRecord:
     stragglers: int | None
 
 
+CSV_HEADER = tuple(f.name for f in fields(MetricsRecord))
+# Per-cluster vectors: "|"-joined floats in CSV, arrays in JSON lines.
+_VECTOR_FIELDS = ("cluster_load", "budget_slack")
+
+
 def _fmt(value) -> str:
     if value is None:
         return ""
@@ -77,7 +67,7 @@ def _fmt(value) -> str:
 def _parse_field(name: str, raw: str):
     if raw == "":
         return None
-    if name in ("cluster_load", "budget_slack"):
+    if name in _VECTOR_FIELDS:
         return tuple(float(v) for v in raw.split("|"))
     if name in ("step", "stragglers"):
         return int(raw)
@@ -104,14 +94,7 @@ def render_metrics(records: list[MetricsRecord], fmt: str = "csv") -> str:
             writer.writerow([_fmt(getattr(rec, name)) for name in CSV_HEADER])
         return buf.getvalue()
     if fmt == "jsonl":
-        lines = []
-        for rec in records:
-            d = asdict(rec)
-            for key in ("cluster_load", "budget_slack"):
-                if d[key] is not None:
-                    d[key] = list(d[key])
-            lines.append(json.dumps(d))
-        return "".join(line + "\n" for line in lines)
+        return "".join(json.dumps(asdict(rec)) + "\n" for rec in records)
     raise ValueError(f"unknown metrics format {fmt!r}")
 
 
@@ -130,7 +113,7 @@ def read_metrics(path: str | Path, fmt: str = "csv") -> list[MetricsRecord]:
     if fmt == "jsonl":
         for line in text.splitlines():
             d = json.loads(line)
-            for key in ("cluster_load", "budget_slack"):
+            for key in _VECTOR_FIELDS:
                 if d[key] is not None:
                     d[key] = tuple(d[key])
             records.append(MetricsRecord(**d))
@@ -149,6 +132,11 @@ class ExperimentResult:
     fl_trace: fl.FlTrace | None = None
 
 
+def cluster_budgets(cfg: ScenarioConfig, n_clusters: int) -> np.ndarray:
+    """One inter-cluster request budget per cluster."""
+    return np.full(n_clusters, float(cfg.cluster_budget))
+
+
 def reward_weights_from(cfg: ScenarioConfig, n_clusters: int) -> rl.RewardWeights:
     return rl.RewardWeights(
         alpha1=cfg.alpha1,
@@ -156,7 +144,7 @@ def reward_weights_from(cfg: ScenarioConfig, n_clusters: int) -> rl.RewardWeight
         alpha3=cfg.alpha3,
         gamma=cfg.gamma,
         diversity_min=cfg.diversity_min,
-        budgets=np.full(n_clusters, cfg.cluster_budget),
+        budgets=cluster_budgets(cfg, n_clusters),
     )
 
 
@@ -173,20 +161,16 @@ def train_rl(cfgs: list[ScenarioConfig], scenarios: list[Scenario]) -> list[rl.T
     )
 
 
-def discover_links(
-    cfg: ScenarioConfig, scenario: Scenario, rl_result: rl.TrainResult | None = None
-) -> tuple[np.ndarray, rl.TrainResult | None]:
-    """Produce the exchange graph for the configured baseline, as an (N,)
+def discover_links(cfg: ScenarioConfig, rl_result: rl.TrainResult | None) -> np.ndarray:
+    """The exchange graph for the configured baseline, as an (N,)
     transmitter array with -1 for no link. An rl run reads its graph from
-    rl_result, trained here alone when not given."""
+    its trained rl_result; the other baselines take None."""
     if cfg.baseline == "rl":
-        if rl_result is None:
-            (rl_result,) = train_rl([cfg], [scenario])
-        return rl.extract_graph(rl_result.policies, allow_no_link=cfg.allow_no_link), rl_result
+        return rl.extract_graph(rl_result.policies, allow_no_link=cfg.allow_no_link)
     if cfg.baseline == "uniform":
-        return uniform_baseline_links(cfg.n_devices, named_rng(cfg.seed, "rl")), None
+        return uniform_baseline_links(cfg.n_devices, named_rng(cfg.seed, "rl"))
     if cfg.baseline == "none":
-        return np.full(cfg.n_devices, -1, dtype=np.int64), None
+        return np.full(cfg.n_devices, -1, dtype=np.int64)
     raise ConfigError(f"key 'baseline': unknown value {cfg.baseline!r}")
 
 
@@ -197,13 +181,19 @@ def links_json(links: np.ndarray) -> dict[str, int | None]:
 
 
 def rl_records(
-    result: rl.TrainResult, run_id: str, budgets: np.ndarray, episode_energy: float = 0.0
+    cfg: ScenarioConfig, scenario: Scenario, result: rl.TrainResult, run_id: str
 ) -> list[MetricsRecord]:
-    """One metrics record per training episode; the cumulative D2D energy
-    grows by episode_energy per episode."""
+    """One metrics record per training episode of an rl run. The cumulative
+    D2D energy counts reward signaling: each device shares its scalar local
+    reward with the other N-1 devices once per episode, counted but modeled
+    as lossless."""
+    n = cfg.n_devices
+    episode_energy = n * (n - 1) * transmit_energy(
+        SCALAR_BITS, scenario.mean_distance, scenario.energy
+    )
     records: list[MetricsRecord] = []
     d2d_energy = 0.0
-    slack = budgets - result.cluster_load
+    slack = cluster_budgets(cfg, scenario.partition.k) - result.cluster_load
     for step, (reward, success, load, free) in enumerate(
         zip(result.mean_reward.tolist(), result.link_success.tolist(), result.cluster_load, slack)
     ):
@@ -302,23 +292,14 @@ def _finish_experiment(
     uplink and one downlink of the model parameters per participant per
     aggregation."""
     n = cfg.n_devices
-    weights = reward_weights_from(cfg, scenario.partition.k)
-    budgets = weights.budget_array(scenario.partition.k)
-    mean_dist = scenario.mean_distance
-
+    budgets = cluster_budgets(cfg, scenario.partition.k)
     records: list[MetricsRecord] = []
     d2d_energy = 0.0
     d2s_energy = 0.0
 
-    links, rl_result = discover_links(cfg, scenario, rl_result)
+    links = discover_links(cfg, rl_result)
     if rl_result is not None:
-        # Each device shares its scalar local reward with the other N-1
-        # devices once per episode; this signaling is counted but modeled
-        # as lossless.
-        episode_signaling = n * (n - 1) * transmit_energy(
-            SCALAR_BITS, mean_dist, scenario.energy
-        )
-        records.extend(rl_records(rl_result, run_id, budgets, episode_signaling))
+        records.extend(rl_records(cfg, scenario, rl_result, run_id))
         d2d_energy = records[-1].d2d_energy_j
 
     exchange_result = materialize_exchange(
@@ -355,7 +336,7 @@ def _finish_experiment(
     )
     fl_trace = fl.run_fl(spec, scenario.datasets, scenario.test_set, fl_cfg, named_rng(cfg.seed, "fl"))
 
-    d2s_dist = cfg.d2s_distance_factor * mean_dist
+    d2s_dist = cfg.d2s_distance_factor * scenario.mean_distance
     per_device_round = 2.0 * transmit_energy(spec.n_params * SCALAR_BITS, d2s_dist, scenario.energy)
     for round_idx, acc in enumerate(fl_trace.accuracy):
         d2s_energy += fl_trace.participants[round_idx] * per_device_round

@@ -17,6 +17,7 @@ those of the row-wise formula.
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -56,12 +57,19 @@ class ModelSpec:
     hidden: int = 16
 
     @property
-    def n_params(self) -> int:
+    def shapes(self) -> tuple[tuple[int, ...], ...]:
+        """Shapes of the weight and bias blocks, in their order in the flat
+        parameter vector."""
+        d, h, c = self.in_dim, self.hidden, self.n_classes
         if self.kind == "linear":
-            return (self.in_dim + 1) * self.n_classes
+            return (d, c), (c,)
         if self.kind == "mlp":
-            return (self.in_dim + 1) * self.hidden + (self.hidden + 1) * self.n_classes
+            return (d, h), (h,), (h, c), (c,)
         raise ValueError(f"unknown model kind {self.kind!r}")
+
+    @property
+    def n_params(self) -> int:
+        return sum(math.prod(shape) for shape in self.shapes)
 
 
 @dataclass
@@ -86,26 +94,16 @@ def init_params(spec: ModelSpec, rng: np.random.Generator, scale: float = 0.01) 
     return rng.normal(0.0, scale, size=spec.n_params)
 
 
-def _unpack(spec: ModelSpec, params: np.ndarray):
-    """Weight and bias views of flat parameters, (P,) or stacked (K, P)."""
+def _unpack(spec: ModelSpec, params: np.ndarray) -> list[np.ndarray]:
+    """Weight and bias views of flat parameters, (P,) or stacked (K, P), one
+    per block of spec.shapes."""
     lead = params.shape[:-1]
-    if spec.kind == "linear":
-        w_end = spec.in_dim * spec.n_classes
-        w = params[..., :w_end].reshape(*lead, spec.in_dim, spec.n_classes)
-        b = params[..., w_end:]
-        return w, b
-    if spec.kind == "mlp":
-        d, h, c = spec.in_dim, spec.hidden, spec.n_classes
-        idx = 0
-        w1 = params[..., idx : idx + d * h].reshape(*lead, d, h)
-        idx += d * h
-        b1 = params[..., idx : idx + h]
-        idx += h
-        w2 = params[..., idx : idx + h * c].reshape(*lead, h, c)
-        idx += h * c
-        b2 = params[..., idx:]
-        return w1, b1, w2, b2
-    raise ValueError(f"unknown model kind {spec.kind!r}")
+    views, start = [], 0
+    for shape in spec.shapes:
+        end = start + math.prod(shape)
+        views.append(params[..., start:end].reshape(*lead, *shape))
+        start = end
+    return views
 
 
 def logits(spec: ModelSpec, params: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -150,7 +150,7 @@ def link_probabilities(policies: PolicyTable) -> np.ndarray:
 def sample_links(
     policies: PolicyTable,
     rng: np.random.Generator | Sequence[np.random.Generator],
-    allow_no_link: bool = True,
+    allow_no_link: bool,
 ) -> np.ndarray:
     """Sample one incoming-link choice per receiver.
 
@@ -395,7 +395,7 @@ def train_runs(
     episodes: int,
     weights: Sequence[RewardWeights],
     rngs: Sequence[np.random.Generator],
-    allow_no_link: bool = True,
+    allow_no_link: bool,
 ) -> list[TrainResult]:
     """Train R independent runs together: one scenario, weights and
     generator per run, all with the same device and class counts. Each
@@ -436,7 +436,7 @@ def train(
     episodes: int,
     weights: RewardWeights,
     rng: np.random.Generator,
-    allow_no_link: bool = True,
+    allow_no_link: bool,
 ) -> TrainResult:
     """Run the full policy-training loop for one run.
 
@@ -448,10 +448,7 @@ def train(
     return train_runs([scenario], episodes, [weights], [rng], allow_no_link)[0]
 
 
-def extract_graph(
-    policies: PolicyTable,
-    allow_no_link: bool = True,
-) -> np.ndarray:
+def extract_graph(policies: PolicyTable, allow_no_link: bool) -> np.ndarray:
     """Greedy readout as an (N,) transmitter array: per receiver the
     argmax-average transmitter, ties to the lowest index; the self action
     reads as no link (-1)."""

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -58,8 +59,9 @@ class Scenario:
     def n_classes(self) -> int:
         return self.counts.shape[1]
 
-    @property
+    @cached_property
     def mean_distance(self) -> float:
+        """Mean distance over device pairs, computed on first read."""
         return mean_d2d_distance(self.positions)
 
     @property
@@ -130,7 +132,7 @@ def held_out_mask(y: np.ndarray, counts: np.ndarray, test_fraction: float) -> np
     return rank < n_test[y]
 
 
-def generate_scenario(cfg: ScenarioConfig, root_seed: int | None = None) -> Scenario:
+def generate_scenario(cfg: ScenarioConfig) -> Scenario:
     """Build a full scenario from a config, validated here first.
 
     Deterministic per (config, seed): positions are uniform in a square,
@@ -140,7 +142,6 @@ def generate_scenario(cfg: ScenarioConfig, root_seed: int | None = None) -> Scen
     device's data) is pooled globally before any exchange happens.
     """
     validate_config(cfg)
-    seed = cfg.seed if root_seed is None else root_seed
     energy = EnergyParams(
         per_point_bits=cfg.per_point_bits,
         elec_energy_per_bit=cfg.elec_energy_per_bit,
@@ -148,21 +149,23 @@ def generate_scenario(cfg: ScenarioConfig, root_seed: int | None = None) -> Scen
         d2s_distance_factor=cfg.d2s_distance_factor,
     )
 
-    pos_rng = named_rng(seed, "positions")
+    pos_rng = named_rng(cfg.seed, "positions")
     positions = pos_rng.uniform(0.0, cfg.area_size, size=(cfg.n_devices, 2))
     rss = generate_rss(
         positions,
         pathloss_exponent=cfg.pathloss_exponent,
         ref_power=cfg.ref_power,
         shadowing_sigma=cfg.shadowing_sigma,
-        rng=named_rng(seed, "channel"),
+        rng=named_rng(cfg.seed, "channel"),
     )
     drop = drop_matrix(rss, ChannelParams(rate_r=cfg.rate_r, noise_sigma2=cfg.noise_sigma2))
     partition = partition_clusters(drop, cfg.alpha_d)
 
-    trust = draw_trust(cfg.n_devices, cfg.n_classes, cfg.trust_density, named_rng(seed, "trust"))
+    trust = draw_trust(
+        cfg.n_devices, cfg.n_classes, cfg.trust_density, named_rng(cfg.seed, "trust")
+    )
 
-    data_rng = named_rng(seed, "data")
+    data_rng = named_rng(cfg.seed, "data")
     drawn = _non_iid_counts(cfg, data_rng)
     means = fl.make_class_means(cfg.n_classes, cfg.feature_dim, data_rng, cfg.feature_spread)
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 
@@ -33,6 +34,10 @@ class TestParsing:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key 'warp_speed'"):
             parse_config("[scenario]\nwarp_speed = 9\n")
+
+    def test_key_in_wrong_section_rejected(self):
+        with pytest.raises(ConfigError, match="unknown key 'n_devices' in section 'channel'"):
+            parse_config("[channel]\nn_devices = 12\n")
 
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError, match="unknown section 'warp'"):
@@ -200,6 +205,15 @@ class TestRoundTrip:
         assert again == cfg
         save_config(again, path)
         assert load_config(path) == cfg
+
+    def test_dump_format_pinned(self):
+        # Section names, key order and value spelling of the default file;
+        # a key moved to another section changes the digest.
+        text = dump_config(ScenarioConfig())
+        assert len(text.splitlines()) == 57
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "b9e1f920941120d1d90f5dadb798ff3aee4ca340fd8515e25e8e770d12d3f4b7"
+        )
 
     def test_dump_is_parseable_text(self):
         text = dump_config(ScenarioConfig())

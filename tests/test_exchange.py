@@ -167,8 +167,15 @@ class TestDeliver:
         assert np.all(got <= buf)
 
     def test_bad_probability_rejected(self):
-        with pytest.raises(ValueError):
-            deliver(np.array([1.0]), 1.5)
+        # run_exchange checks the drop matrix once; deliver trusts its input.
+        counts = np.array([[20.0], [0.0]])
+        for bad in (1.5, -0.1, math.nan):
+            drop = no_drop(2)
+            drop[1, 0] = bad
+            with pytest.raises(ValueError, match=r"drop probabilities must lie in \[0, 1\]"):
+                run_exchange(
+                    np.array([-1, 0]), counts, np.full_like(counts, 10), full_trust(2, 1), drop
+                )
 
 
 class TestIntegerize:

@@ -1,4 +1,8 @@
+import hashlib
 import json
+import re
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +13,6 @@ from d2dfl.exchange import run_exchange
 from d2dfl.experiment import (
     CSV_HEADER,
     MetricsRecord,
-    discover_links,
     emit_metrics,
     read_metrics,
     render_metrics,
@@ -337,8 +340,25 @@ class TestCli:
         cfg_path = self._write_cfg(tmp_path, MIXED)
         code = cli.main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "t.csv")])
         assert code == 0
-        links, _ = discover_links(MIXED, generate_scenario(MIXED))
+        links = run_experiment(MIXED).links
         assert_links_json(json.loads(capsys.readouterr().out)["links"], links)
+
+    @pytest.mark.parametrize("cfg", [FAST, MIXED], ids=["fast", "mixed"])
+    def test_train_rows_equal_run_rl_rows(self, tmp_path, cfg):
+        # One record builder serves both commands: the same episodes, budget
+        # slack and reward-signaling energy, under a different run id.
+        cfg_path = self._write_cfg(tmp_path, cfg)
+        train_out, run_out = tmp_path / "train.csv", tmp_path / "run.csv"
+        assert cli.main(["train", "--config", str(cfg_path), "--out", str(train_out)]) == 0
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(run_out)]) == 0
+        trained = read_metrics(train_out)
+        ran = [rec for rec in read_metrics(run_out) if rec.phase == "rl"]
+        assert {rec.run_id for rec in trained} == {f"train-s{cfg.seed}"}
+        assert len(trained) == cfg.episodes
+        assert [replace(rec, run_id="") for rec in trained] == [
+            replace(rec, run_id="") for rec in ran
+        ]
+        assert trained[0].d2d_energy_j > 0
 
     def test_sweep_subcommand(self, tmp_path, capsys):
         cfg_path = self._write_cfg(tmp_path, with_overrides(FAST, baseline="none"))
@@ -395,3 +415,27 @@ class TestCli:
             ["run", "--config", str(cfg_path), "--out", "/nonexistent_dir/m.csv"]
         )
         assert code == 2
+
+
+def readme_digests() -> tuple[str, dict[str, str]]:
+    """The numpy version and the per-baseline metrics digests the README
+    lists."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    version = re.search(r"The current digests \(numpy (\d+\.\d+)\)", text).group(1)
+    digests = dict(re.findall(r"^(rl|uniform|none) +([0-9a-f]{64})$", text, re.MULTILINE))
+    return version, digests
+
+
+class TestReadmeDigests:
+    """Seeds 0-9 of the default config per baseline, rendered as CSV and
+    joined in seed order, hash to the README's digests: the same bytes as
+    the README's shell loop over `d2dfl run`."""
+
+    @pytest.mark.parametrize("baseline", ["rl", "uniform", "none"])
+    def test_metrics_digest(self, baseline):
+        version, digests = readme_digests()
+        if not np.__version__.startswith(version + "."):
+            pytest.skip(f"digests are pinned for numpy {version}, not {np.__version__}")
+        cfgs = [with_overrides(ScenarioConfig(), baseline=baseline, seed=s) for s in range(10)]
+        text = "".join(render_metrics(res.records) for res in run_experiments(cfgs))
+        assert hashlib.sha256(text.encode()).hexdigest() == digests[baseline]

@@ -78,19 +78,19 @@ class TestSampleLinks:
         table.totals[0] = [0.0, 1e3, 0.0]
         rng = np.random.default_rng(0)
         for _ in range(50):
-            links = sample_links(table, rng)
+            links = sample_links(table, rng, allow_no_link=True)
             assert links[0] == 1
 
     def test_self_sample_means_no_link(self):
         table = PolicyTable.fresh(2)
         table.totals[0] = [1e3, 0.0]
-        links = sample_links(table, np.random.default_rng(1))
+        links = sample_links(table, np.random.default_rng(1), allow_no_link=True)
         assert links[0] == -1
 
     def test_deterministic_per_seed(self):
         table = PolicyTable.fresh(4)
-        a = sample_links(table, np.random.default_rng(7))
-        b = sample_links(table, np.random.default_rng(7))
+        a = sample_links(table, np.random.default_rng(7), allow_no_link=True)
+        b = sample_links(table, np.random.default_rng(7), allow_no_link=True)
         assert np.array_equal(a, b)
 
     def test_empirical_frequencies(self):
@@ -101,7 +101,7 @@ class TestSampleLinks:
         n = 100_000
         hits = np.zeros(3)
         for _ in range(n):
-            links = sample_links(table, rng)
+            links = sample_links(table, rng, allow_no_link=True)
             chosen = links[0] if links[0] >= 0 else 0
             hits[chosen] += 1
         assert np.allclose(hits / n, target, atol=0.01)
@@ -144,12 +144,14 @@ class TestSampleLinks:
         # the draw: every receiver takes the last action, device 6 itself.
         table = PolicyTable.fresh(7)
         assert np.cumsum(link_probabilities(table)[0])[-1] < np.nextafter(1.0, 0.0)
-        links = sample_links(table, [_TopDraws()])
+        links = sample_links(table, [_TopDraws()], allow_no_link=True)
         assert links.tolist() == [6, 6, 6, 6, 6, 6, -1]
 
     def test_generator_count_must_match_runs(self):
         with pytest.raises(ValueError, match="generators"):
-            sample_links(PolicyTable.fresh(3, runs=2), [np.random.default_rng(0)])
+            sample_links(
+                PolicyTable.fresh(3, runs=2), [np.random.default_rng(0)], allow_no_link=True
+            )
 
 
 class TestKeptAverages:
@@ -161,7 +163,7 @@ class TestKeptAverages:
     def test_equal_to_division_after_updates(self, n, updates, seed):
         rng = np.random.default_rng(seed)
         table = PolicyTable(rng.normal(0.0, 3.0, (n, n)), rng.integers(1, 9, (n, n)))
-        sample_links(table, rng)
+        sample_links(table, rng, allow_no_link=True)
         for _ in range(updates):
             update_policy(table, rng.integers(0, n, n), rng.normal(0.0, 5.0, n))
             if rng.random() < 0.3:
@@ -318,22 +320,22 @@ class TestTraining:
     def test_zero_weights_keep_policies_uniform(self):
         scenario = dominance_scenario()
         w = RewardWeights(alpha1=0.0, alpha2=0.0, alpha3=0.0, gamma=0.0)
-        result = train(scenario, 200, w, np.random.default_rng(5))
+        result = train(scenario, 200, w, np.random.default_rng(5), allow_no_link=True)
         assert np.allclose(link_probabilities(result.policies), 1.0 / 3.0)
         assert np.allclose(result.mean_reward, 0.0)
 
     def test_dominant_link_learned(self):
         scenario = dominance_scenario()
         w = RewardWeights(alpha1=2.0, alpha2=2.0, alpha3=0.0, gamma=0.0, diversity_min=2)
-        result = train(scenario, 2000, w, np.random.default_rng(9))
+        result = train(scenario, 2000, w, np.random.default_rng(9), allow_no_link=True)
         p = link_probabilities(result.policies)[0]
         assert p[1] > 0.9
-        assert extract_graph(result.policies)[0] == 1
+        assert extract_graph(result.policies, allow_no_link=True)[0] == 1
 
     def test_counts_increase_once_per_episode(self):
         scenario = dominance_scenario()
         w = RewardWeights(alpha1=1.0, alpha2=1.0, alpha3=0.0, gamma=0.5, diversity_min=0)
-        result = train(scenario, 50, w, np.random.default_rng(1))
+        result = train(scenario, 50, w, np.random.default_rng(1), allow_no_link=True)
         assert result.policies.counts.sum(axis=1).tolist() == [3 + 50] * 3
 
     def test_overall_reward_identity(self):
@@ -341,7 +343,7 @@ class TestTraining:
         w = RewardWeights(alpha1=1.3, alpha2=0.7, alpha3=0.2, gamma=0.6, budgets=4.0)
         rng = np.random.default_rng(3)
         for _ in range(20):
-            links = sample_links(PolicyTable.fresh(3), rng)
+            links = sample_links(PolicyTable.fresh(3), rng, allow_no_link=True)
             out = run_episode(scenario, links, w)
             expect = out.local_rewards + w.gamma * out.global_rewards[
                 scenario.partition.assignment
@@ -355,7 +357,7 @@ class TestTraining:
         # process. So compare the exact expected episode rewards instead.
         scenario = dominance_scenario()
         w = RewardWeights(alpha1=2.0, alpha2=2.0, alpha3=0.0, gamma=0.5, diversity_min=2)
-        result = train(scenario, 2000, w, np.random.default_rng(2))
+        result = train(scenario, 2000, w, np.random.default_rng(2), allow_no_link=True)
         fresh = PolicyTable.fresh(3)
         assert expected_mean_reward(scenario, w, result.policies) > expected_mean_reward(
             scenario, w, fresh
@@ -419,21 +421,21 @@ class TestBruteForceOptimality:
         )
         scenario = well_posed_scenario(123)
         oracle = brute_force_best_links(scenario, weights)
-        result = train(scenario, 5000, weights, np.random.default_rng(123))
-        learned = tuple(extract_graph(result.policies).tolist())
+        result = train(scenario, 5000, weights, np.random.default_rng(123), allow_no_link=True)
+        learned = tuple(extract_graph(result.policies, allow_no_link=True).tolist())
         assert learned == oracle
 
 
 class TestExtractGraph:
     def test_fresh_buffers_tie_break_lowest_index(self):
-        graph = extract_graph(PolicyTable.fresh(3))
+        graph = extract_graph(PolicyTable.fresh(3), allow_no_link=True)
         # Index 0 wins every tie; device 0 reads it as "no link".
         assert graph.tolist() == [-1, 0, 0]
 
     def test_dominant_cell_wins(self):
         table = PolicyTable.fresh(3)
         table.totals[2] = [0.0, 3.0, 0.0]
-        assert extract_graph(table)[2] == 1
+        assert extract_graph(table, allow_no_link=True)[2] == 1
 
     def test_no_link_disallowed_masks_self(self):
         table = PolicyTable.fresh(2)
@@ -578,7 +580,7 @@ class TestBatchedMatchesLoop:
             alpha1=1.3, alpha2=0.7, alpha3=0.2, gamma=0.6, diversity_min=1, budgets=[4.0, 9.0]
         )
         for _ in range(20):
-            links = sample_links(PolicyTable.fresh(6), rng)
+            links = sample_links(PolicyTable.fresh(6), rng, allow_no_link=True)
             out = run_episode(scenario, links, w)
             overall, load = loop_episode(scenario, links, w)
             assert np.array_equal(out.overall_rewards, overall)
