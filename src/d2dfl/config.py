@@ -10,6 +10,7 @@ from __future__ import annotations
 import configparser
 import io
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -17,7 +18,8 @@ import numpy as np
 
 
 class ConfigError(ValueError):
-    """Raised for unparsable files, unknown keys, or out-of-range values."""
+    """Raised for unparsable files, unknown keys, or mistyped or out-of-range
+    values."""
 
 
 @dataclass
@@ -102,6 +104,14 @@ def _sections() -> dict[str, tuple[str, ...]]:
 
 _SECTIONS = _sections()
 _FIELD_TYPES = {f.name: f.type for f in fields(ScenarioConfig)}
+# The value types each field type takes. A bool (Python's or numpy's) fills
+# only bool fields, although Python counts it as an int.
+_KIND_TYPES = {
+    "int": numbers.Integral,
+    "float": numbers.Real,
+    "bool": (bool, np.bool_),
+    "str": str,
+}
 
 _CHOICES = {
     "scheme": ("fedavg", "fedprox", "fedsgd"),
@@ -162,15 +172,20 @@ def held_out(n_points: int, test_fraction: float) -> int:
 
 
 def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
-    """Check every invariant; raise ConfigError naming the first bad key."""
+    """Check every value's type and every invariant; raise ConfigError
+    naming the first bad key."""
 
     def need(cond: bool, key: str, rule: str):
         if not cond:
             raise ConfigError(f"key {key!r}: {rule} (got {getattr(cfg, key)!r})")
 
     for key, kind in _FIELD_TYPES.items():
+        value = getattr(cfg, key)
+        is_bool = isinstance(value, _KIND_TYPES["bool"])
+        typed = is_bool == (kind == "bool") and isinstance(value, _KIND_TYPES[kind])
+        need(typed, key, f"must be {kind}")
         if kind == "float":
-            need(math.isfinite(getattr(cfg, key)), key, "must be finite")
+            need(math.isfinite(value), key, "must be finite")
     need(cfg.n_devices >= 2, "n_devices", "must be >= 2")
     need(cfg.n_classes >= 1, "n_classes", "must be >= 1")
     need(

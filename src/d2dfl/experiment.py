@@ -188,14 +188,17 @@ def rl_records(
     reward with the other N-1 devices once per episode, counted but modeled
     as lossless."""
     n = cfg.n_devices
-    episode_energy = n * (n - 1) * transmit_energy(
-        SCALAR_BITS, scenario.mean_distance, scenario.energy
-    )
+    episode_energy = n * (n - 1) * transmit_energy(SCALAR_BITS, scenario.mean_distance, cfg)
     records: list[MetricsRecord] = []
     d2d_energy = 0.0
     slack = cluster_budgets(cfg, scenario.partition.k) - result.cluster_load
     for step, (reward, success, load, free) in enumerate(
-        zip(result.mean_reward.tolist(), result.link_success.tolist(), result.cluster_load, slack)
+        zip(
+            result.mean_reward.tolist(),
+            result.link_success.tolist(),
+            map(tuple, result.cluster_load.tolist()),
+            map(tuple, slack.tolist()),
+        )
     ):
         d2d_energy += episode_energy
         records.append(
@@ -205,8 +208,8 @@ def rl_records(
                 step=step,
                 mean_reward=reward,
                 mean_link_success=success,
-                cluster_load=tuple(load.tolist()),
-                budget_slack=tuple(free.tolist()),
+                cluster_load=load,
+                budget_slack=free,
                 test_accuracy=None,
                 d2d_energy_j=d2d_energy,
                 d2s_energy_j=0.0,
@@ -309,7 +312,7 @@ def _finish_experiment(
     for rx, tx, sent in zip(
         exchange_result.receivers, exchange_result.transmitters, exchange_result.buffered
     ):
-        d2d_energy += energy_cost(int(sent.sum()), float(distances[rx, tx]), scenario.energy)
+        d2d_energy += energy_cost(int(sent.sum()), float(distances[rx, tx]), cfg)
 
     stats = graph_stats(scenario, links, exchange_result)
 
@@ -324,20 +327,12 @@ def _finish_experiment(
         n_classes=cfg.n_classes,
         hidden=cfg.hidden_units,
     )
-    fl_cfg = fl.FlConfig(
-        scheme=cfg.scheme,
-        tau_a=cfg.tau_a,
-        total_steps=cfg.total_steps,
-        learning_rate=cfg.learning_rate,
-        prox_mu=cfg.prox_mu,
-        batch_size=cfg.batch_size,
-        weighting=cfg.weighting,
-        stragglers=straggler_set,
+    fl_trace = fl.run_fl(
+        spec, scenario.datasets, scenario.test_set, cfg, named_rng(cfg.seed, "fl"), straggler_set
     )
-    fl_trace = fl.run_fl(spec, scenario.datasets, scenario.test_set, fl_cfg, named_rng(cfg.seed, "fl"))
 
     d2s_dist = cfg.d2s_distance_factor * scenario.mean_distance
-    per_device_round = 2.0 * transmit_energy(spec.n_params * SCALAR_BITS, d2s_dist, scenario.energy)
+    per_device_round = 2.0 * transmit_energy(spec.n_params * SCALAR_BITS, d2s_dist, cfg)
     for round_idx, acc in enumerate(fl_trace.accuracy):
         d2s_energy += fl_trace.participants[round_idx] * per_device_round
         records.append(

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,24 +70,6 @@ class ModelSpec:
     @property
     def n_params(self) -> int:
         return sum(math.prod(shape) for shape in self.shapes)
-
-
-@dataclass
-class FlConfig:
-    """Federated training settings; the defaults are ScenarioConfig's."""
-
-    scheme: str = ScenarioConfig.scheme
-    tau_a: int = ScenarioConfig.tau_a  # local steps between aggregations
-    total_steps: int = ScenarioConfig.total_steps
-    learning_rate: float = ScenarioConfig.learning_rate
-    prox_mu: float = ScenarioConfig.prox_mu
-    batch_size: int = ScenarioConfig.batch_size
-    weighting: str = ScenarioConfig.weighting  # "data" (size-proportional) or "uniform"
-    stragglers: frozenset[int] = field(default_factory=frozenset)
-
-    @property
-    def n_rounds(self) -> int:
-        return self.total_steps // self.tau_a
 
 
 def init_params(spec: ModelSpec, rng: np.random.Generator, scale: float = 0.01) -> np.ndarray:
@@ -189,17 +171,20 @@ def _stacked_grad(
     flat[at_label] -= 1.0
     delta = probs
     delta /= n
+    # Each block is written into its own view, so the flat layout is the
+    # one _unpack reads off spec.shapes.
+    grad = np.empty_like(params)
     if spec.kind == "linear":
-        parts = [x.swapaxes(1, 2) @ delta, delta.sum(axis=1)]
+        gw, gb = _unpack(spec, grad)
+        gw[...] = x.swapaxes(1, 2) @ delta
+        gb[...] = delta.sum(axis=1)
     else:
+        gw1, gb1, gw2, gb2 = _unpack(spec, grad)
         dhid = (delta @ w2.swapaxes(1, 2)) * (1.0 - hid**2)
-        parts = [
-            x.swapaxes(1, 2) @ dhid,
-            dhid.sum(axis=1),
-            hid.swapaxes(1, 2) @ delta,
-            delta.sum(axis=1),
-        ]
-    grad = np.concatenate([p.reshape(len(params), -1) for p in parts], axis=1)
+        gw1[...] = x.swapaxes(1, 2) @ dhid
+        gb1[...] = dhid.sum(axis=1)
+        gw2[...] = hid.swapaxes(1, 2) @ delta
+        gb2[...] = delta.sum(axis=1)
     if prox_mu > 0.0:
         if anchor is None:
             raise ValueError("proximal term needs an anchor parameter vector")
@@ -366,11 +351,13 @@ def run_fl(
     spec: ModelSpec,
     datasets: list[LabeledSet],
     test: LabeledSet,
-    config: FlConfig,
+    config: ScenarioConfig,
     rng: np.random.Generator,
+    stragglers: frozenset[int] = frozenset(),
 ) -> FlTrace:
-    """Alternate local training and aggregation for the configured total
-    steps, evaluating the global model after each aggregation.
+    """Alternate local training and aggregation for total_steps // tau_a
+    rounds of config's FL settings, evaluating the global model after each
+    aggregation.
 
     Every participant (a non-straggler with data) starts each round from
     the broadcast global model; participants are trained in blocks of at
@@ -382,16 +369,14 @@ def run_fl(
     """
     params_g = init_params(spec, rng)
     device_rngs = [np.random.default_rng(rng.integers(0, 2**63)) for _ in datasets]
-    active = [
-        i for i, data in enumerate(datasets) if len(data) and i not in config.stragglers
-    ]
+    active = [i for i, data in enumerate(datasets) if len(data) and i not in stragglers]
     sizes = [len(datasets[i]) for i in active]
     weights = [float(n) if config.weighting == "data" else 1.0 for n in sizes]
     blocks = _device_blocks(sizes, config.batch_size)
     mu = config.prox_mu if config.scheme == "fedprox" else 0.0
     accuracy: list[float] = []
     participants: list[int] = []
-    for _ in range(config.n_rounds):
+    for _ in range(config.total_steps // config.tau_a):
         if config.scheme == "fedsgd":
             payloads = [full_batch_grad(spec, params_g, datasets[i]) for i in active]
         else:

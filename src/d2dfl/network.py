@@ -18,33 +18,6 @@ SCALAR_BITS = 32
 
 
 @dataclass(frozen=True)
-class ChannelParams:
-    """Shared channel model parameters.
-
-    rate_r is the constant transmission rate, noise_sigma2 the common noise
-    power across channels. The defaults are ScenarioConfig's.
-    """
-
-    rate_r: float = ScenarioConfig.rate_r
-    noise_sigma2: float = ScenarioConfig.noise_sigma2
-
-
-@dataclass(frozen=True)
-class EnergyParams:
-    """First-order radio energy model parameters.
-
-    Transmitting b bits over distance d costs b * (elec + amp * d^2) joules.
-    The device-to-server distance is d2s_distance_factor times the mean
-    pairwise device distance. The defaults are ScenarioConfig's.
-    """
-
-    per_point_bits: int = ScenarioConfig.per_point_bits
-    elec_energy_per_bit: float = ScenarioConfig.elec_energy_per_bit
-    amp_energy_per_bit_per_dist2: float = ScenarioConfig.amp_energy_per_bit_per_dist2
-    d2s_distance_factor: float = ScenarioConfig.d2s_distance_factor
-
-
-@dataclass(frozen=True)
 class ClusterPartition:
     """Disjoint, total assignment of devices to reliability clusters."""
 
@@ -55,28 +28,30 @@ class ClusterPartition:
         return np.flatnonzero(self.assignment == cluster)
 
 
-def drop_probability(w, params: ChannelParams):
+def drop_probability(w, cfg: ScenarioConfig):
     """Probability that a transmission with received signal strength w fails.
 
-    Returns 1 - exp(-(2^r - 1) * sigma^2 / w). Accepts scalars or arrays.
+    Returns 1 - exp(-(2^r - 1) * sigma^2 / w) with the constant rate
+    r = cfg.rate_r and the common noise power sigma^2 = cfg.noise_sigma2.
+    Accepts scalars or arrays.
     w == 0 with positive rate is the limit case and yields 1.0.
     """
     w = np.asarray(w, dtype=float)
     if np.any(w < 0):
         raise ValueError("received signal strength must be nonnegative")
-    coeff = (2.0 ** params.rate_r - 1.0) * params.noise_sigma2
+    coeff = (2.0 ** cfg.rate_r - 1.0) * cfg.noise_sigma2
     with np.errstate(divide="ignore", invalid="ignore"):
         out = -np.expm1(-coeff / w)
     out = np.where(w == 0, 0.0 if coeff == 0 else 1.0, out)
     return float(out) if out.ndim == 0 else out
 
 
-def drop_matrix(rss: np.ndarray, params: ChannelParams) -> np.ndarray:
+def drop_matrix(rss: np.ndarray, cfg: ScenarioConfig) -> np.ndarray:
     """Per-link drop probabilities for a full RSS matrix (diagonal forced to 0)."""
     rss = validate_rss(rss)
     w = rss.copy()
     np.fill_diagonal(w, np.inf)  # self links never drop; diagonal of W is unused
-    return drop_probability(w, params)
+    return drop_probability(w, cfg)
 
 
 def validate_rss(rss: np.ndarray) -> np.ndarray:
@@ -168,17 +143,20 @@ def partition_clusters(drop: np.ndarray, alpha_d: float) -> ClusterPartition:
     return ClusterPartition(assignment=assignment, k=k)
 
 
-def transmit_energy(n_bits: float, distance: float, params: EnergyParams) -> float:
-    """Energy in joules to move n_bits over one hop at the given distance."""
+def transmit_energy(n_bits: float, distance: float, cfg: ScenarioConfig) -> float:
+    """Energy in joules to move n_bits over one hop at the given distance:
+    n_bits * (elec + amp * distance^2), the first-order radio model with
+    cfg's elec_energy_per_bit and amp_energy_per_bit_per_dist2."""
     if n_bits < 0 or distance < 0:
         raise ValueError("bits and distance must be nonnegative")
     return n_bits * (
-        params.elec_energy_per_bit + params.amp_energy_per_bit_per_dist2 * distance**2
+        cfg.elec_energy_per_bit + cfg.amp_energy_per_bit_per_dist2 * distance**2
     )
 
 
-def energy_cost(n_points: int, distance: float, params: EnergyParams) -> float:
-    """Energy in joules to transmit n_points data points over one hop."""
+def energy_cost(n_points: int, distance: float, cfg: ScenarioConfig) -> float:
+    """Energy in joules to transmit n_points data points of
+    cfg.per_point_bits each over one hop."""
     if n_points < 0:
         raise ValueError("n_points must be nonnegative")
-    return transmit_energy(n_points * params.per_point_bits, distance, params)
+    return transmit_energy(n_points * cfg.per_point_bits, distance, cfg)

@@ -17,9 +17,7 @@ from . import fl
 from .config import ScenarioConfig, class_allocation, held_out, validate_config
 from .exchange import ExchangeResult, run_exchange
 from .network import (
-    ChannelParams,
     ClusterPartition,
-    EnergyParams,
     drop_matrix,
     generate_rss,
     mean_d2d_distance,
@@ -49,7 +47,6 @@ class Scenario:
     datasets: list[fl.LabeledSet]
     test_set: fl.LabeledSet
     class_means: np.ndarray  # (L, d)
-    energy: EnergyParams
 
     @property
     def n_devices(self) -> int:
@@ -142,13 +139,6 @@ def generate_scenario(cfg: ScenarioConfig) -> Scenario:
     device's data) is pooled globally before any exchange happens.
     """
     validate_config(cfg)
-    energy = EnergyParams(
-        per_point_bits=cfg.per_point_bits,
-        elec_energy_per_bit=cfg.elec_energy_per_bit,
-        amp_energy_per_bit_per_dist2=cfg.amp_energy_per_bit_per_dist2,
-        d2s_distance_factor=cfg.d2s_distance_factor,
-    )
-
     pos_rng = named_rng(cfg.seed, "positions")
     positions = pos_rng.uniform(0.0, cfg.area_size, size=(cfg.n_devices, 2))
     rss = generate_rss(
@@ -158,7 +148,7 @@ def generate_scenario(cfg: ScenarioConfig) -> Scenario:
         shadowing_sigma=cfg.shadowing_sigma,
         rng=named_rng(cfg.seed, "channel"),
     )
-    drop = drop_matrix(rss, ChannelParams(rate_r=cfg.rate_r, noise_sigma2=cfg.noise_sigma2))
+    drop = drop_matrix(rss, cfg)
     partition = partition_clusters(drop, cfg.alpha_d)
 
     trust = draw_trust(
@@ -199,7 +189,6 @@ def generate_scenario(cfg: ScenarioConfig) -> Scenario:
         datasets=datasets,
         test_set=test_set,
         class_means=means,
-        energy=energy,
     )
 
 

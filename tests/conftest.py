@@ -2,7 +2,7 @@ import numpy as np
 
 from d2dfl import fl
 from d2dfl.config import ScenarioConfig
-from d2dfl.network import ClusterPartition, EnergyParams
+from d2dfl.network import ClusterPartition
 from d2dfl.scenario import Scenario
 
 
@@ -41,5 +41,4 @@ def make_scenario(
         datasets=[empty for _ in range(n)],
         test_set=empty,
         class_means=np.zeros((n_classes, 2)),
-        energy=EnergyParams(),
     )

@@ -16,7 +16,7 @@ from d2dfl import fl, rl
 from d2dfl.config import ScenarioConfig, save_config, with_overrides
 from d2dfl.exchange import EXPECTED, run_exchange
 from d2dfl.experiment import run_experiments, sweep_experiment, render_metrics
-from d2dfl.network import ChannelParams, drop_probability
+from d2dfl.network import drop_probability
 from d2dfl.scenario import generate_scenario
 from d2dfl import cli
 
@@ -61,7 +61,7 @@ def test_criterion_02_channel_closed_form():
             w = float(rng.uniform(1e-3, 10.0))
             rate = float(rng.uniform(0.0, 4.0))
             sigma2 = float(rng.uniform(1e-5, 1.0))
-            ours = drop_probability(w, ChannelParams(rate_r=rate, noise_sigma2=sigma2))
+            ours = drop_probability(w, ScenarioConfig(rate_r=rate, noise_sigma2=sigma2))
             exact = 1 - mpmath.exp(-(mpmath.mpf(2) ** rate - 1) * sigma2 / w)
             if exact != 0:
                 worst = max(worst, abs(ours - float(exact)) / abs(float(exact)))

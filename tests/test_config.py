@@ -2,6 +2,7 @@ import hashlib
 import math
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -91,6 +92,38 @@ class TestValidation:
     def test_empty_test_split_names_key(self, overrides):
         with pytest.raises(ConfigError, match="'test_fraction': holds out no test point"):
             with_overrides(ScenarioConfig(), **overrides)
+
+    @pytest.mark.parametrize(
+        "key, bad, kind",
+        [
+            ("allow_no_link", "false", "bool"),
+            ("allow_no_link", 1, "bool"),
+            ("n_devices", 6.0, "int"),
+            ("episodes", 5.0, "int"),
+            ("tau_a", 2.0, "int"),
+            ("seed", True, "int"),
+            ("area_size", np.True_, "float"),
+            ("learning_rate", "0.1", "float"),
+            ("scheme", 1, "str"),
+        ],
+    )
+    def test_wrong_type_names_key(self, key, bad, kind):
+        with pytest.raises(ConfigError, match=f"key '{key}': must be {kind} "):
+            with_overrides(ScenarioConfig(), **{key: bad})
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(seed=np.int64(3)),
+            dict(n_devices=np.int32(5)),
+            dict(area_size=60),
+            dict(learning_rate=np.float64(0.2)),
+            dict(allow_no_link=np.True_),
+        ],
+    )
+    def test_integer_and_numpy_values_accepted(self, overrides):
+        cfg = with_overrides(ScenarioConfig(), **overrides)
+        assert all(getattr(cfg, key) == value for key, value in overrides.items())
 
     def test_negative_seed_names_key(self):
         with pytest.raises(ConfigError, match="'seed': must be >= 0"):

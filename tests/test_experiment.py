@@ -170,7 +170,7 @@ class TestRunExperiment:
         n = cfg.n_devices
         probe = generate_scenario(cfg)
         signaling = cfg.episodes * n * (n - 1) * transmit_energy(
-            SCALAR_BITS, probe.mean_distance, probe.energy
+            SCALAR_BITS, probe.mean_distance, cfg
         )
         from d2dfl.scenario import materialize_exchange, named_rng
 
@@ -181,7 +181,7 @@ class TestRunExperiment:
             energy_cost(
                 int(p.buffered.sum()),
                 float(probe.distances[p.receiver, p.transmitter]),
-                probe.energy,
+                cfg,
             )
             for p in result.plans
         )
@@ -200,7 +200,7 @@ class TestRunExperiment:
             * transmit_energy(
                 spec.n_params * SCALAR_BITS,
                 cfg.d2s_distance_factor * res.scenario.mean_distance,
-                res.scenario.energy,
+                cfg,
             )
         )
         rounds = cfg.total_steps // cfg.tau_a

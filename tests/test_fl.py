@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from d2dfl.config import ScenarioConfig
 from d2dfl.fl import (
-    FlConfig,
     LabeledSet,
     ModelSpec,
     _softmax,
@@ -207,14 +207,14 @@ class TestRunFl:
     def test_single_aggregation_boundary(self):
         spec = ModelSpec(kind="linear", in_dim=3, n_classes=3)
         sets, test, _ = mixture_split(3, 30, spec, seed=0)
-        cfg = FlConfig(tau_a=20, total_steps=20)
+        cfg = ScenarioConfig(tau_a=20, total_steps=20)
         trace = run_fl(spec, sets, test, cfg, np.random.default_rng(0))
         assert len(trace.accuracy) == 1
 
     def test_deterministic_per_seed(self):
         spec = ModelSpec(kind="linear", in_dim=3, n_classes=3)
         sets, test, _ = mixture_split(3, 30, spec, seed=1)
-        cfg = FlConfig(tau_a=5, total_steps=30)
+        cfg = ScenarioConfig(tau_a=5, total_steps=30)
         t1 = run_fl(spec, sets, test, cfg, np.random.default_rng(7))
         t2 = run_fl(spec, sets, test, cfg, np.random.default_rng(7))
         assert t1.accuracy == t2.accuracy
@@ -231,13 +231,13 @@ class TestRunFl:
         shared = dataset_from_counts(means, np.array([40, 40, 40]), rng)
         test = dataset_from_counts(means, np.array([60, 60, 60]), rng)
         sets = [shared, shared, shared]
-        cfg = FlConfig(tau_a=10, total_steps=100, learning_rate=0.1, batch_size=len(shared))
+        cfg = ScenarioConfig(tau_a=10, total_steps=100, learning_rate=0.1, batch_size=len(shared))
         trace = run_fl(spec, sets, test, cfg, np.random.default_rng(11))
 
         params = init_params(spec, np.random.default_rng(11))
         central_rng = np.random.default_rng(12)
         central_acc = []
-        for _ in range(cfg.n_rounds):
+        for _ in range(cfg.total_steps // cfg.tau_a):
             params = local_train(
                 spec, params, shared, steps=cfg.tau_a, lr=cfg.learning_rate,
                 rng=central_rng, batch_size=cfg.batch_size,
@@ -248,23 +248,23 @@ class TestRunFl:
     def test_all_stragglers_keep_global_model(self):
         spec = ModelSpec(kind="linear", in_dim=3, n_classes=3)
         sets, test, _ = mixture_split(3, 30, spec, seed=3)
-        cfg = FlConfig(tau_a=5, total_steps=10, stragglers=frozenset({0, 1, 2}))
+        cfg = ScenarioConfig(tau_a=5, total_steps=10)
         with pytest.warns(UserWarning):
-            trace = run_fl(spec, sets, test, cfg, np.random.default_rng(4))
+            trace = run_fl(spec, sets, test, cfg, np.random.default_rng(4), frozenset({0, 1, 2}))
         assert trace.participants == [0, 0]
         assert trace.accuracy[0] == trace.accuracy[1]
 
     def test_fedsgd_runs_and_learns(self):
         spec = ModelSpec(kind="linear", in_dim=3, n_classes=3)
         sets, test, _ = mixture_split(4, 60, spec, seed=5)
-        cfg = FlConfig(scheme="fedsgd", tau_a=1, total_steps=400, learning_rate=0.5)
+        cfg = ScenarioConfig(scheme="fedsgd", tau_a=1, total_steps=400, learning_rate=0.5)
         trace = run_fl(spec, sets, test, cfg, np.random.default_rng(6))
         assert trace.accuracy[-1] > 0.8
 
     def test_fedprox_runs_and_learns(self):
         spec = ModelSpec(kind="linear", in_dim=3, n_classes=3)
         sets, test, _ = mixture_split(4, 60, spec, seed=8)
-        cfg = FlConfig(scheme="fedprox", tau_a=5, total_steps=100, prox_mu=0.1)
+        cfg = ScenarioConfig(scheme="fedprox", tau_a=5, total_steps=100, prox_mu=0.1)
         trace = run_fl(spec, sets, test, cfg, np.random.default_rng(9))
         assert trace.accuracy[-1] > 0.8
 
@@ -325,7 +325,7 @@ def reference_loss_and_grad(spec, params, x, y, prox_mu=0.0, anchor=None):
     return float(loss), grad
 
 
-def loop_oracle(spec, datasets, test, config, rng):
+def loop_oracle(spec, datasets, test, config, stragglers, rng):
     """run_fl as a plain loop: every device with data, stragglers included,
     trains step by step on its own generator through
     reference_loss_and_grad; stragglers' payloads are then dropped.
@@ -334,7 +334,7 @@ def loop_oracle(spec, datasets, test, config, rng):
     params_g = init_params(spec, rng)
     device_rngs = [np.random.default_rng(rng.integers(0, 2**63)) for _ in datasets]
     accuracy, participants = [], []
-    for _ in range(config.n_rounds):
+    for _ in range(config.total_steps // config.tau_a):
         payloads, weights = [], []
         for i, data in enumerate(datasets):
             n = len(data)
@@ -353,7 +353,7 @@ def loop_oracle(spec, datasets, test, config, rng):
                         x, y = data.x[idx], data.y[idx]
                     _, grad = reference_loss_and_grad(spec, payload, x, y, mu, params_g)
                     payload -= config.learning_rate * grad
-            if i in config.stragglers:
+            if i in stragglers:
                 continue
             payloads.append(payload)
             weights.append(float(n) if config.weighting == "data" else 1.0)
@@ -387,7 +387,7 @@ def fl_inputs(draw):
     else:
         stragglers = frozenset(range(len(sizes)) if strag == "all" else ())
     tau_a = draw(st.integers(1, 3))
-    config = FlConfig(
+    config = ScenarioConfig(
         scheme=draw(st.sampled_from(["fedavg", "fedprox", "fedsgd"])),
         tau_a=tau_a,
         total_steps=tau_a * draw(st.integers(1, 3)),
@@ -395,7 +395,6 @@ def fl_inputs(draw):
         prox_mu=draw(st.sampled_from([0.0, 0.3])),
         batch_size=batch_size,
         weighting=draw(st.sampled_from(["data", "uniform"])),
-        stragglers=stragglers,
     )
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     datasets = [
@@ -407,19 +406,21 @@ def fl_inputs(draw):
     test = LabeledSet(
         rng.normal(size=(30, spec.in_dim)), rng.integers(0, spec.n_classes, 30), spec.n_classes
     )
-    return spec, datasets, test, config, draw(st.integers(0, 2**32 - 1))
+    return spec, datasets, test, config, stragglers, draw(st.integers(0, 2**32 - 1))
 
 
 class TestBatchedMatchesLoop:
     @settings(max_examples=150, deadline=None)
     @given(fl_inputs())
     def test_equal_to_per_device_loop(self, inputs):
-        spec, datasets, test, config, seed = inputs
+        spec, datasets, test, config, stragglers, seed = inputs
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
-            trace = run_fl(spec, datasets, test, config, np.random.default_rng(seed))
+            trace = run_fl(spec, datasets, test, config, np.random.default_rng(seed), stragglers)
         oracle_rng = np.random.default_rng(seed)
-        accuracy, participants, params = loop_oracle(spec, datasets, test, config, oracle_rng)
+        accuracy, participants, params = loop_oracle(
+            spec, datasets, test, config, stragglers, oracle_rng
+        )
         assert trace.accuracy == accuracy
         assert trace.participants == participants
         assert np.array_equal(trace.params, params)

@@ -3,9 +3,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from d2dfl.config import ScenarioConfig
 from d2dfl.network import (
-    ChannelParams,
-    EnergyParams,
     drop_matrix,
     drop_probability,
     energy_cost,
@@ -18,27 +17,27 @@ from d2dfl.network import (
 
 class TestDropProbability:
     def test_zero_rate_is_lossless(self):
-        assert drop_probability(5.0, ChannelParams(rate_r=0.0, noise_sigma2=1.0)) == 0.0
+        assert drop_probability(5.0, ScenarioConfig(rate_r=0.0, noise_sigma2=1.0)) == 0.0
 
     def test_vanishing_signal_limit(self):
-        params = ChannelParams(rate_r=1.0, noise_sigma2=1.0)
+        params = ScenarioConfig(rate_r=1.0, noise_sigma2=1.0)
         assert drop_probability(0.0, params) == 1.0
         assert drop_probability(1e-300, params) == pytest.approx(1.0)
 
     def test_closed_form_value(self):
         # 1 - exp(-(2^1 - 1) * 0.1 / 0.1) = 1 - exp(-1)
-        p = drop_probability(0.1, ChannelParams(rate_r=1.0, noise_sigma2=0.1))
+        p = drop_probability(0.1, ScenarioConfig(rate_r=1.0, noise_sigma2=0.1))
         assert p == pytest.approx(0.6321205588285577, rel=1e-12)
 
     def test_negative_signal_rejected(self):
         with pytest.raises(ValueError):
-            drop_probability(-1.0, ChannelParams())
+            drop_probability(-1.0, ScenarioConfig())
 
     def test_range(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
             w = rng.uniform(1e-2, 10.0)
-            params = ChannelParams(rate_r=rng.uniform(0, 4), noise_sigma2=rng.uniform(1e-6, 2))
+            params = ScenarioConfig(rate_r=rng.uniform(0, 4), noise_sigma2=rng.uniform(1e-6, 2))
             p = drop_probability(w, params)
             assert 0.0 <= p <= 1.0
             # Strictly below 1 wherever float64 can represent the gap.
@@ -57,10 +56,10 @@ class TestDropProbability:
         # saturate to 1.0 in float64, where strict ordering is meaningless.
         worst = (2 ** (rate + bump) - 1) * (sigma2 + bump) / w
         assume(worst < 30.0)
-        base = drop_probability(w, ChannelParams(rate_r=rate, noise_sigma2=sigma2))
-        assert drop_probability(w + bump, ChannelParams(rate_r=rate, noise_sigma2=sigma2)) < base
-        assert drop_probability(w, ChannelParams(rate_r=rate + bump, noise_sigma2=sigma2)) > base
-        assert drop_probability(w, ChannelParams(rate_r=rate, noise_sigma2=sigma2 + bump)) > base
+        base = drop_probability(w, ScenarioConfig(rate_r=rate, noise_sigma2=sigma2))
+        assert drop_probability(w + bump, ScenarioConfig(rate_r=rate, noise_sigma2=sigma2)) < base
+        assert drop_probability(w, ScenarioConfig(rate_r=rate + bump, noise_sigma2=sigma2)) > base
+        assert drop_probability(w, ScenarioConfig(rate_r=rate, noise_sigma2=sigma2 + bump)) > base
 
 
 class TestGenerateRss:
@@ -117,7 +116,7 @@ def brute_force_min_clusters(reliable: np.ndarray) -> int:
 
 class TestPartitionClusters:
     def _params(self):
-        return ChannelParams(rate_r=1.0, noise_sigma2=0.1)
+        return ScenarioConfig(rate_r=1.0, noise_sigma2=0.1)
 
     def test_all_reliable_single_cluster(self):
         w = np.full((4, 4), 100.0)
@@ -167,16 +166,16 @@ class TestPartitionClusters:
 
 class TestEnergy:
     def test_nothing_sent_is_free(self):
-        assert energy_cost(0, 123.0, EnergyParams()) == 0.0
+        assert energy_cost(0, 123.0, ScenarioConfig()) == 0.0
 
     def test_hand_value(self):
-        params = EnergyParams(
+        params = ScenarioConfig(
             per_point_bits=1000, elec_energy_per_bit=5e-8, amp_energy_per_bit_per_dist2=1e-10
         )
         assert energy_cost(10, 10.0, params) == pytest.approx(6.0e-4, rel=1e-12)
 
     def test_distance_squared_in_amp_term_only(self):
-        params = EnergyParams(
+        params = ScenarioConfig(
             per_point_bits=100, elec_energy_per_bit=1e-8, amp_energy_per_bit_per_dist2=1e-10
         )
         e1 = energy_cost(1, 10.0, params)
@@ -191,14 +190,14 @@ class TestEnergy:
     )
     @settings(max_examples=60, deadline=None)
     def test_additivity_in_points(self, n1, n2, dist):
-        params = EnergyParams()
+        params = ScenarioConfig()
         total = energy_cost(n1 + n2, dist, params)
         assert total == pytest.approx(
             energy_cost(n1, dist, params) + energy_cost(n2, dist, params), rel=1e-12, abs=1e-18
         )
 
     def test_scalar_bits_path(self):
-        params = EnergyParams(per_point_bits=512)
+        params = ScenarioConfig(per_point_bits=512)
         assert energy_cost(3, 7.0, params) == pytest.approx(
             transmit_energy(3 * 512, 7.0, params), rel=1e-15
         )
