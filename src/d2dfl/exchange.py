@@ -89,14 +89,21 @@ def class_margins(counts: np.ndarray, thresholds: np.ndarray) -> tuple[np.ndarra
     return np.maximum(counts - thresholds, 0.0), np.maximum(thresholds - counts, 0.0)
 
 
-def _row_sums(rows: np.ndarray, values: np.ndarray, n_rows: int) -> np.ndarray:
-    """(n_rows, L) table of the (M, L) values summed by their row index: one
-    bincount over flat (row, class) cells. It adds each cell's values in
-    ledger order, so the sums are exact whenever the values are integers or
-    lie on the _GRID lattice."""
+def _cells(rows: np.ndarray, n_classes: int) -> np.ndarray:
+    """Flat (row, class) cell index of an (M, L) ledger whose entries belong
+    to the given rows, raveled: entry m*L + l is rows[m]*L + l. One exchange
+    builds it once for its transmitters and hands it to every stage that
+    sums by transmitter."""
+    return ((rows * n_classes)[:, None] + np.arange(n_classes)).ravel()
+
+
+def _row_sums(cells: np.ndarray, values: np.ndarray, n_rows: int) -> np.ndarray:
+    """(n_rows, L) table of the (M, L) values summed by their _cells index:
+    one bincount. It adds each cell's values in ledger order, so the sums
+    are exact whenever the values are integers or lie on the _GRID
+    lattice."""
     n_classes = values.shape[1]
-    cells = (rows * n_classes)[:, None] + np.arange(n_classes)
-    sums = np.bincount(cells.ravel(), weights=values.ravel(), minlength=n_rows * n_classes)
+    sums = np.bincount(cells, weights=values.ravel(), minlength=n_rows * n_classes)
     return sums.reshape(n_rows, n_classes)
 
 
@@ -121,6 +128,7 @@ def transmission_buffers(
     requested: np.ndarray,
     transmitters: np.ndarray,
     surplus: np.ndarray,
+    cells: np.ndarray | None = None,
 ) -> np.ndarray:
     """Fill each link's request from its transmitter's surplus.
 
@@ -130,11 +138,14 @@ def transmission_buffers(
     full; otherwise the surplus is split proportionally to demand.
     Fractional shares are floored onto a fine binary grid (error < 1e-6 per
     entry) so downstream count arithmetic stays exact. Demands are integers,
-    so their sum is the same in any link order.
+    so their sum is the same in any link order. cells is the transmitters'
+    _cells index, built here when not given.
     """
     requested = np.asarray(requested, dtype=float)
     transmitters = np.asarray(transmitters, dtype=np.int64)
-    total = _row_sums(transmitters, requested, len(surplus)).take(transmitters, axis=0)
+    if cells is None:
+        cells = _cells(transmitters, requested.shape[1])
+    total = _row_sums(cells, requested, len(surplus)).take(transmitters, axis=0)
     have = surplus.take(transmitters, axis=0)
     split = total > have
     share = np.divide(requested, total, out=np.zeros(requested.shape), where=split)
@@ -196,17 +207,21 @@ def apply_transfers(
     transmitters: np.ndarray,
     buffered: np.ndarray,
     delivered: np.ndarray,
+    cells: np.ndarray | None = None,
 ) -> np.ndarray:
     """Post-exchange distributions: every transmitter loses what it put on
     the wire, every receiver (at most one link each) gains what arrived.
     receivers may be slice(None) for a ledger of one row per device, in
-    device order.
+    device order. cells is the transmitters' _cells index, built here when
+    not given.
 
     In any class a device either gives (it has a surplus) or gains (it has a
     deficit), never both, and buffers lie on the _GRID lattice, so this
     closed form equals applying the links one by one, in any order.
     """
-    updated = counts - _row_sums(transmitters, buffered, len(counts))
+    if cells is None:
+        cells = _cells(np.asarray(transmitters), buffered.shape[1])
+    updated = counts - _row_sums(cells, buffered, len(counts))
     updated[receivers] += delivered
     return updated
 
@@ -279,7 +294,8 @@ def run_exchange(
     rx, tx = _active_links(links, n)
     available = available_vector(surplus[tx], trust[tx, rx])
     requested = requirement_vector(available, deficit[rx])
-    buffered = transmission_buffers(requested, tx, surplus)
+    cells = _cells(tx, n_classes)
+    buffered = transmission_buffers(requested, tx, surplus, cells)
     if integer_payloads:
         # Rows are grouped by transmitter; each group splits one surplus.
         groups = np.split(buffered, np.flatnonzero(np.diff(tx)) + 1)
@@ -289,7 +305,7 @@ def run_exchange(
         if mode == EXPECTED:
             delivered = np.round(delivered)
         delivered = np.minimum(delivered, buffered)
-    updated = apply_transfers(counts, rx, tx, buffered, delivered)
+    updated = apply_transfers(counts, rx, tx, buffered, delivered, cells)
     if integer_payloads:
         updated = np.round(updated)
     return ExchangeResult(

@@ -9,10 +9,14 @@ averaging) and fedsgd (one full-batch gradient per round, applied globally).
 Devices train in blocks: the parameters of K devices are stacked as (K, P)
 and each local step is one gradient over their stacked (K, B, d) minibatches,
 with the same arithmetic per device as a single-device step, so results do
-not depend on how devices are blocked. The softmax of a step runs on (C, K*B)
-class planes, with numpy's own summation order for a C-wide last axis, so
-no numpy call loops over the few classes of one row and the bits equal
-those of the row-wise formula.
+not depend on how devices are blocked. A block gathers the minibatches of
+all steps of a round in one take. The softmax of a step runs on (C, K, B)
+class planes, filled by adding the bias while the logits are transposed,
+with numpy's own summation order for a C-wide last axis; bias gradients sum
+a (B, K, m) copy over its first axis, adding the rows of a device in the
+order of a sum over the batch axis. No reduction in a step runs over the
+few classes or hidden units of one row, and the bits equal those of the
+row-wise formula.
 """
 from __future__ import annotations
 
@@ -26,11 +30,14 @@ import numpy as np
 from .config import ScenarioConfig
 
 # Devices trained together in one stacked gradient step. Bounds the memory a
-# round adds (a block's concatenated data and its (K, B, d) minibatches).
-# At B = 32, d = C = 8 (2-vCPU x86-64, numpy 2.4) a linear step costs 5.8,
-# 4.3, 4.0, 3.2 and 4.5 us per device at K = 8, 16, 32, 64 and 128; K = 64
-# cut scale_n300 wall time by ~12% but raised stragglers_n100's by ~8% and
-# its peak RSS by 2% (perfbench, 4 alternating pairs each), so 32 stays.
+# round adds: a block's concatenated data and its (tau_a, K, B, d) gathered
+# minibatches, 655 kB at K = 32, tau_a = 10, B = 32, d = 8. At B = 32,
+# d = C = 8 (2-vCPU x86-64, numpy 2.4) a linear step costs 5.9, 4.5, 4.0,
+# 3.9 and 3.4 us per device at K = 8, 16, 24, 32 and 64 (best of 12). Groups
+# split into near-equal blocks, so K = 64 trains stragglers_n100's 70
+# devices as 2 blocks and scale_n300's 300 as 5. Timed in run_fl alone, that
+# made scale_n300 8-22% slower in each of four comparisons, while
+# stragglers_n100 moved by -8% to +13% between comparisons; 32 stays.
 DEVICE_BLOCK = 32
 
 
@@ -123,20 +130,43 @@ def _plane_sum(e: np.ndarray) -> np.ndarray:
     return _plane_sum(e[:half]) + _plane_sum(e[half:])
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:
+def _softmax(z: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
     """Softmax over the last axis of z (..., C), as a new contiguous array.
+    With biases b (K, C) for a stacked z (K, B, C), the softmax of
+    z + b[:, None].
 
     The arithmetic is that of e / e.sum(axis=-1, keepdims=True) with
     e = exp(z - z.max(axis=-1, keepdims=True)), bit for bit, but computed
     on contiguous (C, M) class planes: every reduction and elementwise op
     then runs over M = z.size // C rows instead of over a C-wide last axis.
+    The bias is added while z is transposed into the planes, in one strided
+    add.
     """
     c = z.shape[-1]
-    planes = np.ascontiguousarray(z.reshape(-1, c).T)
+    if b is None:
+        planes = np.ascontiguousarray(z.reshape(-1, c).T)
+    else:
+        planes = np.empty((c, *z.shape[:2]))
+        np.add(z.transpose(2, 0, 1), b.T[:, :, None], out=planes)
+        planes = planes.reshape(c, -1)
     planes -= np.maximum.reduce(planes, axis=0)
     np.exp(planes, out=planes)
     planes /= _plane_sum(planes)
     return np.ascontiguousarray(planes.T).reshape(z.shape)
+
+
+def _batch_sum(a: np.ndarray) -> np.ndarray:
+    """a.sum(axis=1) of a stacked (K, B, m) array, bit for bit.
+
+    For m > 1 numpy runs its inner loop over the contiguous m-wide axis and
+    adds the B rows of a device one after another; the (K, m) sum over the
+    first axis of a contiguous (B, K, m) copy adds them in the same order,
+    with K*m-wide inner loops. A single column (m = 1) is a pairwise sum
+    over B, which only a.sum(axis=1) repeats.
+    """
+    if a.shape[2] == 1:
+        return a.sum(axis=1)
+    return np.ascontiguousarray(a.swapaxes(0, 1)).sum(axis=0)
 
 
 def _stacked_grad(
@@ -147,22 +177,31 @@ def _stacked_grad(
     prox_mu: float,
     anchor: np.ndarray | None,
     need_loss: bool,
+    grad: np.ndarray | None = None,
+    views: tuple[list[np.ndarray], list[np.ndarray]] | None = None,
 ) -> tuple[np.ndarray | None, np.ndarray]:
     """Gradients of K devices at once: params (K, P), x (K, B, d), y (K, B).
 
     Returns the (K,) mean cross-entropies (None unless need_loss) and the
-    (K, P) gradients, proximal pull included. Each slice is computed with
-    the same matmul, reduction and elementwise calls as a single device, so
-    a device's gradient does not depend on the block it is stacked in.
+    (K, P) gradients, proximal pull included. A caller that steps the same
+    arrays repeatedly may pass the gradient buffer and the _unpack views of
+    (params, grad), which are then reused. Each slice is computed with the
+    same matmul, reduction and elementwise calls as a single device, so a
+    device's gradient does not depend on the block it is stacked in.
     """
     n = x.shape[1]
+    if grad is None:
+        grad = np.empty_like(params)
+    weights, grads = views or (_unpack(spec, params), _unpack(spec, grad))
     if spec.kind == "linear":
-        w, b = _unpack(spec, params)
-        probs = _softmax(x @ w + b[:, None])
+        w, b = weights
+        probs = _softmax(x @ w, b)
     else:
-        w1, b1, w2, b2 = _unpack(spec, params)
-        hid = np.tanh(x @ w1 + b1[:, None])
-        probs = _softmax(hid @ w2 + b2[:, None])
+        w1, b1, w2, b2 = weights
+        hid = x @ w1
+        hid += b1[:, None]
+        np.tanh(hid, out=hid)
+        probs = _softmax(hid @ w2, b2)
     flat = probs.reshape(-1)
     at_label = np.arange(0, flat.size, probs.shape[-1]) + y.reshape(-1)
     ce = None
@@ -173,18 +212,19 @@ def _stacked_grad(
     delta /= n
     # Each block is written into its own view, so the flat layout is the
     # one _unpack reads off spec.shapes.
-    grad = np.empty_like(params)
+    xt = x.swapaxes(1, 2)
     if spec.kind == "linear":
-        gw, gb = _unpack(spec, grad)
-        gw[...] = x.swapaxes(1, 2) @ delta
-        gb[...] = delta.sum(axis=1)
+        gw, gb = grads
+        np.matmul(xt, delta, out=gw)
+        gb[...] = _batch_sum(delta)
     else:
-        gw1, gb1, gw2, gb2 = _unpack(spec, grad)
-        dhid = (delta @ w2.swapaxes(1, 2)) * (1.0 - hid**2)
-        gw1[...] = x.swapaxes(1, 2) @ dhid
-        gb1[...] = dhid.sum(axis=1)
-        gw2[...] = hid.swapaxes(1, 2) @ delta
-        gb2[...] = delta.sum(axis=1)
+        gw1, gb1, gw2, gb2 = grads
+        dhid = delta @ w2.swapaxes(1, 2)
+        dhid *= 1.0 - hid**2
+        np.matmul(xt, dhid, out=gw1)
+        gb1[...] = _batch_sum(dhid)
+        np.matmul(hid.swapaxes(1, 2), delta, out=gw2)
+        gb2[...] = _batch_sum(delta)
     if prox_mu > 0.0:
         if anchor is None:
             raise ValueError("proximal term needs an anchor parameter vector")
@@ -234,42 +274,54 @@ def _train_block(
     same parameters (P,); returns their (K, P) local parameters.
 
     The block either has more data per device than one batch, and each
-    device draws its minibatches for all steps in one call on its own
-    generator (the same stream as one draw per step), or every device holds
-    the same number of points, at most batch_size, and takes full-batch
-    steps drawing nothing.
+    device draws its minibatch indices for all steps in one call on its own
+    generator (the same stream as one draw per step), gathered for the
+    whole block in one take; or every device holds the same number of
+    points, at most batch_size, and takes full-batch steps drawing nothing.
+    Every step writes into one gradient buffer.
     """
     x_cat = np.concatenate([d.x for d in block])
     y_cat = np.concatenate([d.y for d in block])
-    sizes = np.array([len(d) for d in block])
+    sizes = [len(d) for d in block]
     if sizes[0] <= batch_size:
-        full = (x_cat.reshape(len(block), sizes[0], -1), y_cat.reshape(len(block), -1))
-        batches = itertools.repeat(full, steps)
+        xs = itertools.repeat(x_cat.reshape(len(block), sizes[0], -1), steps)
+        ys = itertools.repeat(y_cat.reshape(len(block), -1), steps)
     else:
-        offsets = np.cumsum(sizes) - sizes
+        # integers(off, off + n) draws the stream of off + integers(0, n).
+        offsets = itertools.accumulate(sizes[:-1], initial=0)
         idx = np.stack(
-            [rng.integers(0, n, size=(steps, batch_size)) for rng, n in zip(rngs, sizes)],
+            [
+                rng.integers(off, off + n, size=(steps, batch_size))
+                for rng, n, off in zip(rngs, sizes, offsets)
+            ],
             axis=1,
-        ) + offsets[:, None]
-        batches = ((x_cat[i], y_cat[i]) for i in idx)
+        )
+        xs, ys = x_cat.take(idx, axis=0), y_cat.take(idx)
     out = np.repeat(start[None], len(block), axis=0)
-    for x, y in batches:
-        _, grad = _stacked_grad(spec, out, x, y, prox_mu, anchor, need_loss=False)
-        out -= lr * grad
+    grad = np.empty_like(out)
+    views = _unpack(spec, out), _unpack(spec, grad)
+    for x, y in zip(xs, ys):
+        _stacked_grad(spec, out, x, y, prox_mu, anchor, False, grad, views)
+        grad *= lr
+        out -= grad
     return out
 
 
 def _device_blocks(sizes: list[int], batch_size: int) -> list[list[int]]:
-    """Positions of the devices that train together, at most DEVICE_BLOCK
-    per block. Devices with more points than batch_size share blocks in
-    order; the rest take full-batch steps and are grouped by equal size, so
-    no block needs padded rows."""
-    groups: dict[int | None, list[int]] = {None: []}
+    """Positions of the devices that train together. Devices with more
+    points than batch_size share blocks in order; the rest take full-batch
+    steps and are grouped by equal size, so no block needs padded rows.
+    Each group is split into the fewest blocks of at most DEVICE_BLOCK
+    devices, whose sizes differ by at most one."""
+    groups: dict[int | None, list[int]] = {}
     for pos, n in enumerate(sizes):
         groups.setdefault(None if n > batch_size else n, []).append(pos)
-    return [
-        g[k : k + DEVICE_BLOCK] for g in groups.values() for k in range(0, len(g), DEVICE_BLOCK)
-    ]
+    blocks = []
+    for g in groups.values():
+        parts = -(-len(g) // DEVICE_BLOCK)
+        ends = [-(-len(g) * i // parts) for i in range(parts + 1)]
+        blocks += [g[a:b] for a, b in zip(ends, ends[1:])]
+    return blocks
 
 
 def local_train(
@@ -307,26 +359,26 @@ def full_batch_grad(spec: ModelSpec, params: np.ndarray, data: LabeledSet) -> np
 
 
 def aggregate(
-    contributions: list[np.ndarray],
+    contributions: np.ndarray | list[np.ndarray],
     weights: list[float],
     scheme: str,
     global_params: np.ndarray,
     lr: float = 0.1,
 ) -> np.ndarray:
-    """Combine participant payloads into the next global model.
+    """Combine participant payloads, (A, P) rows or a list of (P,) vectors,
+    into the next global model.
 
     fedavg/fedprox average parameters; fedsgd applies one global step with
     the weighted-average gradient. Zero participants leave the model as is.
     """
-    if not contributions:
+    if len(contributions) == 0:
         warnings.warn("aggregation round had no participants; global model unchanged")
         return global_params.copy()
     w = np.asarray(weights, dtype=float)
     if np.any(w < 0) or w.sum() <= 0:
         raise ValueError("aggregation weights must be nonnegative with positive sum")
     w = w / w.sum()
-    stacked = np.stack(contributions)
-    combined = w @ stacked
+    combined = w @ np.asarray(contributions)
     if scheme == "fedsgd":
         return global_params - lr * combined
     return combined
@@ -360,12 +412,13 @@ def run_fl(
     aggregation.
 
     Every participant (a non-straggler with data) starts each round from
-    the broadcast global model; participants are trained in blocks of at
-    most DEVICE_BLOCK devices, one stacked (K, P) gradient per local step,
-    each device drawing its minibatches from its own generator; under
-    fedsgd each participant sends one full_batch_grad instead. Stragglers
-    contribute nothing to aggregations, and their generators feed nothing
-    else, so they are not trained at all.
+    the broadcast global model; participants are trained in near-equal
+    blocks of at most DEVICE_BLOCK devices (see _device_blocks), one stacked
+    (K, P) gradient per local step, each device drawing its minibatches from
+    its own generator, and their rows of the (A, P) payload array go to
+    aggregate as they are; under fedsgd each participant sends one
+    full_batch_grad instead. Stragglers contribute nothing to aggregations,
+    and their generators feed nothing else, so they are not trained at all.
     """
     params_g = init_params(spec, rng)
     device_rngs = [np.random.default_rng(rng.integers(0, 2**63)) for _ in datasets]
@@ -393,9 +446,7 @@ def run_fl(
                     mu,
                     params_g,
                 )
-        params_g = aggregate(
-            list(payloads), weights, config.scheme, params_g, lr=config.learning_rate
-        )
+        params_g = aggregate(payloads, weights, config.scheme, params_g, lr=config.learning_rate)
         accuracy.append(evaluate(spec, params_g, test))
         participants.append(len(active))
     return FlTrace(accuracy=accuracy, participants=participants, params=params_g)

@@ -29,6 +29,7 @@ import numpy as np
 
 from .config import ScenarioConfig
 from .exchange import (  # noqa: F401  (run_exchange: benchmark spans wrap rl.run_exchange)
+    _cells,
     apply_transfers,
     available_vector,
     check_links,
@@ -354,9 +355,10 @@ class _Batch:
         trusted = self.trust.take(tx * n + self.own, axis=0)
         available = available_vector(self.surplus.take(tx, axis=0), trusted)
         requested = requirement_vector(available, self.deficit)
-        buffered = transmission_buffers(requested, tx, self.surplus)
+        cells = _cells(tx, self.counts.shape[1])
+        buffered = transmission_buffers(requested, tx, self.surplus, cells)
         delivered = deliver(buffered, p_drop)
-        updated = apply_transfers(self.counts, rx, tx, buffered, delivered)
+        updated = apply_transfers(self.counts, rx, tx, buffered, delivered, cells)
         locals_ = local_reward(
             updated.reshape(self.thresholds.shape),
             self.thresholds,

@@ -7,8 +7,11 @@ from hypothesis import strategies as st
 
 from d2dfl.config import ScenarioConfig
 from d2dfl.fl import (
+    DEVICE_BLOCK,
     LabeledSet,
     ModelSpec,
+    _batch_sum,
+    _device_blocks,
     _softmax,
     aggregate,
     dataset_from_counts,
@@ -453,6 +456,105 @@ class TestBatchedMatchesLoop:
             ref_loss, ref_grad = reference_loss_and_grad(spec, params, x, y, mu, anchor)
             assert loss == ref_loss
             assert np.array_equal(grad, ref_grad)
+
+
+class TestRunFlManyBlocks:
+    @pytest.mark.parametrize("kind", ["linear", "mlp"])
+    @pytest.mark.parametrize("scheme", ["fedavg", "fedprox"])
+    def test_equal_to_per_device_loop(self, scheme, kind):
+        # 93 devices: 83 with more points than a batch and 10 at or below
+        # batch_size, which take full-batch steps in groups of equal size.
+        # Every seventh device straggles, so 71 train in minibatch blocks
+        # of 24, 24 and 23.
+        spec = ModelSpec(kind=kind, in_dim=3, n_classes=9, hidden=4)
+        batch_size = 4
+        rng = np.random.default_rng(21)
+        big = rng.integers(batch_size + 1, 3 * batch_size + 1, 83)
+        sizes = [*big, 0, 1, 3, 3, 3, 4, 4, 4, 4, 2]
+        datasets = [LabeledSet(rng.normal(size=(n, 3)), rng.integers(0, 9, n), 9) for n in sizes]
+        test = LabeledSet(rng.normal(size=(50, 3)), rng.integers(0, 9, 50), 9)
+        stragglers = frozenset(range(0, len(sizes), 7))
+        config = ScenarioConfig(
+            scheme=scheme, tau_a=3, total_steps=6, learning_rate=0.3, prox_mu=0.3,
+            batch_size=batch_size,
+        )
+        active = [len(d) for i, d in enumerate(datasets) if len(d) and i not in stragglers]
+        blocks = _device_blocks(active, batch_size)
+        assert [len(b) for b in blocks if active[b[0]] > batch_size] == [24, 24, 23]
+        trace = run_fl(spec, datasets, test, config, np.random.default_rng(5), stragglers)
+        accuracy, participants, params = loop_oracle(
+            spec, datasets, test, config, stragglers, np.random.default_rng(5)
+        )
+        assert trace.accuracy == accuracy
+        assert trace.participants == participants
+        assert np.array_equal(trace.params, params)
+
+
+class TestDeviceBlocks:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(1, 12), max_size=4 * DEVICE_BLOCK + 5),
+        st.integers(1, 10),
+    )
+    def test_partition_of_positions(self, sizes, batch_size):
+        blocks = _device_blocks(sizes, batch_size)
+        assert sorted(p for b in blocks for p in b) == list(range(len(sizes)))
+        assert all(0 < len(b) <= DEVICE_BLOCK for b in blocks)
+        groups: dict = {}
+        for b in blocks:
+            key = None if sizes[b[0]] > batch_size else sizes[b[0]]
+            if key is not None:
+                # a full-batch block holds devices of one size
+                assert {sizes[p] for p in b} == {key}
+            else:
+                assert all(sizes[p] > batch_size for p in b)
+            groups.setdefault(key, []).append(len(b))
+        for lengths in groups.values():
+            assert max(lengths) - min(lengths) <= 1
+            assert len(lengths) == -(-sum(lengths) // DEVICE_BLOCK)
+
+    def test_seventy_devices_split_evenly(self):
+        assert [len(b) for b in _device_blocks([40] * 70, 32)] == [24, 23, 23]
+
+
+STEP_CLASSES = [2, 7, 8, 9, 17, 129]
+STEP_BATCHES = [1, 7, 8, 32, 33]
+
+
+class TestStepPieces:
+    """The pieces of the stacked step are bit-identical to the plain
+    formulas they replace."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from(STEP_CLASSES),
+        st.sampled_from(STEP_BATCHES),
+        st.integers(1, 40),
+        st.sampled_from([0.01, 1.0, 30.0]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_bias_in_planes_softmax(self, n_classes, batch, devices, scale, seed):
+        rng = np.random.default_rng(seed)
+        z = rng.normal(0.0, scale, size=(devices, batch, n_classes))
+        b = rng.normal(0.0, scale, size=(devices, n_classes))
+        zb = z + b[:, None]
+        e = np.exp(zb - zb.max(axis=-1, keepdims=True))
+        out = _softmax(z, b)
+        assert out.flags.c_contiguous
+        assert np.array_equal(out, _softmax(zb))
+        assert np.array_equal(out, e / e.sum(axis=-1, keepdims=True))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from([1, *STEP_CLASSES]),
+        st.sampled_from(STEP_BATCHES),
+        st.integers(1, 40),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_batch_sum(self, width, batch, devices, seed):
+        # width 1 is a pairwise sum over the batch, wider ones add rows in order
+        a = np.random.default_rng(seed).normal(size=(devices, batch, width))
+        assert np.array_equal(_batch_sum(a), a.sum(axis=1))
 
 
 class TestSoftmax:
