@@ -74,7 +74,7 @@ def _cmd_train(args) -> int:
     if cfg.baseline != "rl":
         cfg = with_overrides(cfg, baseline="rl")
     scenario = generate_scenario(cfg)
-    (rl_result,) = train_rl([cfg], [scenario])
+    (rl_result,) = train_rl([scenario])
     records = rl_records(cfg, scenario, rl_result, f"train-s{cfg.seed}")
     emit_metrics(records, args.out, args.format)
     print(

@@ -3,9 +3,8 @@ exchange -> federated training, with per-step metrics and energy accounting.
 
 run_experiments is the one pipeline: run_experiment, sweep_experiment and
 the CLI go through it. It trains the rl runs of a list of configs in batches
-(runs sharing n_devices, n_classes, episodes and allow_no_link train as one
-stacked policy table, see rl.train_runs), then finishes each run alone, in
-config order.
+(runs sharing rl.BATCH_KEY train as one stacked policy table, see
+rl.train_runs), then finishes each run alone, in config order.
 
 Metrics are append-only records, one per RL episode and one per FL
 aggregation round, and can be written as CSV or JSON lines with identical
@@ -132,33 +131,10 @@ class ExperimentResult:
     fl_trace: fl.FlTrace | None = None
 
 
-def cluster_budgets(cfg: ScenarioConfig, n_clusters: int) -> np.ndarray:
-    """One inter-cluster request budget per cluster."""
-    return np.full(n_clusters, float(cfg.cluster_budget))
-
-
-def reward_weights_from(cfg: ScenarioConfig, n_clusters: int) -> rl.RewardWeights:
-    return rl.RewardWeights(
-        alpha1=cfg.alpha1,
-        alpha2=cfg.alpha2,
-        alpha3=cfg.alpha3,
-        gamma=cfg.gamma,
-        diversity_min=cfg.diversity_min,
-        budgets=cluster_budgets(cfg, n_clusters),
-    )
-
-
-def train_rl(cfgs: list[ScenarioConfig], scenarios: list[Scenario]) -> list[rl.TrainResult]:
-    """Train the rl runs of one batch together (see rl.train_runs); the
-    configs share n_devices, n_classes, episodes and allow_no_link."""
-    cfg = cfgs[0]
-    return rl.train_runs(
-        scenarios,
-        cfg.episodes,
-        [reward_weights_from(c, s.partition.k) for c, s in zip(cfgs, scenarios)],
-        [named_rng(c.seed, "rl") for c in cfgs],
-        allow_no_link=cfg.allow_no_link,
-    )
+def train_rl(scenarios: list[Scenario]) -> list[rl.TrainResult]:
+    """Train the rl runs of one batch together (see rl.train_runs), each
+    with its config's "rl" generator."""
+    return rl.train_runs(scenarios, [named_rng(s.config.seed, "rl") for s in scenarios])
 
 
 def discover_links(cfg: ScenarioConfig, rl_result: rl.TrainResult | None) -> np.ndarray:
@@ -191,7 +167,7 @@ def rl_records(
     episode_energy = n * (n - 1) * transmit_energy(SCALAR_BITS, scenario.mean_distance, cfg)
     records: list[MetricsRecord] = []
     d2d_energy = 0.0
-    slack = cluster_budgets(cfg, scenario.partition.k) - result.cluster_load
+    slack = cfg.cluster_budget - result.cluster_load
     for step, (reward, success, load, free) in enumerate(
         zip(
             result.mean_reward.tolist(),
@@ -234,15 +210,14 @@ def graph_stats(scenario: Scenario, links: np.ndarray, exchange: ExchangeResult)
 
 def rl_batches(cfgs: list[ScenarioConfig]) -> list[list[int]]:
     """Group the indices of the rl configs into training batches, in config
-    order: runs that share n_devices, n_classes (the stacked class tables),
-    episodes and allow_no_link, at most rl.BATCH_CELLS policy cells (R*N*N)
-    per batch, one run at the least."""
+    order: runs that share rl.BATCH_KEY, at most rl.BATCH_CELLS policy cells
+    (R*N*N) per batch, one run at the least."""
     batches: list[list[int]] = []
     open_batch: dict[tuple, list[int]] = {}
     for i, cfg in enumerate(cfgs):
         if cfg.baseline != "rl":
             continue
-        key = (cfg.n_devices, cfg.n_classes, cfg.episodes, cfg.allow_no_link)
+        key = tuple(getattr(cfg, name) for name in rl.BATCH_KEY)
         batch = open_batch.get(key)
         if batch is None or (len(batch) + 1) * cfg.n_devices**2 > rl.BATCH_CELLS:
             batch = open_batch[key] = []
@@ -275,7 +250,7 @@ def run_experiments(
                 ready[i] = (generate_scenario(cfg), None)
             else:
                 scenarios = [generate_scenario(cfgs[j]) for j in batch]
-                trained = train_rl([cfgs[j] for j in batch], scenarios)
+                trained = train_rl(scenarios)
                 ready.update(zip(batch, zip(scenarios, trained)))
         scenario, rl_result = ready.pop(i)
         yield _finish_experiment(cfg, run_id, scenario, rl_result)
@@ -295,7 +270,6 @@ def _finish_experiment(
     uplink and one downlink of the model parameters per participant per
     aggregation."""
     n = cfg.n_devices
-    budgets = cluster_budgets(cfg, scenario.partition.k)
     records: list[MetricsRecord] = []
     d2d_energy = 0.0
     d2s_energy = 0.0
@@ -343,7 +317,7 @@ def _finish_experiment(
                 mean_reward=None,
                 mean_link_success=stats["mean_link_success"],
                 cluster_load=tuple(float(v) for v in stats["cluster_load"]),
-                budget_slack=tuple(float(v) for v in budgets - stats["cluster_load"]),
+                budget_slack=tuple(float(v) for v in cfg.cluster_budget - stats["cluster_load"]),
                 test_accuracy=acc,
                 d2d_energy_j=d2d_energy,
                 d2s_energy_j=d2s_energy,
@@ -361,7 +335,7 @@ def _finish_experiment(
         "points_delivered": exchange_result.delivered_total(),
         "mean_link_success": stats["mean_link_success"],
         "cluster_load": [float(v) for v in stats["cluster_load"]],
-        "cluster_budgets": [float(v) for v in budgets],
+        "cluster_budgets": [float(cfg.cluster_budget)] * scenario.partition.k,
         "final_accuracy": fl_trace.accuracy[-1] if fl_trace.accuracy else None,
         "rounds": len(fl_trace.accuracy),
         "stragglers": sorted(straggler_set),

@@ -65,17 +65,15 @@ def validate_rss(rss: np.ndarray) -> np.ndarray:
 
 
 def generate_rss(
-    positions: np.ndarray,
-    pathloss_exponent: float = 2.5,
-    ref_power: float = 1.0,
-    shadowing_sigma: float = 0.0,
-    rng: np.random.Generator | None = None,
+    positions: np.ndarray, cfg: ScenarioConfig, rng: np.random.Generator | None = None
 ) -> np.ndarray:
     """Build an RSS matrix from device positions via a power-law path loss.
 
-    W[i, j] = ref_power / dist(i, j)^pathloss_exponent, optionally jittered
-    per direction by log-normal shadowing (sigma in log-space). Symmetric when
-    shadowing is disabled; deterministic for a fixed generator.
+    W[i, j] = ref_power / dist(i, j)^pathloss_exponent with cfg's
+    ref_power and pathloss_exponent, optionally jittered per direction by
+    log-normal shadowing (cfg.shadowing_sigma in log-space; needs rng).
+    Symmetric when shadowing is disabled; deterministic for a fixed
+    generator.
     """
     positions = np.asarray(positions, dtype=float)
     n = positions.shape[0]
@@ -86,12 +84,12 @@ def generate_rss(
     if np.any(dist[off] == 0):
         raise ValueError("coincident device positions")
     with np.errstate(divide="ignore"):
-        rss = ref_power / dist**pathloss_exponent
+        rss = cfg.ref_power / dist**cfg.pathloss_exponent
     np.fill_diagonal(rss, 0.0)
-    if shadowing_sigma > 0:
+    if cfg.shadowing_sigma > 0:
         if rng is None:
             raise ValueError("shadowing requires an rng")
-        jitter = np.exp(rng.normal(0.0, shadowing_sigma, size=(n, n)))
+        jitter = np.exp(rng.normal(0.0, cfg.shadowing_sigma, size=(n, n)))
         rss = rss * jitter
         np.fill_diagonal(rss, 0.0)
     return rss

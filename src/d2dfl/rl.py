@@ -8,26 +8,29 @@ date cell by cell. A device may also pick itself, which means "no incoming
 link". Training repeats: sample links, run an expected-value exchange on a
 scratch copy of the class distributions, score local and global rewards,
 and credit each device's chosen action. Each step acts on all devices at
-once.
+once. The reward keys (the config's [rewards] section), the episode count
+and the no-link rule come from the ScenarioConfig each scenario carries.
 
-Independent runs with equal N, class count, episode count and no-link rule
-train together (train_runs): their tables stack run-major as one (R*N, N)
-table, every episode draws from each run's own generator, and one exchange
-is scored on the block-diagonal graph of all R runs. The scorer takes one
-action per row and treats every row as a link, a no-link row offering
-nothing. Every sum in that exchange adds integers or grid-floored buffers,
-which is exact in any order, and every per-run mean reduces one contiguous
-row, so each run's trace is bit-identical to training it alone. The
-exchange stages are exchange.py's own functions.
+Independent runs whose configs agree on BATCH_KEY (n_devices, n_classes,
+episodes, allow_no_link) train together (train_runs): their tables stack
+run-major as one (R*N, N) table, every episode draws from each run's own
+generator, and one exchange is scored on the block-diagonal graph of all R
+runs, each run's reward keys as (R, 1) columns. The scorer takes one action
+per row and treats every row as a link, a no-link row offering nothing.
+Every sum in that exchange adds integers or grid-floored buffers, which is
+exact in any order, and every per-run mean reduces one contiguous row, so
+each run's trace is bit-identical to training it alone. The exchange
+stages are exchange.py's own functions.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .config import ScenarioConfig
+from .config import _SECTIONS, ScenarioConfig
 from .exchange import (  # noqa: F401  (run_exchange: benchmark spans wrap rl.run_exchange)
     _cells,
     apply_transfers,
@@ -48,6 +51,10 @@ if TYPE_CHECKING:
 # sample_links' work arrays, and the drop matrices and trust tensors of a
 # batch of two or more runs); larger batches save little per-call time.
 BATCH_CELLS = 2**20
+# The config keys the runs of one training batch share: the stacked tables
+# need one device and class count, and one loop trains every run for the
+# same episodes under the same no-link rule.
+BATCH_KEY = ("n_devices", "n_classes", "episodes", "allow_no_link")
 
 
 @dataclass
@@ -80,34 +87,6 @@ class PolicyTable:
         """totals / counts: the kept table, which callers must not write to,
         or a new one if the table keeps none."""
         return self.totals / self.counts if self._avg is None else self._avg
-
-
-@dataclass
-class RewardWeights:
-    """User-set reward trade-off weights; the defaults are ScenarioConfig's.
-
-    alpha1 scales data diversity, alpha2 penalizes unreliable links, alpha3
-    scales per-cluster budget slack, gamma couples each device to the global
-    reward. diversity_min is the minimum number of satisfied classes before
-    the diversity score pays out. budgets holds one request budget per
-    cluster (a scalar is broadcast). Stacked runs hold (R, 1) columns and
-    (R, K) budgets, which broadcast against their (R, N) and (R, K) rewards.
-    """
-
-    alpha1: float = ScenarioConfig.alpha1
-    alpha2: float = ScenarioConfig.alpha2
-    alpha3: float = ScenarioConfig.alpha3
-    gamma: float = ScenarioConfig.gamma
-    diversity_min: int = ScenarioConfig.diversity_min
-    budgets: np.ndarray | float = ScenarioConfig.cluster_budget
-
-    def budget_array(self, n_clusters: int) -> np.ndarray:
-        b = np.asarray(self.budgets, dtype=float)
-        if b.ndim == 0:
-            return np.full(n_clusters, float(b))
-        if b.shape[-1] != n_clusters:
-            raise ValueError(f"expected {n_clusters} budgets, got shape {b.shape}")
-        return b
 
 
 @dataclass
@@ -205,14 +184,16 @@ def local_reward(
     counts: np.ndarray,
     thresholds: np.ndarray,
     p_drop_chosen: float | np.ndarray,
-    weights: RewardWeights,
+    cfg: ScenarioConfig,
 ) -> np.ndarray:
-    """Diversity payoff minus the unreliability of the chosen link, per row.
+    """Diversity payoff minus the unreliability of the chosen link, per row,
+    weighted by cfg's alpha1 and alpha2. cfg may also hold stacked runs'
+    keys as (R, 1) columns, which broadcast against (R, N) rows.
 
     For the no-link action the drop penalty is zero.
     """
-    score = diversity_score(counts, thresholds, weights.diversity_min)
-    return weights.alpha1 * score - weights.alpha2 * p_drop_chosen
+    score = diversity_score(counts, thresholds, cfg.diversity_min)
+    return cfg.alpha1 * score - cfg.alpha2 * p_drop_chosen
 
 
 def inter_cluster_load(
@@ -238,13 +219,13 @@ def inter_cluster_load(
 def global_reward(
     local_rewards: np.ndarray,
     cluster_load: np.ndarray,
-    weights: RewardWeights,
+    cfg: ScenarioConfig,
 ) -> np.ndarray:
-    """Mean local reward plus weighted budget slack, one value per cluster.
-    A leading run axis is kept: (R, N) rewards and (R, K) loads give (R, K)."""
-    budgets = weights.budget_array(cluster_load.shape[-1])
+    """Mean local reward plus the budget slack cfg.cluster_budget - load
+    weighted by cfg.alpha3, one value per cluster. A leading run axis is
+    kept: (R, N) rewards, (R, K) loads and (R, 1) keys give (R, K)."""
     mean = local_rewards.sum(axis=-1, keepdims=True) / local_rewards.shape[-1]
-    return mean + weights.alpha3 * (budgets - cluster_load)
+    return mean + cfg.alpha3 * (cfg.cluster_budget - cluster_load)
 
 
 def link_success(drop: np.ndarray, links: np.ndarray) -> float | np.ndarray:
@@ -282,9 +263,9 @@ def _stacked(arrays: Sequence[np.ndarray]) -> np.ndarray:
 
 @dataclass
 class _Batch:
-    """R runs' scenarios and weights stacked run-major for scoring: row
-    r*N + i is device i of run r. Clusters are padded to the largest run's
-    K, so cluster c of run r has the flat id r*K + c. Drop matrices and
+    """R runs' scenarios stacked run-major for scoring: row r*N + i is
+    device i of run r. Clusters are padded to the largest run's K, so
+    cluster c of run r has the flat id r*K + c. Drop matrices and
     trust tensors are stacked run-major and flattened, so that one index
     gathers every row's link: drop_r[i, j] is drop[(r*N + i)*N + j] and
     trust_r[j, i] is trust[(r*N + j)*N + i]. For a single run both are
@@ -300,23 +281,17 @@ class _Batch:
     run_start: np.ndarray  # (R*N,) row of device 0 of the row's run
     drop_rows: np.ndarray  # (R*N,) flat index of each row's first drop entry
     cluster: np.ndarray  # (R*N,) flat cluster id
-    weights: RewardWeights  # (R, 1) columns, (R, K) budgets
+    k: int  # clusters per run, padded
+    rewards: SimpleNamespace  # each [rewards] key of the runs' configs as an (R, 1) column
 
     @classmethod
-    def stack(cls, scenarios: Sequence["Scenario"], weights: Sequence[RewardWeights]) -> "_Batch":
+    def stack(cls, scenarios: Sequence["Scenario"]) -> "_Batch":
         runs, n = len(scenarios), scenarios[0].n_devices
         k = max(s.partition.k for s in scenarios)
         counts = np.concatenate([s.counts for s in scenarios]).astype(float)
         thresholds = np.concatenate([s.thresholds for s in scenarios]).astype(float)
         assignment = np.stack([s.partition.assignment for s in scenarios])
         surplus, deficit = class_margins(counts, thresholds)
-        budgets = np.zeros((runs, k))
-        for row, s, w in zip(budgets, scenarios, weights):
-            row[: s.partition.k] = w.budget_array(s.partition.k)
-
-        def column(name: str) -> np.ndarray:
-            return np.array([[getattr(w, name)] for w in weights])
-
         return cls(
             counts=counts,
             surplus=surplus,
@@ -328,13 +303,12 @@ class _Batch:
             run_start=np.repeat(n * np.arange(runs), n),
             drop_rows=n * np.arange(runs * n),
             cluster=(assignment + k * np.arange(runs)[:, None]).ravel(),
-            weights=RewardWeights(
-                alpha1=column("alpha1"),
-                alpha2=column("alpha2"),
-                alpha3=column("alpha3"),
-                gamma=column("gamma"),
-                diversity_min=column("diversity_min"),
-                budgets=budgets,
+            k=k,
+            rewards=SimpleNamespace(
+                **{
+                    key: np.array([[getattr(s.config, key)] for s in scenarios])
+                    for key in _SECTIONS["rewards"]
+                }
             ),
         )
 
@@ -363,25 +337,21 @@ class _Batch:
             updated.reshape(self.thresholds.shape),
             self.thresholds,
             p_drop.reshape(runs, n),
-            self.weights,
+            self.rewards,
         )
-        k = self.weights.budgets.shape[1]
-        load = inter_cluster_load(rx, tx, requested, self.cluster, runs * k).reshape(runs, k)
-        globals_ = global_reward(locals_, load, self.weights)
-        overall = locals_ + self.weights.gamma * globals_.take(self.cluster).reshape(runs, n)
+        load = inter_cluster_load(rx, tx, requested, self.cluster, runs * self.k)
+        load = load.reshape(runs, self.k)
+        globals_ = global_reward(locals_, load, self.rewards)
+        overall = locals_ + self.rewards.gamma * globals_.take(self.cluster).reshape(runs, n)
         return overall, locals_, globals_, load
 
 
-def run_episode(
-    scenario: "Scenario",
-    links: np.ndarray,
-    weights: RewardWeights,
-) -> EpisodeOutcome:
+def run_episode(scenario: "Scenario", links: np.ndarray) -> EpisodeOutcome:
     """Score one link assignment with an expected-value exchange on a scratch
     copy of the class distributions, as a training episode does."""
     checked = check_links(links, scenario.n_devices)
     actions = np.where(checked >= 0, checked, np.arange(len(checked)))
-    overall, locals_, globals_, load = _Batch.stack([scenario], [weights]).score(actions)
+    overall, locals_, globals_, load = _Batch.stack([scenario]).score(actions)
     return EpisodeOutcome(
         links=links,
         local_rewards=locals_[0],
@@ -393,24 +363,23 @@ def run_episode(
 
 
 def train_runs(
-    scenarios: Sequence["Scenario"],
-    episodes: int,
-    weights: Sequence[RewardWeights],
-    rngs: Sequence[np.random.Generator],
-    allow_no_link: bool,
+    scenarios: Sequence["Scenario"], rngs: Sequence[np.random.Generator]
 ) -> list[TrainResult]:
-    """Train R independent runs together: one scenario, weights and
-    generator per run, all with the same device and class counts. Each
-    run's result is bit-identical to training it alone; see the module
-    docstring."""
-    batch = _Batch.stack(scenarios, weights)
+    """Train R independent runs together: one scenario and generator per
+    run, their configs equal on BATCH_KEY. Each run's result is
+    bit-identical to training it alone; see the module docstring."""
+    for key in BATCH_KEY:
+        if len({getattr(s.config, key) for s in scenarios}) > 1:
+            raise ValueError(f"runs trained together must share {key!r}")
+    cfg = scenarios[0].config
+    batch = _Batch.stack(scenarios)
     runs, n = batch.thresholds.shape[:2]
     policies = PolicyTable.fresh(n, runs)
-    links = np.empty((runs, episodes, n), dtype=np.int64)
-    mean_reward = np.empty((runs, episodes))
-    cluster_load = np.empty((runs, episodes, batch.weights.budgets.shape[1]))
-    for ep in range(episodes):
-        chosen = sample_links(policies, rngs, allow_no_link=allow_no_link)
+    links = np.empty((runs, cfg.episodes, n), dtype=np.int64)
+    mean_reward = np.empty((runs, cfg.episodes))
+    cluster_load = np.empty((runs, cfg.episodes, batch.k))
+    for ep in range(cfg.episodes):
+        chosen = sample_links(policies, rngs, cfg.allow_no_link)
         actions = np.where(chosen >= 0, chosen, batch.own)
         overall, _, _, load = batch.score(actions)
         update_policy(policies, actions, overall.ravel())
@@ -433,21 +402,16 @@ def train_runs(
     return results
 
 
-def train(
-    scenario: "Scenario",
-    episodes: int,
-    weights: RewardWeights,
-    rng: np.random.Generator,
-    allow_no_link: bool,
-) -> TrainResult:
-    """Run the full policy-training loop for one run.
+def train(scenario: "Scenario", rng: np.random.Generator) -> TrainResult:
+    """Run the full policy-training loop for one run, for the episodes of
+    its scenario's config.
 
     Each episode samples links from the current policies, scores them, and
     updates every device's row at its chosen action (the self index for
     the no-link action). Distributions reset every episode: training probes
     counterfactual exchanges, real data moves only after graph extraction.
     """
-    return train_runs([scenario], episodes, [weights], [rng], allow_no_link)[0]
+    return train_runs([scenario], [rng])[0]
 
 
 def extract_graph(policies: PolicyTable, allow_no_link: bool) -> np.ndarray:

@@ -38,7 +38,6 @@ class Scenario:
 
     config: ScenarioConfig
     positions: np.ndarray  # (N, 2)
-    rss: np.ndarray  # (N, N)
     drop: np.ndarray  # (N, N) drop[i, j] for link j -> i
     partition: ClusterPartition
     trust: np.ndarray  # (N, N, L), trust[j, i, l]
@@ -46,7 +45,6 @@ class Scenario:
     thresholds: np.ndarray  # (N, L)
     datasets: list[fl.LabeledSet]
     test_set: fl.LabeledSet
-    class_means: np.ndarray  # (L, d)
 
     @property
     def n_devices(self) -> int:
@@ -141,13 +139,7 @@ def generate_scenario(cfg: ScenarioConfig) -> Scenario:
     validate_config(cfg)
     pos_rng = named_rng(cfg.seed, "positions")
     positions = pos_rng.uniform(0.0, cfg.area_size, size=(cfg.n_devices, 2))
-    rss = generate_rss(
-        positions,
-        pathloss_exponent=cfg.pathloss_exponent,
-        ref_power=cfg.ref_power,
-        shadowing_sigma=cfg.shadowing_sigma,
-        rng=named_rng(cfg.seed, "channel"),
-    )
+    rss = generate_rss(positions, cfg, named_rng(cfg.seed, "channel"))
     drop = drop_matrix(rss, cfg)
     partition = partition_clusters(drop, cfg.alpha_d)
 
@@ -180,7 +172,6 @@ def generate_scenario(cfg: ScenarioConfig) -> Scenario:
     return Scenario(
         config=cfg,
         positions=positions,
-        rss=rss,
         drop=drop,
         partition=partition,
         trust=trust,
@@ -188,7 +179,6 @@ def generate_scenario(cfg: ScenarioConfig) -> Scenario:
         thresholds=thresholds,
         datasets=datasets,
         test_set=test_set,
-        class_means=means,
     )
 
 

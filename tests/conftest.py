@@ -32,7 +32,6 @@ def make_scenario(
     return Scenario(
         config=config or ScenarioConfig(),
         positions=positions,
-        rss=np.ones((n, n)),
         drop=np.asarray(drop, dtype=float),
         partition=partition,
         trust=np.asarray(trust, dtype=np.int8),
@@ -40,5 +39,4 @@ def make_scenario(
         thresholds=np.asarray(thresholds, dtype=np.int64),
         datasets=[empty for _ in range(n)],
         test_set=empty,
-        class_means=np.zeros((n_classes, 2)),
     )

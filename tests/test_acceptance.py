@@ -128,8 +128,9 @@ def test_criterion_04_conservation():
     report(4, "500 random lossless exchanges, per-class totals exactly conserved")
 
 
-def well_posed_scenario(seed: int):
-    """N=3, L=2, full trust, lossless, unique best donor per receiver."""
+def well_posed_scenario(seed: int, cfg: ScenarioConfig):
+    """N=3, L=2, full trust, lossless, unique best donor per receiver;
+    carries cfg."""
     rng = np.random.default_rng(seed)
     while True:
         own = rng.integers(0, 2, size=3)
@@ -145,14 +146,14 @@ def well_posed_scenario(seed: int):
         else:
             counts[i, cls] = threshold + int(rng.integers(0, 6))
     thresholds = np.full((3, 2), threshold, dtype=np.int64)
-    return make_scenario(counts, thresholds)
+    return make_scenario(counts, thresholds, config=cfg)
 
 
-def brute_force_best_links(scenario, weights):
+def brute_force_best_links(scenario):
     best, best_score = None, -np.inf
     for combo in itertools.product(range(3), repeat=3):
         links = np.array([-1 if combo[i] == i else combo[i] for i in range(3)])
-        score = float(rl.run_episode(scenario, links, weights).overall_rewards.sum())
+        score = float(rl.run_episode(scenario, links).overall_rewards.sum())
         if score > best_score:
             best, best_score = tuple(links.tolist()), score
     return best
@@ -161,17 +162,16 @@ def brute_force_best_links(scenario, weights):
 def test_criterion_05_bandit_optimality():
     """Trained greedy graphs match the exhaustive 3^3 argmax in >= 95% of
     50 seeds, within two minutes."""
-    weights = rl.RewardWeights(
-        alpha1=1.0, alpha2=1.0, alpha3=0.01, gamma=0.5, diversity_min=2, budgets=20.0
+    cfg = with_overrides(
+        ScenarioConfig(), alpha1=1.0, alpha2=1.0, alpha3=0.01, gamma=0.5, diversity_min=2,
+        cluster_budget=20.0, episodes=5000, allow_no_link=True,
     )
     start = time.perf_counter()
     hits = 0
     for seed in range(50):
-        scenario = well_posed_scenario(1000 + seed)
-        oracle = brute_force_best_links(scenario, weights)
-        result = rl.train(
-            scenario, 5000, weights, np.random.default_rng(seed), allow_no_link=True
-        )
+        scenario = well_posed_scenario(1000 + seed, cfg)
+        oracle = brute_force_best_links(scenario)
+        result = rl.train(scenario, np.random.default_rng(seed))
         learned = tuple(rl.extract_graph(result.policies, allow_no_link=True).tolist())
         hits += learned == oracle
     elapsed = time.perf_counter() - start

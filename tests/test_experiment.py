@@ -289,6 +289,14 @@ class TestSweep:
             assert render_metrics(res.records) == render_metrics(run_experiment(cfg).records)
             assert res.summary == run_experiment(cfg).summary
 
+    def test_batches_split_on_every_batch_key(self):
+        # Each config differs from FAST in one rl.BATCH_KEY key, so each
+        # trains alone: train_runs refuses a batch that mixes them.
+        changed = {"n_devices": 6, "n_classes": 5, "episodes": 7, "allow_no_link": True}
+        assert tuple(changed) == rl.BATCH_KEY
+        cfgs = [FAST] + [with_overrides(FAST, **{k: v}) for k, v in changed.items()]
+        assert rl_batches(cfgs + [FAST]) == [[0, 5], [1], [2], [3], [4]]
+
     def test_sweep_deterministic(self):
         a = sweep_experiment(with_overrides(FAST, baseline="none"), "tau_a", ["5"])
         b = sweep_experiment(with_overrides(FAST, baseline="none"), "tau_a", ["5"])

@@ -64,29 +64,29 @@ class TestDropProbability:
 
 class TestGenerateRss:
     def test_unit_distance(self):
-        w = generate_rss(np.array([[0.0, 0.0], [1.0, 0.0]]), pathloss_exponent=2.0)
+        w = generate_rss(np.array([[0.0, 0.0], [1.0, 0.0]]), ScenarioConfig(pathloss_exponent=2.0))
         assert w[0, 1] == 1.0
         assert w[1, 0] == 1.0
 
     def test_inverse_square(self):
-        w = generate_rss(np.array([[0.0, 0.0], [2.0, 0.0]]), pathloss_exponent=2.0)
+        w = generate_rss(np.array([[0.0, 0.0], [2.0, 0.0]]), ScenarioConfig(pathloss_exponent=2.0))
         assert w[0, 1] == 0.25
 
     def test_symmetric_without_shadowing(self):
         rng = np.random.default_rng(3)
         pos = rng.uniform(0, 10, size=(6, 2))
-        w = generate_rss(pos)
+        w = generate_rss(pos, ScenarioConfig())
         assert np.array_equal(w, w.T)
 
     def test_shadowing_deterministic_per_seed(self):
         pos = np.random.default_rng(5).uniform(0, 10, size=(5, 2))
-        w1 = generate_rss(pos, shadowing_sigma=0.5, rng=np.random.default_rng(42))
-        w2 = generate_rss(pos, shadowing_sigma=0.5, rng=np.random.default_rng(42))
+        w1 = generate_rss(pos, ScenarioConfig(shadowing_sigma=0.5), np.random.default_rng(42))
+        w2 = generate_rss(pos, ScenarioConfig(shadowing_sigma=0.5), np.random.default_rng(42))
         assert np.array_equal(w1, w2)
 
     def test_coincident_positions_rejected(self):
         with pytest.raises(ValueError):
-            generate_rss(np.array([[1.0, 1.0], [1.0, 1.0]]))
+            generate_rss(np.array([[1.0, 1.0], [1.0, 1.0]]), ScenarioConfig())
 
 
 def brute_force_min_clusters(reliable: np.ndarray) -> int:

@@ -9,10 +9,9 @@ from conftest import make_scenario
 from d2dfl import rl
 from d2dfl.config import ScenarioConfig, with_overrides
 from d2dfl.exchange import EXPECTED, run_exchange
-from d2dfl.experiment import reward_weights_from
 from d2dfl.rl import (
+    BATCH_KEY,
     PolicyTable,
-    RewardWeights,
     diversity_score,
     extract_graph,
     global_reward,
@@ -26,6 +25,11 @@ from d2dfl.rl import (
     update_policy,
 )
 from d2dfl.scenario import generate_scenario
+
+
+def config(**keys) -> ScenarioConfig:
+    """The default config with keys overridden, validated."""
+    return with_overrides(ScenarioConfig(), **keys)
 
 
 def one_agent(n_actions: int) -> PolicyTable:
@@ -195,17 +199,17 @@ class TestRewards:
         assert diversity_score(np.array([12, 3, 8]), np.array([10, 5, 5]), 2) == 2
 
     def test_local_reward_value(self):
-        w = RewardWeights(alpha1=1.0, alpha2=1.0, diversity_min=0)
+        w = config(alpha1=1.0, alpha2=1.0, diversity_min=0)
         counts = np.array([9, 9, 9, 9])
         thresholds = np.array([1, 1, 1, 1])
         assert local_reward(counts, thresholds, 0.5, w) == pytest.approx(3.5)
 
     def test_local_reward_perfect_channel(self):
-        w = RewardWeights(alpha1=2.0, alpha2=5.0, diversity_min=0)
+        w = config(alpha1=2.0, alpha2=5.0, diversity_min=0)
         assert local_reward(np.array([9]), np.array([1]), 0.0, w) == pytest.approx(2.0)
 
     def test_local_reward_zeroed_score(self):
-        w = RewardWeights(alpha1=1.0, alpha2=1.0, diversity_min=3)
+        w = config(alpha1=1.0, alpha2=1.0, diversity_min=3)
         assert local_reward(np.array([9, 0, 0]), np.array([1, 1, 1]), 0.25, w) == pytest.approx(
             -0.25
         )
@@ -243,12 +247,12 @@ class TestRewards:
         assert load.tolist() == [0.0]
 
     def test_global_reward_value(self):
-        w = RewardWeights(alpha3=0.1, budgets=10.0)
+        w = config(alpha3=0.1, cluster_budget=10.0)
         out = global_reward(np.array([2.0, 4.0]), np.array([4.0]), w)
         assert out[0] == pytest.approx(3.6)
 
     def test_budget_exactly_met(self):
-        w = RewardWeights(alpha3=0.7, budgets=5.0)
+        w = config(alpha3=0.7, cluster_budget=5.0)
         out = global_reward(np.array([1.0]), np.array([5.0]), w)
         assert out[0] == pytest.approx(1.0)
 
@@ -288,9 +292,10 @@ class TestUpdatePolicy:
         assert link_probabilities(table)[0, 2] > before
 
 
-def dominance_scenario():
+def dominance_scenario(**keys):
     """Receiver 0's best action is strictly dominant: device 1 offers full
-    diversity over a clean channel, device 2 a useless trickle over a bad one."""
+    diversity over a clean channel, device 2 a useless trickle over a bad one.
+    Trained with no link allowed and the given config keys."""
     counts = np.array([[40, 0], [40, 40], [40, 12]], dtype=np.int64)
     thresholds = np.full((3, 2), 10, dtype=np.int64)
     drop = np.array(
@@ -300,10 +305,11 @@ def dominance_scenario():
             [0.9, 0.01, 0.0],
         ]
     )
-    return make_scenario(counts, thresholds, drop=drop)
+    cfg = config(**{"allow_no_link": True, **keys})
+    return make_scenario(counts, thresholds, drop=drop, config=cfg)
 
 
-def expected_mean_reward(scenario, weights, policies) -> float:
+def expected_mean_reward(scenario, policies) -> float:
     """Exact expectation of an episode's mean overall reward when every
     device samples its link from its policy, over all joint link choices."""
     n = scenario.counts.shape[0]
@@ -312,40 +318,42 @@ def expected_mean_reward(scenario, weights, policies) -> float:
     for combo in itertools.product(range(n), repeat=n):
         links = np.array([-1 if combo[i] == i else combo[i] for i in range(n)])
         p = np.prod([probs[i][combo[i]] for i in range(n)])
-        total += p * run_episode(scenario, links, weights).overall_rewards.mean()
+        total += p * run_episode(scenario, links).overall_rewards.mean()
     return float(total)
 
 
 class TestTraining:
     def test_zero_weights_keep_policies_uniform(self):
-        scenario = dominance_scenario()
-        w = RewardWeights(alpha1=0.0, alpha2=0.0, alpha3=0.0, gamma=0.0)
-        result = train(scenario, 200, w, np.random.default_rng(5), allow_no_link=True)
+        scenario = dominance_scenario(alpha1=0.0, alpha2=0.0, alpha3=0.0, gamma=0.0, episodes=200)
+        result = train(scenario, np.random.default_rng(5))
         assert np.allclose(link_probabilities(result.policies), 1.0 / 3.0)
         assert np.allclose(result.mean_reward, 0.0)
 
     def test_dominant_link_learned(self):
-        scenario = dominance_scenario()
-        w = RewardWeights(alpha1=2.0, alpha2=2.0, alpha3=0.0, gamma=0.0, diversity_min=2)
-        result = train(scenario, 2000, w, np.random.default_rng(9), allow_no_link=True)
+        scenario = dominance_scenario(
+            alpha1=2.0, alpha2=2.0, alpha3=0.0, gamma=0.0, diversity_min=2, episodes=2000
+        )
+        result = train(scenario, np.random.default_rng(9))
         p = link_probabilities(result.policies)[0]
         assert p[1] > 0.9
         assert extract_graph(result.policies, allow_no_link=True)[0] == 1
 
     def test_counts_increase_once_per_episode(self):
-        scenario = dominance_scenario()
-        w = RewardWeights(alpha1=1.0, alpha2=1.0, alpha3=0.0, gamma=0.5, diversity_min=0)
-        result = train(scenario, 50, w, np.random.default_rng(1), allow_no_link=True)
+        scenario = dominance_scenario(
+            alpha1=1.0, alpha2=1.0, alpha3=0.0, gamma=0.5, diversity_min=0, episodes=50
+        )
+        result = train(scenario, np.random.default_rng(1))
         assert result.policies.counts.sum(axis=1).tolist() == [3 + 50] * 3
 
     def test_overall_reward_identity(self):
-        scenario = dominance_scenario()
-        w = RewardWeights(alpha1=1.3, alpha2=0.7, alpha3=0.2, gamma=0.6, budgets=4.0)
+        scenario = dominance_scenario(
+            alpha1=1.3, alpha2=0.7, alpha3=0.2, gamma=0.6, cluster_budget=4.0
+        )
         rng = np.random.default_rng(3)
         for _ in range(20):
             links = sample_links(PolicyTable.fresh(3), rng, allow_no_link=True)
-            out = run_episode(scenario, links, w)
-            expect = out.local_rewards + w.gamma * out.global_rewards[
+            out = run_episode(scenario, links)
+            expect = out.local_rewards + scenario.config.gamma * out.global_rewards[
                 scenario.partition.assignment
             ]
             assert np.array_equal(out.overall_rewards, expect)
@@ -355,12 +363,13 @@ class TestTraining:
         # itself cannot show this: the softmax policy settles within a few
         # episodes, after which any two windows of it are samples of one
         # process. So compare the exact expected episode rewards instead.
-        scenario = dominance_scenario()
-        w = RewardWeights(alpha1=2.0, alpha2=2.0, alpha3=0.0, gamma=0.5, diversity_min=2)
-        result = train(scenario, 2000, w, np.random.default_rng(2), allow_no_link=True)
+        scenario = dominance_scenario(
+            alpha1=2.0, alpha2=2.0, alpha3=0.0, gamma=0.5, diversity_min=2, episodes=2000
+        )
+        result = train(scenario, np.random.default_rng(2))
         fresh = PolicyTable.fresh(3)
-        assert expected_mean_reward(scenario, w, result.policies) > expected_mean_reward(
-            scenario, w, fresh
+        assert expected_mean_reward(scenario, result.policies) > expected_mean_reward(
+            scenario, fresh
         )
 
     def test_selection_frequency_follows_reward_ordering(self):
@@ -378,24 +387,24 @@ class TestTraining:
         assert pulls[2] > pulls[1] > pulls[0]
 
 
-def brute_force_best_links(scenario, weights) -> tuple[int, ...]:
+def brute_force_best_links(scenario) -> tuple[int, ...]:
     """Exhaustive search over all joint link choices, scored by the summed
     one-episode overall reward. -1 encodes the no-link action."""
     n = scenario.counts.shape[0]
     best, best_score = None, -np.inf
     for combo in itertools.product(range(n), repeat=n):
         links = np.array([-1 if combo[i] == i else combo[i] for i in range(n)])
-        out = run_episode(scenario, links, weights)
+        out = run_episode(scenario, links)
         score = float(out.overall_rewards.sum())
         if score > best_score:
             best, best_score = tuple(links.tolist()), score
     return best
 
 
-def well_posed_scenario(seed: int):
+def well_posed_scenario(seed: int, cfg: ScenarioConfig):
     """N=3, L=2, full trust, lossless: every receiver has a unique best
     donor (the lowest-index big holder of its missing class), so the joint
-    optimum decomposes per receiver."""
+    optimum decomposes per receiver. Carries cfg."""
     rng = np.random.default_rng(seed)
     while True:
         own = rng.integers(0, 2, size=3)
@@ -411,17 +420,18 @@ def well_posed_scenario(seed: int):
         else:
             counts[i, cls] = threshold + int(rng.integers(0, 6))  # small surplus
     thresholds = np.full((3, 2), threshold, dtype=np.int64)
-    return make_scenario(counts, thresholds)
+    return make_scenario(counts, thresholds, config=cfg)
 
 
 class TestBruteForceOptimality:
     def test_trained_graph_matches_enumeration(self):
-        weights = RewardWeights(
-            alpha1=1.0, alpha2=1.0, alpha3=0.01, gamma=0.5, diversity_min=2, budgets=20.0
+        cfg = config(
+            alpha1=1.0, alpha2=1.0, alpha3=0.01, gamma=0.5, diversity_min=2,
+            cluster_budget=20.0, episodes=5000, allow_no_link=True,
         )
-        scenario = well_posed_scenario(123)
-        oracle = brute_force_best_links(scenario, weights)
-        result = train(scenario, 5000, weights, np.random.default_rng(123), allow_no_link=True)
+        scenario = well_posed_scenario(123, cfg)
+        oracle = brute_force_best_links(scenario)
+        result = train(scenario, np.random.default_rng(123))
         learned = tuple(extract_graph(result.policies, allow_no_link=True).tolist())
         assert learned == oracle
 
@@ -444,9 +454,10 @@ class TestExtractGraph:
         assert graph.tolist() == [1, 0]
 
 
-def loop_episode(scenario, links, weights):
+def loop_episode(scenario, links):
     """One episode scored the per-run way: a run_exchange ledger, then the
     reward formulas written out for a single run."""
+    cfg = scenario.config
     n = len(links)
     assignment, k = scenario.partition.assignment, scenario.partition.k
     res = run_exchange(
@@ -454,15 +465,16 @@ def loop_episode(scenario, links, weights):
     )
     p_drop = np.where(links >= 0, scenario.drop[np.arange(n), links], 0.0)
     met = np.sum(np.floor(res.updated + 0.5) >= scenario.thresholds, axis=1)
-    score = np.where(met >= weights.diversity_min, met, 0)
-    local = weights.alpha1 * score - weights.alpha2 * p_drop
+    score = np.where(met >= cfg.diversity_min, met, 0)
+    local = cfg.alpha1 * score - cfg.alpha2 * p_drop
     load = inter_cluster_load(res.receivers, res.transmitters, res.requested, assignment, k)
-    glob = local.mean() + weights.alpha3 * (weights.budget_array(k) - load)
-    return local + weights.gamma * glob[assignment], load
+    glob = local.mean() + cfg.alpha3 * (cfg.cluster_budget - load)
+    return local + cfg.gamma * glob[assignment], load
 
 
-def loop_train(scenario, episodes, weights, rng, allow_no_link):
+def loop_train(scenario, rng):
     """train as a plain per-run loop over loop_episode."""
+    episodes, allow_no_link = scenario.config.episodes, scenario.config.allow_no_link
     n = scenario.n_devices
     own = np.arange(n)
     totals, counts = np.zeros((n, n)), np.ones((n, n), dtype=np.int64)
@@ -479,7 +491,7 @@ def loop_train(scenario, episodes, weights, rng, allow_no_link):
             p = p / p.sum(axis=1, keepdims=True)
         choice = np.minimum((np.cumsum(p, axis=1) < u[:, None]).sum(axis=1), n - 1)
         links[ep] = np.where(choice == own, -1, choice)
-        overall, load[ep] = loop_episode(scenario, links[ep], weights)
+        overall, load[ep] = loop_episode(scenario, links[ep])
         totals[own, choice] += overall
         counts[own, choice] += 1
         mean_reward[ep] = overall.mean()
@@ -489,13 +501,11 @@ def loop_train(scenario, episodes, weights, rng, allow_no_link):
     return totals, counts, links, mean_reward, success, load
 
 
-def assert_runs_match_loop(scenarios, episodes, weights, seeds, allow_no_link):
-    results = train_runs(
-        scenarios, episodes, weights, [np.random.default_rng(s) for s in seeds], allow_no_link
-    )
-    for scenario, w, seed, got in zip(scenarios, weights, seeds, results):
+def assert_runs_match_loop(scenarios, seeds):
+    results = train_runs(scenarios, [np.random.default_rng(s) for s in seeds])
+    for scenario, seed, got in zip(scenarios, seeds, results):
         totals, counts, links, mean_reward, success, load = loop_train(
-            scenario, episodes, w, np.random.default_rng(seed), allow_no_link
+            scenario, np.random.default_rng(seed)
         )
         assert np.array_equal(got.policies.totals, totals)
         assert np.array_equal(got.policies.counts, counts)
@@ -507,19 +517,30 @@ def assert_runs_match_loop(scenarios, episodes, weights, seeds, allow_no_link):
 
 @st.composite
 def run_batches(draw):
-    """R runs of N devices with their own channel, trust, clusters, weights
-    and budgets; N up to 40 so per-run rows of 8 or more take numpy's
-    pairwise sums. Self entries are drawn too: a nonzero drop diagonal and
-    full self-trust, which the no-link action must ignore."""
+    """R runs of N devices with their own channel, trust, clusters and
+    reward keys, sharing the episode count and no-link rule; N up to 40 so
+    per-run rows of 8 or more take numpy's pairwise sums. Self entries are
+    drawn too: a nonzero drop diagonal and full self-trust, which the
+    no-link action must ignore."""
     n = draw(st.integers(2, 40))
     n_classes = draw(st.integers(1, 5))
+    shared = {"episodes": draw(st.integers(1, 12)), "allow_no_link": draw(st.booleans())}
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    scenarios, weights = [], []
+    scenarios = []
     for _ in range(draw(st.integers(1, 4))):
         k = draw(st.integers(1, min(n, 4)))
         assignment = np.concatenate([np.arange(k), rng.integers(0, k, n - k)])
         trust = (rng.random((n, n, n_classes)) < 0.7).astype(np.int8)
         trust[np.arange(n), np.arange(n)] = 1
+        rewards = config(
+            alpha1=float(rng.uniform(0, 2)),
+            alpha2=float(rng.uniform(0, 3)),
+            alpha3=float(rng.uniform(0, 0.1)),
+            gamma=float(rng.uniform(0, 1)),
+            diversity_min=int(rng.integers(0, n_classes + 1)),
+            cluster_budget=float(rng.uniform(0, 100)),
+            **shared,
+        )
         scenarios.append(
             make_scenario(
                 rng.integers(0, 40, (n, n_classes)),
@@ -527,44 +548,33 @@ def run_batches(draw):
                 trust=trust,
                 drop=rng.uniform(0.0, 1.0, (n, n)),
                 assignment=rng.permutation(assignment),
-            )
-        )
-        weights.append(
-            RewardWeights(
-                alpha1=float(rng.uniform(0, 2)),
-                alpha2=float(rng.uniform(0, 3)),
-                alpha3=float(rng.uniform(0, 0.1)),
-                gamma=float(rng.uniform(0, 1)),
-                diversity_min=int(rng.integers(0, n_classes + 1)),
-                budgets=rng.uniform(0, 100, k),
+                config=rewards,
             )
         )
     seeds = [int(s) for s in rng.integers(0, 2**32, len(scenarios))]
-    return scenarios, weights, seeds
+    return scenarios, seeds
 
 
 class TestBatchedMatchesLoop:
     """train_runs equals a per-run loop over run_exchange, run by run."""
 
     @settings(max_examples=100, deadline=None)
-    @given(run_batches(), st.integers(1, 12), st.booleans())
-    def test_equal_to_per_run_loop(self, batch, episodes, allow_no_link):
-        scenarios, weights, seeds = batch
-        assert_runs_match_loop(scenarios, episodes, weights, seeds, allow_no_link)
+    @given(run_batches())
+    def test_equal_to_per_run_loop(self, batch):
+        assert_runs_match_loop(*batch)
 
     @pytest.mark.parametrize("allow_no_link", [False, True])
     def test_two_generated_runs_at_n300(self, allow_no_link):
         cfgs = [
-            with_overrides(ScenarioConfig(), n_devices=300, seed=4, allow_no_link=allow_no_link),
-            with_overrides(
-                ScenarioConfig(), n_devices=300, seed=9, alpha1=1.5, cluster_budget=60.0,
+            config(n_devices=300, seed=4, episodes=4, allow_no_link=allow_no_link),
+            config(
+                n_devices=300, seed=9, alpha1=1.5, cluster_budget=60.0, episodes=4,
                 allow_no_link=allow_no_link,
             ),
         ]
         scenarios = [generate_scenario(c) for c in cfgs]
-        weights = [reward_weights_from(c, s.partition.k) for c, s in zip(cfgs, scenarios)]
         assert len({s.partition.k for s in scenarios}) == 2
-        assert_runs_match_loop(scenarios, 4, weights, [4, 9], allow_no_link)
+        assert_runs_match_loop(scenarios, [4, 9])
 
     def test_run_episode_equals_loop(self):
         rng = np.random.default_rng(8)
@@ -575,13 +585,35 @@ class TestBatchedMatchesLoop:
             np.full((6, 3), 12),
             drop=drop,
             assignment=np.array([0, 1, 0, 1, 1, 0]),
-        )
-        w = RewardWeights(
-            alpha1=1.3, alpha2=0.7, alpha3=0.2, gamma=0.6, diversity_min=1, budgets=[4.0, 9.0]
+            config=config(
+                alpha1=1.3, alpha2=0.7, alpha3=0.2, gamma=0.6, diversity_min=1, cluster_budget=9.0
+            ),
         )
         for _ in range(20):
             links = sample_links(PolicyTable.fresh(6), rng, allow_no_link=True)
-            out = run_episode(scenario, links, w)
-            overall, load = loop_episode(scenario, links, w)
+            out = run_episode(scenario, links)
+            overall, load = loop_episode(scenario, links)
             assert np.array_equal(out.overall_rewards, overall)
             assert np.array_equal(out.cluster_load, load)
+
+
+class TestBatchKey:
+    """train_runs trains every run of a batch for one episode count under one
+    no-link rule, so runs whose configs differ on a BATCH_KEY key are
+    refused, naming the first such key."""
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("n_devices", 11), ("n_classes", 7), ("episodes", 3), ("allow_no_link", False)],
+    )
+    def test_mixed_batch_rejected(self, key, value):
+        base = {"episodes": 2}
+        scenarios = [dominance_scenario(**base), dominance_scenario(**{**base, key: value})]
+        with pytest.raises(ValueError, match=f"share {key!r}"):
+            train_runs(scenarios, [np.random.default_rng(0), np.random.default_rng(1)])
+
+    def test_names_first_differing_key(self):
+        assert BATCH_KEY == ("n_devices", "n_classes", "episodes", "allow_no_link")
+        scenarios = [dominance_scenario(), dominance_scenario(episodes=3, n_classes=7)]
+        with pytest.raises(ValueError, match="share 'n_classes'"):
+            train_runs(scenarios, [np.random.default_rng(0), np.random.default_rng(1)])

@@ -35,7 +35,8 @@ class TestGenerateScenario:
     def test_deterministic_per_seed(self):
         s1 = generate_scenario(SMALL)
         s2 = generate_scenario(SMALL)
-        assert np.array_equal(s1.rss, s2.rss)
+        assert np.array_equal(s1.positions, s2.positions)
+        assert np.array_equal(s1.drop, s2.drop)
         assert np.array_equal(s1.counts, s2.counts)
         assert np.array_equal(s1.trust, s2.trust)
         for d1, d2 in zip(s1.datasets, s2.datasets):

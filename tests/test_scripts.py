@@ -1,8 +1,14 @@
-"""Smoke tests for the scripts under scripts/, each run as a subprocess."""
+"""Smoke tests for the scripts under scripts/, each run as a subprocess, and
+for the hooks the benchmark under perfbench/ patches into the package."""
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import d2dfl
+from d2dfl import experiment, fl, rl, scenario  # noqa: F401  (attributes of d2dfl)
+from d2dfl.exchange import ExchangeResult
 
 ROOT = Path(__file__).resolve().parent.parent
 HEADER = ["seed", "baseline", "accuracy", "success", "points", "d2d_J", "d2s_J"]
@@ -23,3 +29,19 @@ def test_compare_baselines_tiny_config(tmp_path):
     assert lines[0].split() == HEADER
     means = [line.split()[:2] for line in lines if line.startswith("mean")]
     assert means == [["mean", "rl"], ["mean", "uniform"], ["mean", "none"]]
+
+
+def test_benchmark_hooks_resolve():
+    """Every (module, attribute) the benchmark's spans wrap exists on the
+    package, and exchange results still list their per-link plans, which the
+    benchmark's checks read."""
+    spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [
+        f"{module}.{attr}"
+        for module, attr, _ in spans.TARGETS
+        if not callable(getattr(getattr(d2dfl, module, None), attr, None))
+    ]
+    assert not missing, f"benchmark spans wrap missing functions: {missing}"
+    assert hasattr(ExchangeResult, "plans")
