@@ -24,7 +24,7 @@ import numpy as np
 from . import fl, rl
 from .config import ConfigError, ScenarioConfig, _parse_value, with_overrides
 from .exchange import ExchangeResult
-from .network import SCALAR_BITS, energy_cost, transmit_energy
+from .network import SCALAR_BITS, energy_cost, link_distances, transmit_energy
 from .scenario import (
     Scenario,
     generate_scenario,
@@ -282,11 +282,11 @@ def _finish_experiment(
     exchange_result = materialize_exchange(
         scenario, links, cfg.delivery, named_rng(cfg.seed, "exchange")
     )
-    distances = scenario.distances
-    for rx, tx, sent in zip(
-        exchange_result.receivers, exchange_result.transmitters, exchange_result.buffered
-    ):
-        d2d_energy += energy_cost(int(sent.sum()), float(distances[rx, tx]), cfg)
+    distances = link_distances(
+        scenario.positions, exchange_result.receivers, exchange_result.transmitters
+    )
+    for sent, distance in zip(exchange_result.buffered, distances.tolist()):
+        d2d_energy += energy_cost(int(sent.sum()), distance, cfg)
 
     stats = graph_stats(scenario, links, exchange_result)
 

@@ -418,10 +418,11 @@ def extract_graph(policies: PolicyTable, allow_no_link: bool) -> np.ndarray:
     """Greedy readout as an (N,) transmitter array: per receiver the
     argmax-average transmitter, ties to the lowest index; the self action
     reads as no link (-1)."""
-    avg = policies.averages()
-    own = np.arange(avg.shape[0])
-    if not allow_no_link:
-        avg = avg.copy()
-        avg[own, own] = -np.inf
+    if allow_no_link:
+        avg = policies.averages()
+    else:
+        avg = policies.totals / policies.counts  # fresh, so the kept table stays
+        np.fill_diagonal(avg, -np.inf)
     best = avg.argmax(axis=1)
+    own = np.arange(len(best))
     return np.where(best == own, -1, best)

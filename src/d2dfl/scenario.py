@@ -21,7 +21,7 @@ from .network import (
     drop_matrix,
     generate_rss,
     mean_d2d_distance,
-    pairwise_distances,
+    pairwise_distances,  # noqa: F401  (benchmark spans wrap scenario.pairwise_distances)
     partition_clusters,
 )
 
@@ -58,10 +58,6 @@ class Scenario:
     def mean_distance(self) -> float:
         """Mean distance over device pairs, computed on first read."""
         return mean_d2d_distance(self.positions)
-
-    @property
-    def distances(self) -> np.ndarray:
-        return pairwise_distances(self.positions)
 
 
 def _non_iid_counts(cfg: ScenarioConfig, rng: np.random.Generator) -> np.ndarray:

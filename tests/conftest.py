@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 
 from d2dfl import fl
@@ -40,3 +42,16 @@ def make_scenario(
         datasets=[empty for _ in range(n)],
         test_set=empty,
     )
+
+
+def peak_units(fn, n: int) -> float:
+    """Peak memory that fn() allocates, traced by tracemalloc, in units of
+    one (n, n) float64 array."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / (n * n * 8)

@@ -21,7 +21,7 @@ from d2dfl.experiment import (
     run_experiments,
     sweep_experiment,
 )
-from d2dfl.network import SCALAR_BITS, energy_cost, transmit_energy
+from d2dfl.network import SCALAR_BITS, energy_cost, pairwise_distances, transmit_energy
 from d2dfl.rl import inter_cluster_load
 from d2dfl.scenario import generate_scenario
 
@@ -177,10 +177,11 @@ class TestRunExperiment:
         result = materialize_exchange(
             probe, res.links, cfg.delivery, named_rng(cfg.seed, "exchange")
         )
+        distances = pairwise_distances(probe.positions)
         transfer = sum(
             energy_cost(
                 int(p.buffered.sum()),
-                float(probe.distances[p.receiver, p.transmitter]),
+                float(distances[p.receiver, p.transmitter]),
                 cfg,
             )
             for p in result.plans

@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 from d2dfl.config import ScenarioConfig
 from d2dfl.fl import (
     DEVICE_BLOCK,
+    PLANE_EVAL_MIN,
     LabeledSet,
     ModelSpec,
     _batch_sum,
     _device_blocks,
+    _first_max,
     _softmax,
     aggregate,
     dataset_from_counts,
@@ -19,7 +21,6 @@ from d2dfl.fl import (
     full_batch_grad,
     init_params,
     local_train,
-    logits,
     loss_and_grad,
     make_class_means,
     run_fl,
@@ -45,6 +46,21 @@ def toy_data(spec: ModelSpec, n=10, seed=0) -> LabeledSet:
     x = rng.normal(size=(n, spec.in_dim))
     y = rng.integers(0, spec.n_classes, size=n)
     return LabeledSet(x, y, spec.n_classes)
+
+
+def row_logits(spec: ModelSpec, params: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(n, C) logits as x @ w + b over whole rows, the formula whose row
+    argmax evaluate must reproduce."""
+    d, h, c = spec.in_dim, spec.hidden, spec.n_classes
+    if spec.kind == "linear":
+        return x @ params[: d * c].reshape(d, c) + params[d * c :]
+    w1, b1 = params[: d * h].reshape(d, h), params[d * h : d * h + h]
+    w2, b2 = params[d * h + h : -c].reshape(h, c), params[-c:]
+    return np.tanh(x @ w1 + b1) @ w2 + b2
+
+
+def row_accuracy(spec: ModelSpec, params: np.ndarray, test: LabeledSet) -> float:
+    return float(np.mean(row_logits(spec, params, test.x).argmax(axis=1) == test.y))
 
 
 def numeric_grad(fn, params, h=1e-6):
@@ -196,6 +212,44 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(LINEAR, np.zeros(LINEAR.n_params), LabeledSet(np.empty((0, 4)), np.empty(0, dtype=int), 3))
 
+    # Row argmax below PLANE_EVAL_MIN test points, class planes from it on.
+    SIZES = (5, PLANE_EVAL_MIN - 1, PLANE_EVAL_MIN, PLANE_EVAL_MIN + 333)
+
+    @pytest.mark.parametrize("name", sorted(WIDE_SPECS))
+    def test_equals_row_argmax(self, name):
+        spec = WIDE_SPECS[name]
+        for n in self.SIZES:
+            data = toy_data(spec, n=n, seed=n)
+            params = init_params(spec, np.random.default_rng(n), scale=1.0)
+            accuracy = evaluate(spec, params, data)
+            assert type(accuracy) is float  # metrics render floats with repr
+            assert accuracy == row_accuracy(spec, params, data)
+
+    def test_ties_and_non_finite_logits_equal_row_argmax(self):
+        # Integer weights and features tie classes exactly; weights of
+        # +-1e308 overflow to +-inf, and inf - inf in a product gives NaN.
+        rng = np.random.default_rng(11)
+        for c in (1, 2, 3, 8, 9, 17):
+            spec = ModelSpec(kind="linear", in_dim=3, n_classes=c)
+            for n in self.SIZES:
+                x = rng.choice([-2.0, 0.0, 1.0, 2.0], size=(n, 3))
+                data = LabeledSet(x, rng.integers(0, c, size=n), c)
+                for values in ([-1.0, 0.0, 1.0], [-1e308, 0.0, 1.0, 1e308]):
+                    params = rng.choice(values, size=spec.n_params)
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        assert evaluate(spec, params, data) == row_accuracy(spec, params, data)
+
+    def test_first_max_equals_argmax(self):
+        rng = np.random.default_rng(12)
+        specials = np.array([np.nan, np.inf, -np.inf])
+        for c in (1, 2, 3, 8, 9, 17, 300):
+            planes = rng.integers(-2, 3, size=(c, 400)).astype(float)
+            odd = rng.random(planes.shape) < 0.05
+            planes[odd] = rng.choice(specials, size=int(odd.sum()))
+            assert np.array_equal(_first_max(planes), planes.argmax(axis=0))
+            finite = rng.integers(-2, 3, size=(c, 400)).astype(float)
+            assert np.array_equal(_first_max(finite), finite.argmax(axis=0))
+
 
 def mixture_split(n_devices, per_device, spec, seed, iid=True):
     rng = np.random.default_rng(seed)
@@ -277,10 +331,11 @@ class TestModelShapes:
         assert LINEAR.n_params == (4 + 1) * 3
         assert MLP.n_params == (4 + 1) * 6 + (6 + 1) * 3
 
-    def test_logits_shape(self):
+    def test_evaluate_mlp_seven_points(self):
         data = toy_data(MLP, n=7)
-        out = logits(MLP, np.zeros(MLP.n_params), data.x)
-        assert out.shape == (7, 3)
+        params = init_params(MLP, np.random.default_rng(1), scale=1.0)
+        assert row_logits(MLP, params, data.x).shape == (7, 3)
+        assert evaluate(MLP, params, data) * 7 == round(row_accuracy(MLP, params, data) * 7)
 
     def test_full_batch_grad_matches_loss_grad(self):
         data = toy_data(LINEAR, seed=9)

@@ -3,13 +3,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import peak_units
 from d2dfl.config import ScenarioConfig
 from d2dfl.network import (
     drop_matrix,
     drop_probability,
     energy_cost,
     generate_rss,
+    link_distances,
     mean_d2d_distance,
+    pairwise_distances,
     partition_clusters,
     transmit_energy,
 )
@@ -206,3 +209,109 @@ class TestEnergy:
 def test_mean_d2d_distance_triangle():
     pos = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 4.0]])
     assert mean_d2d_distance(pos) == pytest.approx((3 + 4 + 5) / 3)
+
+
+def broadcast_distances(positions):
+    """The (N, N, 2) broadcast formula that pairwise_distances replaces."""
+    diff = positions[:, None, :] - positions[None, :, :]
+    return np.sqrt((diff**2).sum(axis=-1))
+
+
+def broadcast_rss(positions, cfg, rng=None):
+    """generate_rss written with whole-array temporaries."""
+    n = len(positions)
+    with np.errstate(divide="ignore"):
+        rss = cfg.ref_power / broadcast_distances(positions) ** cfg.pathloss_exponent
+    np.fill_diagonal(rss, 0.0)
+    if cfg.shadowing_sigma > 0:
+        rss = rss * np.exp(rng.normal(0.0, cfg.shadowing_sigma, size=(n, n)))
+        np.fill_diagonal(rss, 0.0)
+    return rss
+
+
+def closed_form_drop(rss, cfg):
+    """drop_matrix as 1 - exp(-coeff / w) over a copy with an infinite diagonal."""
+    w = rss.copy()
+    np.fill_diagonal(w, np.inf)
+    coeff = (2.0**cfg.rate_r - 1.0) * cfg.noise_sigma2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = -np.expm1(-coeff / w)
+    return np.where(w == 0, 0.0 if coeff == 0 else 1.0, out)
+
+
+def positions_of(n, seed=0):
+    return np.random.default_rng(seed).uniform(0.0, 100.0, size=(n, 2))
+
+
+class TestInPlaceChannel:
+    """The distance and channel path computed in place equals the broadcast
+    formulas bit for bit, and allocates no (N, N, 2) temporary."""
+
+    @pytest.mark.parametrize("n", [2, 3, 50])
+    def test_pairwise_distances_equal_broadcast(self, n):
+        pos = positions_of(n, seed=n)
+        assert np.array_equal(pairwise_distances(pos), broadcast_distances(pos))
+
+    @pytest.mark.parametrize(
+        "keys", [{}, {"shadowing_sigma": 0.7}, {"rate_r": 0.0}, {"rate_r": 0.0, "shadowing_sigma": 0.7}]
+    )
+    def test_rss_and_drop_equal_broadcast(self, keys):
+        cfg = ScenarioConfig(**keys)
+        pos = positions_of(40, seed=4)
+        rss = generate_rss(pos, cfg, np.random.default_rng(8))
+        expected = broadcast_rss(pos, cfg, np.random.default_rng(8))
+        assert np.array_equal(rss, expected)
+        assert np.array_equal(drop_matrix(rss, cfg), closed_form_drop(expected, cfg))
+
+    def test_drop_matrix_ignores_the_diagonal(self):
+        cfg = ScenarioConfig(rate_r=1.0, noise_sigma2=0.1)
+        rss = np.array([[-1e-300, 0.0, 2.0], [0.5, np.nan, 0.0], [3.0, 1.0, 0.0]])
+        drop = drop_matrix(rss, cfg)
+        assert np.array_equal(drop, closed_form_drop(rss, cfg), equal_nan=True)
+        assert drop.diagonal().tolist() == [0.0, 0.0, 0.0]
+
+    def test_negative_off_diagonal_rejected(self):
+        rss = np.array([[0.0, -1.0], [1.0, 0.0]])
+        with pytest.raises(ValueError):
+            drop_matrix(rss, ScenarioConfig())
+
+    def test_drop_probability_types(self):
+        cfg = ScenarioConfig(rate_r=1.0, noise_sigma2=0.1)
+        for scalar in (0.0, 0.1, np.float64(2.0), np.array(0.3)):
+            assert type(drop_probability(scalar, cfg)) is float
+        w = np.array([[0.0, 0.1], [2.0, np.inf]])
+        out = drop_probability(w, cfg)
+        assert isinstance(out, np.ndarray) and out.shape == w.shape
+        coeff = (2.0**cfg.rate_r - 1.0) * cfg.noise_sigma2
+        with np.errstate(divide="ignore"):
+            expected = np.where(w == 0, 1.0, -np.expm1(-coeff / w))
+        assert np.array_equal(out, expected)
+        assert drop_probability(0.0, ScenarioConfig(rate_r=0.0)) == 0.0
+
+    @pytest.mark.parametrize("n", [2, 3, 50, 201])
+    def test_mean_distance_equals_triu_indices(self, n):
+        pos = positions_of(n, seed=n)
+        dist = broadcast_distances(pos)
+        assert mean_d2d_distance(pos) == float(dist[np.triu_indices(n, k=1)].mean())
+
+    def test_link_distances_equal_matrix_entries(self):
+        pos = positions_of(30, seed=2)
+        rng = np.random.default_rng(5)
+        receivers = rng.integers(0, 30, size=50)
+        transmitters = rng.integers(0, 30, size=50)
+        got = link_distances(pos, receivers, transmitters)
+        assert np.array_equal(got, broadcast_distances(pos)[receivers, transmitters])
+        assert link_distances(pos, receivers[:0], transmitters[:0]).shape == (0,)
+
+    def test_peak_memory_at_n200(self):
+        # Units of one (200, 200) float64 array. The broadcast formulas
+        # peaked at 5.0 in each case, and (N, N, 2) differences squared in
+        # place at 3.0; the result plus one buffer peaks at 2.41.
+        n = 200
+        pos = positions_of(n)
+        shadowed = ScenarioConfig(shadowing_sigma=0.5)
+        assert peak_units(lambda: pairwise_distances(pos), n) < 2.75
+        assert peak_units(lambda: mean_d2d_distance(pos), n) < 2.75
+        assert peak_units(
+            lambda: drop_matrix(generate_rss(pos, shadowed, np.random.default_rng(0)), shadowed), n
+        ) < 2.75

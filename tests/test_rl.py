@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_scenario
+from conftest import make_scenario, peak_units
 from d2dfl import rl
 from d2dfl.config import ScenarioConfig, with_overrides
 from d2dfl.exchange import EXPECTED, run_exchange
@@ -452,6 +452,36 @@ class TestExtractGraph:
         table.totals[0] = [5.0, 0.0]  # self is the argmax but masked
         graph = extract_graph(table, allow_no_link=False)
         assert graph.tolist() == [1, 0]
+
+    def kept_table(self, n):
+        """A table whose sample_links call keeps the averages, updated once."""
+        rng = np.random.default_rng(n)
+        table = PolicyTable.fresh(n)
+        sample_links(table, rng, allow_no_link=True)
+        update_policy(table, rng.integers(0, n, size=n), rng.normal(size=n) * 5.0)
+        assert table._avg is not None
+        return table
+
+    @pytest.mark.parametrize("allow_no_link", [False, True])
+    def test_kept_averages_read_not_written(self, allow_no_link):
+        table = self.kept_table(6)
+        kept = table._avg.copy()
+        avg = table.totals / table.counts
+        if not allow_no_link:
+            np.fill_diagonal(avg, -np.inf)
+        best = avg.argmax(axis=1)
+        expected = np.where(best == np.arange(6), -1, best)
+        assert np.array_equal(extract_graph(table, allow_no_link), expected)
+        assert np.array_equal(table._avg, kept)
+
+    def test_peak_memory_at_n200(self):
+        # Units of one (200, 200) float64 array; dividing the table and
+        # copying it before masking the diagonal peaked at 2.0.
+        fresh = PolicyTable.fresh(200)
+        fresh.totals[:] = np.random.default_rng(1).normal(size=(200, 200))
+        kept = self.kept_table(200)
+        for table in (fresh, kept):
+            assert peak_units(lambda: extract_graph(table, allow_no_link=False), 200) < 1.6
 
 
 def loop_episode(scenario, links):

@@ -1,6 +1,7 @@
 """Smoke tests for the scripts under scripts/, each run as a subprocess, and
 for the hooks the benchmark under perfbench/ patches into the package."""
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -14,15 +15,19 @@ ROOT = Path(__file__).resolve().parent.parent
 HEADER = ["seed", "baseline", "accuracy", "success", "points", "d2d_J", "d2s_J"]
 
 
+def src_env() -> dict[str, str]:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
 def test_compare_baselines_tiny_config(tmp_path):
     cfg = tmp_path / "tiny.ini"
     cfg.write_text("[scenario]\nn_devices = 4\n\n[rl]\nepisodes = 5\n\n[fl]\ntotal_steps = 20\n")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "compare_baselines.py"),
          "--config", str(cfg), "--seeds", "2"],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=src_env(), timeout=120,
     )
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
@@ -45,3 +50,18 @@ def test_benchmark_hooks_resolve():
     ]
     assert not missing, f"benchmark spans wrap missing functions: {missing}"
     assert hasattr(ExchangeResult, "plans")
+
+
+def test_benchmark_smoke_run():
+    """One traced benchmark call on the smallest workload runs every check
+    the benchmark makes (captured exchanges, per-run checks, traced counts)
+    and reports no failed run. Its output goes to the ignored .perfbench_out/."""
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "paper_n10",
+         "--seed", "0", "--seconds", "0", "--trace", "1"],
+        capture_output=True, text=True, cwd=ROOT, env=src_env(), timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0
