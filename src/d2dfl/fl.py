@@ -10,13 +10,14 @@ Devices train in blocks: the parameters of K devices are stacked as (K, P)
 and each local step is one gradient over their stacked (K, B, d) minibatches,
 with the same arithmetic per device as a single-device step, so results do
 not depend on how devices are blocked. A block gathers the minibatches of
-all steps of a round in one take. The softmax of a step runs on (C, K, B)
-class planes, filled by adding the bias while the logits are transposed,
-with numpy's own summation order for a C-wide last axis; bias gradients sum
-a (B, K, m) copy over its first axis, adding the rows of a device in the
-order of a sum over the batch axis. No reduction in a step runs over the
-few classes or hidden units of one row, and the bits equal those of the
-row-wise formula.
+all steps of a round in one take, into work arrays that a run keeps for all
+its rounds and shares with the evaluation of the global model. The softmax
+of a step runs on (C, K, B) class planes, filled by adding the bias while
+the logits are transposed, with numpy's own summation order for a C-wide
+last axis; bias gradients sum a (B, K, m) copy over its first axis, adding
+the rows of a device in the order of a sum over the batch axis. No
+reduction in a step runs over the few classes or hidden units of one row,
+and the bits equal those of the row-wise formula.
 """
 from __future__ import annotations
 
@@ -39,13 +40,6 @@ from .config import ScenarioConfig
 # made scale_n300 8-22% slower in each of four comparisons, while
 # stragglers_n100 moved by -8% to +13% between comparisons; 32 stays.
 DEVICE_BLOCK = 32
-
-# Test points from which evaluate reads predictions off class planes. With
-# C = d = 8 (2-vCPU x86-64, numpy 2.4) a linear evaluate takes 32, 56, 80,
-# 133 and 278 us by rows and 57, 79, 95, 121 and 149 us by planes at 410,
-# 820, 1230, 2050 and 4100 points (median of 800); mlp crosses over alike.
-PLANE_EVAL_MIN = 1600
-
 
 @dataclass
 class LabeledSet:
@@ -267,6 +261,7 @@ def _train_block(
     batch_size: int,
     prox_mu: float,
     anchor: np.ndarray | None,
+    work: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Local gradient steps for K non-empty devices that all start from the
     same parameters (P,); returns their (K, P) local parameters.
@@ -276,11 +271,16 @@ def _train_block(
     generator (the same stream as one draw per step), gathered for the
     whole block in one take; or every device holds the same number of
     points, at most batch_size, and takes full-batch steps drawing nothing.
-    Every step writes into one gradient buffer.
+    The block's points and the gathered minibatches are written into work,
+    a flat float and a flat int64 array of at least m*d and m entries with
+    m = _block_rows(...), and every step into one gradient buffer.
     """
-    x_cat = np.concatenate([d.x for d in block])
-    y_cat = np.concatenate([d.y for d in block])
     sizes = [len(d) for d in block]
+    m, dim = _block_rows(sizes, steps, batch_size), block[0].x.shape[1]
+    floats, ints = work or (np.empty(m * dim), np.empty(m, np.int64))
+    points = sum(sizes)
+    x_cat = np.concatenate([d.x for d in block], out=floats[: points * dim].reshape(points, dim))
+    y_cat = np.concatenate([d.y for d in block], out=ints[:points])
     if sizes[0] <= batch_size:
         xs = itertools.repeat(x_cat.reshape(len(block), sizes[0], -1), steps)
         ys = itertools.repeat(y_cat.reshape(len(block), -1), steps)
@@ -294,7 +294,12 @@ def _train_block(
             ],
             axis=1,
         )
-        xs, ys = x_cat.take(idx, axis=0), y_cat.take(idx)
+        xs = floats[points * dim : m * dim].reshape(*idx.shape, dim)
+        ys = ints[points:m].reshape(idx.shape)
+        # The indices lie in range by construction; mode="raise" would
+        # gather into a temporary and copy it into out.
+        x_cat.take(idx, axis=0, out=xs, mode="clip")
+        y_cat.take(idx, out=ys, mode="clip")
     out = np.repeat(start[None], len(block), axis=0)
     grad = np.empty_like(out)
     views = _unpack(spec, out), _unpack(spec, grad)
@@ -303,6 +308,14 @@ def _train_block(
         grad *= lr
         out -= grad
     return out
+
+
+def _block_rows(sizes: list[int], steps: int, batch_size: int) -> int:
+    """Rows of work _train_block needs for devices of these sizes: their
+    points, then the gathered minibatches unless they take full-batch
+    steps."""
+    gathered = steps * len(sizes) * batch_size if sizes[0] > batch_size else 0
+    return sum(sizes) + gathered
 
 
 def _device_blocks(sizes: list[int], batch_size: int) -> list[list[int]]:
@@ -382,48 +395,41 @@ def aggregate(
     return combined
 
 
-def evaluate(spec: ModelSpec, params: np.ndarray, test: LabeledSet) -> float:
+def evaluate(
+    spec: ModelSpec,
+    params: np.ndarray,
+    test: LabeledSet,
+    work: np.ndarray | None = None,
+) -> float:
     """Fraction of argmax-correct predictions; a tie goes to the lowest
     class and a NaN logit counts as the maximum, as in argmax.
 
-    From PLANE_EVAL_MIN test points on, the logits are read as contiguous
-    (C, n) class planes, filled by adding the bias while the (n, C) product
-    is transposed, and _first_max reads the prediction off them; below it,
-    each row's argmax is taken. The products and sums are those of
-    x @ w + b, so the predictions are the same bit for bit either way.
+    The products and sums are those of x @ w + b, layer by layer, computed
+    into the flat float array work when given, which needs len(test) times
+    the summed layer widths (_layer_widths) entries; a caller that evaluates
+    every round then allocates them once.
     """
-    if len(test) == 0:
+    n = len(test)
+    if n == 0:
         raise ValueError("empty test set")
-    *hidden, w, b = _unpack(spec, params)
-    x = test.x
-    if hidden:
-        w1, b1 = hidden
-        x = x @ w1
-        x += b1
-        np.tanh(x, out=x)
-    z = x @ w
-    if len(z) < PLANE_EVAL_MIN:
-        z += b
-        pred = z.argmax(axis=1)
-    else:
-        planes = np.empty(z.shape[::-1])
-        np.add(z.T, b[:, None], out=planes)
-        pred = _first_max(planes)
-    return float(np.count_nonzero(pred == test.y) / len(test))
+    weights = _unpack(spec, params)
+    if work is None:
+        work = np.empty(n * _layer_widths(spec))
+    x, start = test.x, 0
+    for w, b in zip(weights[::2], weights[1::2]):
+        if start:  # the hidden layer's tanh
+            np.tanh(x, out=x)
+        end = start + n * w.shape[1]
+        x = np.matmul(x, w, out=work[start:end].reshape(n, -1))
+        x += b
+        start = end
+    return float(np.count_nonzero(x.argmax(axis=1) == test.y) / n)
 
 
-def _first_max(planes: np.ndarray) -> np.ndarray:
-    """planes.argmax(axis=0) of (C, n) class planes, with every step an
-    n-wide loop: mark each column's maximum, carry the marks down the
-    classes, and count the classes before the first mark."""
-    top = np.maximum.reduce(planes, axis=0)
-    hit = planes == top
-    if np.isnan(top).any():  # argmax takes the first NaN as the maximum
-        hit |= np.isnan(planes)
-    for prev, row in zip(hit, hit[1:]):
-        row |= prev
-    c = len(hit)
-    return c - np.add.reduce(hit, axis=0, dtype=np.min_scalar_type(c))
+def _layer_widths(spec: ModelSpec) -> int:
+    """Summed output widths of the model's layers: the entries per test
+    point that evaluate computes."""
+    return sum(shape[1] for shape in spec.shapes[::2])
 
 
 @dataclass
@@ -461,13 +467,25 @@ def run_fl(
     weights = [float(n) if config.weighting == "data" else 1.0 for n in sizes]
     blocks = _device_blocks(sizes, config.batch_size)
     mu = config.prox_mu if config.scheme == "fedprox" else 0.0
+    # One float and one int array, kept for the run, hold a block's points
+    # and gathered minibatches while it trains, and the test set's layer
+    # outputs while the global model is evaluated, so that a round allocates
+    # nothing larger than one step's arrays: glibc may map arrays of a few
+    # hundred kB afresh on each allocation, and their pages then fault in
+    # every round. Sharing the float array keeps the run's peak at a round's.
+    rows = max(
+        (_block_rows([sizes[p] for p in pos], config.tau_a, config.batch_size) for pos in blocks),
+        default=0,
+    )
+    floats = np.empty(max(rows * spec.in_dim, len(test) * _layer_widths(spec)))
+    work = floats, np.empty(rows, np.int64)
+    payloads = np.empty((len(active), spec.n_params))
     accuracy: list[float] = []
     participants: list[int] = []
     for _ in range(config.total_steps // config.tau_a):
         if config.scheme == "fedsgd":
             payloads = [full_batch_grad(spec, params_g, datasets[i]) for i in active]
         else:
-            payloads = np.empty((len(active), spec.n_params))
             for pos in blocks:
                 payloads[pos] = _train_block(
                     spec,
@@ -479,9 +497,10 @@ def run_fl(
                     config.batch_size,
                     mu,
                     params_g,
+                    work,
                 )
         params_g = aggregate(payloads, weights, config.scheme, params_g, lr=config.learning_rate)
-        accuracy.append(evaluate(spec, params_g, test))
+        accuracy.append(evaluate(spec, params_g, test, floats))
         participants.append(len(active))
     return FlTrace(accuracy=accuracy, participants=participants, params=params_g)
 

@@ -8,12 +8,11 @@ from hypothesis import strategies as st
 from d2dfl.config import ScenarioConfig
 from d2dfl.fl import (
     DEVICE_BLOCK,
-    PLANE_EVAL_MIN,
     LabeledSet,
     ModelSpec,
     _batch_sum,
     _device_blocks,
-    _first_max,
+    _layer_widths,
     _softmax,
     aggregate,
     dataset_from_counts,
@@ -212,8 +211,7 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(LINEAR, np.zeros(LINEAR.n_params), LabeledSet(np.empty((0, 4)), np.empty(0, dtype=int), 3))
 
-    # Row argmax below PLANE_EVAL_MIN test points, class planes from it on.
-    SIZES = (5, PLANE_EVAL_MIN - 1, PLANE_EVAL_MIN, PLANE_EVAL_MIN + 333)
+    SIZES = (5, 1933)
 
     @pytest.mark.parametrize("name", sorted(WIDE_SPECS))
     def test_equals_row_argmax(self, name):
@@ -224,6 +222,8 @@ class TestEvaluate:
             accuracy = evaluate(spec, params, data)
             assert type(accuracy) is float  # metrics render floats with repr
             assert accuracy == row_accuracy(spec, params, data)
+            stale = np.full(n * _layer_widths(spec) + 3, np.nan)
+            assert evaluate(spec, params, data, stale) == accuracy
 
     def test_ties_and_non_finite_logits_equal_row_argmax(self):
         # Integer weights and features tie classes exactly; weights of
@@ -238,17 +238,6 @@ class TestEvaluate:
                     params = rng.choice(values, size=spec.n_params)
                     with np.errstate(over="ignore", invalid="ignore"):
                         assert evaluate(spec, params, data) == row_accuracy(spec, params, data)
-
-    def test_first_max_equals_argmax(self):
-        rng = np.random.default_rng(12)
-        specials = np.array([np.nan, np.inf, -np.inf])
-        for c in (1, 2, 3, 8, 9, 17, 300):
-            planes = rng.integers(-2, 3, size=(c, 400)).astype(float)
-            odd = rng.random(planes.shape) < 0.05
-            planes[odd] = rng.choice(specials, size=int(odd.sum()))
-            assert np.array_equal(_first_max(planes), planes.argmax(axis=0))
-            finite = rng.integers(-2, 3, size=(c, 400)).astype(float)
-            assert np.array_equal(_first_max(finite), finite.argmax(axis=0))
 
 
 def mixture_split(n_devices, per_device, spec, seed, iid=True):
