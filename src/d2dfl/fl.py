@@ -9,9 +9,11 @@ averaging) and fedsgd (one full-batch gradient per round, applied globally).
 Devices train in blocks: the parameters of K devices are stacked as (K, P)
 and each local step is one gradient over their stacked (K, B, d) minibatches,
 with the same arithmetic per device as a single-device step, so results do
-not depend on how devices are blocked. A block gathers the minibatches of
-all steps of a round in one take, into work arrays that a run keeps for all
-its rounds and shares with the evaluation of the global model. The softmax
+not depend on how devices are blocked. Each step gathers its (K, B)
+minibatch into work arrays that a run keeps for all its rounds and shares
+with the evaluation of the global model. run_fl draws a block's minibatch
+indices for a round from one raw word call per device, mapped for the whole
+block with the rule of Generator.integers, value for value. The softmax
 of a step runs on (C, K, B) class planes, filled by adding the bias while
 the logits are transposed, with numpy's own summation order for a C-wide
 last axis; bias gradients sum a (B, K, m) copy over its first axis, adding
@@ -21,7 +23,6 @@ and the bits equal those of the row-wise formula.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -31,15 +32,20 @@ import numpy as np
 from .config import ScenarioConfig
 
 # Devices trained together in one stacked gradient step. Bounds the memory a
-# round adds: a block's concatenated data and its (tau_a, K, B, d) gathered
-# minibatches, 655 kB at K = 32, tau_a = 10, B = 32, d = 8. At B = 32,
-# d = C = 8 (2-vCPU x86-64, numpy 2.4) a linear step costs 5.9, 4.5, 4.0,
-# 3.9 and 3.4 us per device at K = 8, 16, 24, 32 and 64 (best of 12). Groups
-# split into near-equal blocks, so K = 64 trains stragglers_n100's 70
-# devices as 2 blocks and scale_n300's 300 as 5. Timed in run_fl alone, that
-# made scale_n300 8-22% slower in each of four comparisons, while
-# stragglers_n100 moved by -8% to +13% between comparisons; 32 stays.
-DEVICE_BLOCK = 32
+# round adds: a block's concatenated data, one step's (K, B, d) gathered
+# minibatch (131 kB at K = 64, B = 32, d = 8) and the round's (tau_a, K, B)
+# indices (164 kB at tau_a = 10). Groups split into near-equal blocks, so 64
+# trains stragglers_n100's 70 devices as 2 blocks and scale_n300's 300 as 5.
+# Sweep calls interleaved in one process (2-vCPU x86-64, numpy 2.4), against
+# 32-wide blocks that gathered a whole round and drew with
+# Generator.integers, stragglers_n100 / scale_n300 wall time: the per-step
+# gather alone -1.6% / -0.3%; with K = 64 -11.2% / -6.9%; with raw-word
+# draws as well -15.1% / -11.9% (13/14 and 9/10 calls faster). K = 100 was
+# faster still on stragglers_n100 (-20.9%) but raised peak RSS by ~1 MB on
+# both workloads, and K = 128 likewise; 64 stays.
+DEVICE_BLOCK = 64
+_LOW32 = np.uint64(0xFFFFFFFF)
+
 
 @dataclass
 class LabeledSet:
@@ -255,66 +261,56 @@ def _train_block(
     spec: ModelSpec,
     start: np.ndarray,
     block: list[LabeledSet],
-    rngs: list[np.random.Generator],
     steps: int,
     lr: float,
-    batch_size: int,
     prox_mu: float,
     anchor: np.ndarray | None,
+    idx: np.ndarray | None = None,
     work: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Local gradient steps for K non-empty devices that all start from the
     same parameters (P,); returns their (K, P) local parameters.
 
-    The block either has more data per device than one batch, and each
-    device draws its minibatch indices for all steps in one call on its own
-    generator (the same stream as one draw per step), gathered for the
-    whole block in one take; or every device holds the same number of
-    points, at most batch_size, and takes full-batch steps drawing nothing.
-    The block's points and the gathered minibatches are written into work,
-    a flat float and a flat int64 array of at least m*d and m entries with
-    m = _block_rows(...), and every step into one gradient buffer.
+    Either idx holds the (steps, K, B) minibatch indices into the block's
+    concatenated points, and step s gathers the (K, B) minibatch idx[s]; or
+    idx is None, every device holds the same number of points, and every
+    step takes the full batch. The block's points and one step's gathered
+    minibatch are written into work, a flat float and a flat int64 array of
+    at least m*d and m entries with m = _block_rows(...), and every step
+    into one gradient buffer.
     """
     sizes = [len(d) for d in block]
-    m, dim = _block_rows(sizes, steps, batch_size), block[0].x.shape[1]
+    points, dim = sum(sizes), block[0].x.shape[1]
+    m = points if idx is None else points + idx[0].size
     floats, ints = work or (np.empty(m * dim), np.empty(m, np.int64))
-    points = sum(sizes)
     x_cat = np.concatenate([d.x for d in block], out=floats[: points * dim].reshape(points, dim))
     y_cat = np.concatenate([d.y for d in block], out=ints[:points])
-    if sizes[0] <= batch_size:
-        xs = itertools.repeat(x_cat.reshape(len(block), sizes[0], -1), steps)
-        ys = itertools.repeat(y_cat.reshape(len(block), -1), steps)
+    if idx is None:
+        x = x_cat.reshape(len(block), sizes[0], -1)
+        y = y_cat.reshape(len(block), -1)
     else:
-        # integers(off, off + n) draws the stream of off + integers(0, n).
-        offsets = itertools.accumulate(sizes[:-1], initial=0)
-        idx = np.stack(
-            [
-                rng.integers(off, off + n, size=(steps, batch_size))
-                for rng, n, off in zip(rngs, sizes, offsets)
-            ],
-            axis=1,
-        )
-        xs = floats[points * dim : m * dim].reshape(*idx.shape, dim)
-        ys = ints[points:m].reshape(idx.shape)
-        # The indices lie in range by construction; mode="raise" would
-        # gather into a temporary and copy it into out.
-        x_cat.take(idx, axis=0, out=xs, mode="clip")
-        y_cat.take(idx, out=ys, mode="clip")
+        x = floats[points * dim : m * dim].reshape(*idx.shape[1:], dim)
+        y = ints[points:m].reshape(idx.shape[1:])
     out = np.repeat(start[None], len(block), axis=0)
     grad = np.empty_like(out)
     views = _unpack(spec, out), _unpack(spec, grad)
-    for x, y in zip(xs, ys):
+    for s in range(steps):
+        if idx is not None:
+            # The indices lie in range by construction; mode="raise" would
+            # gather into a temporary and copy it into out.
+            x_cat.take(idx[s], axis=0, out=x, mode="clip")
+            y_cat.take(idx[s], out=y, mode="clip")
         _stacked_grad(spec, out, x, y, prox_mu, anchor, False, grad, views)
         grad *= lr
         out -= grad
     return out
 
 
-def _block_rows(sizes: list[int], steps: int, batch_size: int) -> int:
+def _block_rows(sizes: list[int], batch_size: int) -> int:
     """Rows of work _train_block needs for devices of these sizes: their
-    points, then the gathered minibatches unless they take full-batch
-    steps."""
-    gathered = steps * len(sizes) * batch_size if sizes[0] > batch_size else 0
+    points, then one step's gathered minibatches unless they take
+    full-batch steps."""
+    gathered = len(sizes) * batch_size if sizes[0] > batch_size else 0
     return sum(sizes) + gathered
 
 
@@ -335,6 +331,91 @@ def _device_blocks(sizes: list[int], batch_size: int) -> list[list[int]]:
     return blocks
 
 
+def _draw_indices(
+    gens: list[np.random.PCG64],
+    sizes: np.ndarray,
+    offsets: np.ndarray,
+    carry: np.ndarray,
+    steps: int,
+    batch_size: int,
+) -> np.ndarray:
+    """The (steps, K, B) minibatch indices of K devices into their
+    concatenated points. Device k's (steps, B) slice equals that of
+    offsets[k] + Generator(gens[k]).integers(0, sizes[k], (steps, B)), and
+    so does every later round's, call after call.
+
+    integers draws a size n below 2**32 from the generator's 32-bit stream,
+    for PCG64 the low and then the high half of each 64-bit word. A half u
+    gives (u*n) >> 32, unless (u*n) mod 2**32 < (2**32 - n) mod n, when it
+    is rejected and the next half is used (Lemire, arXiv:1805.10941). Here
+    each device's words come from one random_raw call, and the halves of
+    the whole block are mapped at once; a device whose halves include a
+    rejected one draws on word by word (_accepted). A half left unused at
+    the end of a round stays pending in a Generator; here it is kept in
+    carry[k] (-1 for none), which the caller keeps from round to round, so
+    a generator never holds a pending half. sizes and offsets are (K, 1):
+    uint64 sizes, which must be at least 2 (integers draws nothing for
+    n = 1) and below 2**32, and int64 offsets.
+    """
+    k, count = len(gens), steps * batch_size
+    halves = np.empty((k, count + 1), np.uint64)
+    has = carry >= 0
+    halves[has, 0] = carry[has]
+    for h in (0, 1):
+        rows = np.flatnonzero(has == h)
+        w = (count + 1 - h) // 2  # words for count halves or one more
+        if rows.size and w:
+            words = np.concatenate([gens[r].random_raw(w) for r in rows]).reshape(-1, w)
+            if rows.size == k:
+                rows = slice(None)
+            # Split arithmetically, not by a uint32 view, so byte order
+            # does not matter.
+            halves[rows, h + 1 : h + 2 * w : 2] = words >> 32
+            words &= _LOW32
+            halves[rows, h : h + 2 * w : 2] = words
+    # A row holds count halves, or count + 1 when count + has is odd, and
+    # then its last one is left over.
+    left = (count + has) % 2 == 1
+    carry.fill(-1)
+    carry[left] = halves[left, count]
+    # The products u*n in place: they stay below 2**64, so dividing by n
+    # gives the halves back.
+    halves *= sizes
+    head = halves[:, :count].reshape(k, steps, batch_size)
+    idx = np.empty((steps, k, batch_size), np.int64)
+    by_device = idx.swapaxes(0, 1)
+    np.bitwise_and(head, _LOW32, out=by_device)
+    thresholds = ((2**32 - sizes) % sizes).astype(np.int64)
+    rejected = (by_device < thresholds[:, :, None]).any(axis=(1, 2))
+    np.right_shift(head, 32, out=by_device)
+    by_device += offsets[:, :, None]
+    for r in np.flatnonzero(rejected):
+        stream = halves[r, : count + left[r]] // sizes[r]
+        values, carry[r] = _accepted(gens[r], int(sizes[r, 0]), stream, count)
+        by_device[r] = np.reshape(values, (steps, batch_size)) + offsets[r]
+    return idx
+
+
+def _accepted(gen: np.random.PCG64, n: int, halves: np.ndarray, count: int) -> tuple[list[int], int]:
+    """The first count accepted values of a device's 32-bit stream, which
+    starts with halves and goes on with the halves of further random_raw
+    words, drawn one at a time as needed; and the unused half after them,
+    or -1."""
+    threshold = (2**32 - n) % n
+    stream = [int(u) for u in halves]
+    values: list[int] = []
+    i = 0
+    while len(values) < count:
+        if i == len(stream):
+            word = int(gen.random_raw())
+            stream += [word & 0xFFFFFFFF, word >> 32]
+        scaled = stream[i] * n
+        i += 1
+        if scaled & 0xFFFFFFFF >= threshold:
+            values.append(scaled >> 32)
+    return values, stream[i] if i < len(stream) else -1
+
+
 def local_train(
     spec: ModelSpec,
     params: np.ndarray,
@@ -352,15 +433,21 @@ def local_train(
     fedavg/fedprox take `steps` minibatch gradient steps (fedprox adds the
     proximal pull toward the incoming global model); fedsgd returns the
     unmodified parameters, see full_batch_grad. Minibatches are drawn with
-    replacement; when batch_size >= len(data) every step uses the whole
-    dataset instead and nothing is drawn from rng. Empty datasets train
-    nothing.
+    replacement, all steps' indices in one rng.integers call (the stream of
+    one call per step); when batch_size >= len(data) every step uses the
+    whole dataset instead and nothing is drawn from rng. Empty datasets
+    train nothing. rng may be any Generator in any state, so run_fl, which
+    owns its devices' generators, draws its indices another way
+    (_draw_indices).
     """
     if len(data) == 0 or scheme == "fedsgd":
         return params.copy()
     mu = prox_mu if scheme == "fedprox" else 0.0
     anchor = global_params if scheme == "fedprox" else None
-    return _train_block(spec, params, [data], [rng], steps, lr, batch_size, mu, anchor)[0]
+    idx = None
+    if len(data) > batch_size:
+        idx = rng.integers(0, len(data), size=(steps, 1, batch_size))
+    return _train_block(spec, params, [data], steps, lr, mu, anchor, idx)[0]
 
 
 def full_batch_grad(spec: ModelSpec, params: np.ndarray, data: LabeledSet) -> np.ndarray:
@@ -455,49 +542,55 @@ def run_fl(
     the broadcast global model; participants are trained in near-equal
     blocks of at most DEVICE_BLOCK devices (see _device_blocks), one stacked
     (K, P) gradient per local step, each device drawing its minibatches from
-    its own generator, and their rows of the (A, P) payload array go to
-    aggregate as they are; under fedsgd each participant sends one
-    full_batch_grad instead. Stragglers contribute nothing to aggregations,
+    its own generator (the values of Generator.integers, from one raw word
+    call per device and round; see _draw_indices), and their rows of the
+    (A, P) payload array go to aggregate as they are; under fedsgd each
+    participant sends one full_batch_grad instead. Stragglers contribute nothing to aggregations,
     and their generators feed nothing else, so they are not trained at all.
     """
     params_g = init_params(spec, rng)
-    device_rngs = [np.random.default_rng(rng.integers(0, 2**63)) for _ in datasets]
+    # default_rng's bit generator, seeded as default_rng(seed) would be.
+    gens = [np.random.PCG64(rng.integers(0, 2**63)) for _ in datasets]
     active = [i for i, data in enumerate(datasets) if len(data) and i not in stragglers]
     sizes = [len(datasets[i]) for i in active]
     weights = [float(n) if config.weighting == "data" else 1.0 for n in sizes]
     blocks = _device_blocks(sizes, config.batch_size)
     mu = config.prox_mu if config.scheme == "fedprox" else 0.0
     # One float and one int array, kept for the run, hold a block's points
-    # and gathered minibatches while it trains, and the test set's layer
-    # outputs while the global model is evaluated, so that a round allocates
-    # nothing larger than one step's arrays: glibc may map arrays of a few
-    # hundred kB afresh on each allocation, and their pages then fault in
-    # every round. Sharing the float array keeps the run's peak at a round's.
+    # and a step's gathered minibatches while it trains, and the test set's
+    # layer outputs while the global model is evaluated, so that a round
+    # allocates nothing larger than one step's arrays: glibc may map arrays
+    # of a few hundred kB afresh on each allocation, and their pages then
+    # fault in every round. Sharing the float array keeps the run's peak at
+    # a round's.
     rows = max(
-        (_block_rows([sizes[p] for p in pos], config.tau_a, config.batch_size) for pos in blocks),
-        default=0,
+        (_block_rows([sizes[p] for p in pos], config.batch_size) for pos in blocks), default=0
     )
     floats = np.empty(max(rows * spec.in_dim, len(test) * _layer_widths(spec)))
     work = floats, np.empty(rows, np.int64)
     payloads = np.empty((len(active), spec.n_params))
+    # Per block: its positions, datasets and, for minibatch blocks, the
+    # state of its index draws (see _draw_indices).
+    plans = []
+    for pos in blocks:
+        n = np.array([sizes[p] for p in pos], np.int64)[:, None]
+        draws = None
+        if n[0, 0] > config.batch_size:  # so every n >= 2, as batch_size >= 1
+            offsets = np.cumsum(n, axis=0) - n
+            carry = np.full(len(pos), -1, np.int64)
+            draws = [gens[active[p]] for p in pos], n.astype(np.uint64), offsets, carry
+        plans.append((pos, [datasets[active[p]] for p in pos], draws))
     accuracy: list[float] = []
     participants: list[int] = []
     for _ in range(config.total_steps // config.tau_a):
         if config.scheme == "fedsgd":
             payloads = [full_batch_grad(spec, params_g, datasets[i]) for i in active]
         else:
-            for pos in blocks:
+            for pos, block, draws in plans:
+                idx = _draw_indices(*draws, config.tau_a, config.batch_size) if draws else None
                 payloads[pos] = _train_block(
-                    spec,
-                    params_g,
-                    [datasets[active[p]] for p in pos],
-                    [device_rngs[active[p]] for p in pos],
-                    config.tau_a,
-                    config.learning_rate,
-                    config.batch_size,
-                    mu,
-                    params_g,
-                    work,
+                    spec, params_g, block, config.tau_a, config.learning_rate, mu, params_g,
+                    idx, work,
                 )
         params_g = aggregate(payloads, weights, config.scheme, params_g, lr=config.learning_rate)
         accuracy.append(evaluate(spec, params_g, test, floats))

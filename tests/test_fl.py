@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from d2dfl import fl
 from d2dfl.config import ScenarioConfig
 from d2dfl.fl import (
     DEVICE_BLOCK,
@@ -12,6 +13,7 @@ from d2dfl.fl import (
     ModelSpec,
     _batch_sum,
     _device_blocks,
+    _draw_indices,
     _layer_widths,
     _softmax,
     aggregate,
@@ -506,14 +508,16 @@ class TestRunFlManyBlocks:
     @pytest.mark.parametrize("kind", ["linear", "mlp"])
     @pytest.mark.parametrize("scheme", ["fedavg", "fedprox"])
     def test_equal_to_per_device_loop(self, scheme, kind):
-        # 93 devices: 83 with more points than a batch and 10 at or below
-        # batch_size, which take full-batch steps in groups of equal size.
-        # Every seventh device straggles, so 71 train in minibatch blocks
-        # of 24, 24 and 23.
+        # 2 * DEVICE_BLOCK + 7 devices with more points than a batch train in
+        # three near-equal minibatch blocks; every seventh device of the
+        # list straggles, so one more big device goes before every six of
+        # them. Ten more devices, at or below batch_size, take full-batch
+        # steps in groups of equal size.
         spec = ModelSpec(kind=kind, in_dim=3, n_classes=9, hidden=4)
         batch_size = 4
         rng = np.random.default_rng(21)
-        big = rng.integers(batch_size + 1, 3 * batch_size + 1, 83)
+        n_mini = 2 * DEVICE_BLOCK + 7
+        big = rng.integers(batch_size + 1, 3 * batch_size + 1, n_mini + -(-n_mini // 6))
         sizes = [*big, 0, 1, 3, 3, 3, 4, 4, 4, 4, 2]
         datasets = [LabeledSet(rng.normal(size=(n, 3)), rng.integers(0, 9, n), 9) for n in sizes]
         test = LabeledSet(rng.normal(size=(50, 3)), rng.integers(0, 9, 50), 9)
@@ -524,7 +528,9 @@ class TestRunFlManyBlocks:
         )
         active = [len(d) for i, d in enumerate(datasets) if len(d) and i not in stragglers]
         blocks = _device_blocks(active, batch_size)
-        assert [len(b) for b in blocks if active[b[0]] > batch_size] == [24, 24, 23]
+        lengths = [len(b) for b in blocks if active[b[0]] > batch_size]
+        assert len(lengths) == 3 and sum(lengths) == n_mini
+        assert max(lengths) - min(lengths) <= 1
         trace = run_fl(spec, datasets, test, config, np.random.default_rng(5), stragglers)
         accuracy, participants, params = loop_oracle(
             spec, datasets, test, config, stragglers, np.random.default_rng(5)
@@ -558,7 +564,77 @@ class TestDeviceBlocks:
             assert len(lengths) == -(-sum(lengths) // DEVICE_BLOCK)
 
     def test_seventy_devices_split_evenly(self):
-        assert [len(b) for b in _device_blocks([40] * 70, 32)] == [24, 23, 23]
+        # stragglers_n100 trains 70 minibatch devices
+        parts = -(-70 // DEVICE_BLOCK)
+        lengths = [len(b) for b in _device_blocks([40] * 70, 32)]
+        assert sorted(lengths) == sorted(70 // parts + (i < 70 % parts) for i in range(parts))
+
+
+class TestRunFlBlockWidth:
+    @pytest.mark.parametrize("kind", ["linear", "mlp"])
+    @pytest.mark.parametrize("scheme", ["fedavg", "fedprox"])
+    def test_same_trace_for_any_block_width(self, scheme, kind, monkeypatch):
+        # An odd tau_a * batch_size leaves a carried half every other round.
+        spec = ModelSpec(kind=kind, in_dim=3, n_classes=5, hidden=4)
+        batch_size = 3
+        rng = np.random.default_rng(8)
+        sizes = [*rng.integers(batch_size + 1, 40, 2 * DEVICE_BLOCK - 5), 0, 2, 2, 3, 1]
+        datasets = [LabeledSet(rng.normal(size=(n, 3)), rng.integers(0, 5, n), 5) for n in sizes]
+        test = LabeledSet(rng.normal(size=(40, 3)), rng.integers(0, 5, 40), 5)
+        stragglers = frozenset(range(1, len(sizes), 5))
+        config = ScenarioConfig(
+            scheme=scheme, tau_a=3, total_steps=9, learning_rate=0.3, prox_mu=0.3,
+            batch_size=batch_size,
+        )
+        traces = []
+        for width in (1, 5, DEVICE_BLOCK):
+            monkeypatch.setattr(fl, "DEVICE_BLOCK", width)
+            traces.append(run_fl(spec, datasets, test, config, np.random.default_rng(3), stragglers))
+        for trace in traces[:2]:
+            assert trace.accuracy == traces[2].accuracy
+            assert trace.participants == traces[2].participants
+            assert np.array_equal(trace.params, traces[2].params)
+
+
+# Lemire's rule rejects about half the halves at 2**31 + 1 and a quarter at
+# 3 * 2**30, and almost none at the small sizes.
+DRAW_SIZES = [2, 3, 33, 160, 2**31 + 1, 3 * 2**30, 2**32 - 1]
+
+
+class TestDrawIndices:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.sampled_from(DRAW_SIZES), min_size=1, max_size=5),
+        # (tau_a, batch_size) with a product from 1 to 40, odd or even
+        st.integers(1, 40).flatmap(
+            lambda count: st.sampled_from(
+                [(s, count // s) for s in range(1, count + 1) if count % s == 0]
+            )
+        ),
+        st.integers(1, 4),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_equals_integers_round_after_round(self, sizes, shape, rounds, seed):
+        steps, batch_size = shape
+        seeds = np.random.SeedSequence(seed).spawn(len(sizes))
+        gens = [np.random.PCG64(s) for s in seeds]
+        refs = [np.random.default_rng(s) for s in seeds]
+        n = np.array(sizes, np.int64)[:, None]
+        offsets = np.cumsum(n, axis=0) - n
+        carry = np.full(len(sizes), -1, np.int64)
+        for _ in range(rounds):
+            idx = _draw_indices(gens, n.astype(np.uint64), offsets, carry, steps, batch_size)
+            assert idx.shape == (steps, len(sizes), batch_size)
+            for k, ref in enumerate(refs):
+                off = int(offsets[k, 0])
+                expected = ref.integers(off, off + sizes[k], size=(steps, batch_size))
+                assert np.array_equal(idx[:, k], expected)
+        for k, ref in enumerate(refs):
+            # A half that integers leaves pending in the generator is the
+            # carried one, and both generators are at the same word.
+            state = ref.bit_generator.state
+            assert carry[k] == (state["uinteger"] if state["has_uint32"] else -1)
+            assert gens[k].random_raw() == ref.bit_generator.random_raw()
 
 
 STEP_CLASSES = [2, 7, 8, 9, 17, 129]
