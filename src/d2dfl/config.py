@@ -283,6 +283,20 @@ def save_config(cfg: ScenarioConfig, path: str | Path) -> None:
     Path(path).write_text(dump_config(cfg))
 
 
+def batch_key(cfg: ScenarioConfig, keys: tuple[str, ...]) -> tuple:
+    """cfg's values of keys: runs whose configs give equal tuples may train
+    together."""
+    return tuple(getattr(cfg, key) for key in keys)
+
+
+def check_batch(cfgs: list[ScenarioConfig], keys: tuple[str, ...]) -> None:
+    """Reject configs of runs trained together that differ on one of keys,
+    naming the first such key."""
+    for key in keys:
+        if len({getattr(cfg, key) for cfg in cfgs}) > 1:
+            raise ValueError(f"runs trained together must share {key!r}")
+
+
 def with_overrides(cfg: ScenarioConfig, **overrides) -> ScenarioConfig:
     """Copy with named fields replaced, revalidated."""
     for key in overrides:

@@ -112,7 +112,7 @@ def available_vector(surplus_tx: np.ndarray, trusted: np.ndarray) -> np.ndarray:
     zeroed for classes the receiver is not trusted with (trusted == 0).
     Rows are links; a single link may be passed as 1-D vectors.
     """
-    return np.where(np.asarray(trusted) != 0, surplus_tx, 0)
+    return np.where(trusted, surplus_tx, 0)  # a nonzero condition is True
 
 
 def requirement_vector(available: np.ndarray, deficit_rx: np.ndarray) -> np.ndarray:

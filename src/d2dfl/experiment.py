@@ -4,7 +4,9 @@ exchange -> federated training, with per-step metrics and energy accounting.
 run_experiments is the one pipeline: run_experiment, sweep_experiment and
 the CLI go through it. It trains the rl runs of a list of configs in batches
 (runs sharing rl.BATCH_KEY train as one stacked policy table, see
-rl.train_runs), then finishes each run alone, in config order.
+rl.train_runs), takes every run's links and exchange in config order, and
+runs the FL of a batch's runs that share fl.BATCH_KEY together (see
+fl.run_fl_runs); other runs train their FL alone.
 
 Metrics are append-only records, one per RL episode and one per FL
 aggregation round, and can be written as CSV or JSON lines with identical
@@ -22,7 +24,7 @@ from typing import Iterator
 import numpy as np
 
 from . import fl, rl
-from .config import ConfigError, ScenarioConfig, _parse_value, with_overrides
+from .config import ConfigError, ScenarioConfig, _parse_value, batch_key, with_overrides
 from .exchange import ExchangeResult
 from .network import SCALAR_BITS, energy_cost, link_distances, transmit_energy
 from .scenario import (
@@ -165,34 +167,21 @@ def rl_records(
     as lossless."""
     n = cfg.n_devices
     episode_energy = n * (n - 1) * transmit_energy(SCALAR_BITS, scenario.mean_distance, cfg)
-    records: list[MetricsRecord] = []
-    d2d_energy = 0.0
     slack = cfg.cluster_budget - result.cluster_load
-    for step, (reward, success, load, free) in enumerate(
-        zip(
-            result.mean_reward.tolist(),
-            result.link_success.tolist(),
-            map(tuple, result.cluster_load.tolist()),
-            map(tuple, slack.tolist()),
-        )
-    ):
-        d2d_energy += episode_energy
-        records.append(
-            MetricsRecord(
-                run_id=run_id,
-                phase="rl",
-                step=step,
-                mean_reward=reward,
-                mean_link_success=success,
-                cluster_load=load,
-                budget_slack=free,
-                test_accuracy=None,
-                d2d_energy_j=d2d_energy,
-                d2s_energy_j=0.0,
-                stragglers=None,
+    # A running sum: accumulate adds one episode after another.
+    energy = np.full(len(result.mean_reward), episode_energy).cumsum()
+    return [
+        MetricsRecord(run_id, "rl", step, reward, success, load, free, None, d2d, 0.0, None)
+        for step, (reward, success, load, free, d2d) in enumerate(
+            zip(
+                result.mean_reward.tolist(),
+                result.link_success.tolist(),
+                map(tuple, result.cluster_load.tolist()),
+                map(tuple, slack.tolist()),
+                energy.tolist(),
             )
         )
-    return records
+    ]
 
 
 def graph_stats(scenario: Scenario, links: np.ndarray, exchange: ExchangeResult) -> dict:
@@ -217,13 +206,25 @@ def rl_batches(cfgs: list[ScenarioConfig]) -> list[list[int]]:
     for i, cfg in enumerate(cfgs):
         if cfg.baseline != "rl":
             continue
-        key = tuple(getattr(cfg, name) for name in rl.BATCH_KEY)
+        key = batch_key(cfg, rl.BATCH_KEY)
         batch = open_batch.get(key)
         if batch is None or (len(batch) + 1) * cfg.n_devices**2 > rl.BATCH_CELLS:
             batch = open_batch[key] = []
             batches.append(batch)
         batch.append(i)
     return batches
+
+
+def fl_batches(cfgs: list[ScenarioConfig]) -> list[list[int]]:
+    """Split every training batch of rl_batches into the runs that share
+    fl.BATCH_KEY, which train their FL together, in config order."""
+    groups: list[list[int]] = []
+    for batch in rl_batches(cfgs):
+        by_key: dict[tuple, list[int]] = {}
+        for i in batch:
+            by_key.setdefault(batch_key(cfgs[i], fl.BATCH_KEY), []).append(i)
+        groups += by_key.values()
+    return groups
 
 
 def run_experiments(
@@ -234,15 +235,22 @@ def run_experiments(
 
     Stages: generate scenario; discover links (RL training, uniform draw, or
     none); materialize the exchange on the real datasets; run federated
-    training; collect metrics. The rl runs of one batch (see rl_batches)
-    generate their scenarios and train together when the first of them is
-    reached; everything after training runs per config. Each result is
-    byte-identical to running its config alone, and a batch's scenarios
-    are dropped as their results are yielded.
+    training; collect metrics. The rl runs of one training batch (see
+    rl_batches) generate their scenarios and train together when the first
+    of them is reached. Every run then takes its links and exchange in
+    config order, and the runs of one FL batch (see fl_batches) train their
+    FL together (fl.run_fl_runs) once the last of them is exchanged; other
+    runs train alone (fl.run_fl). Each result is byte-identical to running
+    its config alone, and is yielded as soon as it and every result before
+    it are done.
     """
     run_ids = run_ids or [f"{cfg.baseline}-s{cfg.seed}" for cfg in cfgs]
     batch_of = {i: batch for batch in rl_batches(cfgs) for i in batch}
+    group_of = {i: group for group in fl_batches(cfgs) for i in group}
     ready: dict[int, tuple[Scenario, rl.TrainResult | None]] = {}
+    exchanged: dict[int, ExperimentResult] = {}
+    done: dict[int, ExperimentResult] = {}
+    next_out = 0
     for i, (cfg, run_id) in enumerate(zip(cfgs, run_ids)):
         if i not in ready:
             batch = batch_of.get(i)
@@ -250,10 +258,15 @@ def run_experiments(
                 ready[i] = (generate_scenario(cfg), None)
             else:
                 scenarios = [generate_scenario(cfgs[j]) for j in batch]
-                trained = train_rl(scenarios)
-                ready.update(zip(batch, zip(scenarios, trained)))
-        scenario, rl_result = ready.pop(i)
-        yield _finish_experiment(cfg, run_id, scenario, rl_result)
+                ready.update(zip(batch, zip(scenarios, train_rl(scenarios))))
+        exchanged[i] = _exchange_stage(cfg, run_id, *ready.pop(i))
+        group = group_of.get(i, [i])
+        if i == group[-1]:
+            runs = [exchanged.pop(j) for j in group]
+            done.update(zip(group, map(_fl_stage, runs, _train_fl(runs))))
+        while next_out in done:
+            yield done.pop(next_out)
+            next_out += 1
 
 
 def run_experiment(cfg: ScenarioConfig, run_id: str | None = None) -> ExperimentResult:
@@ -262,21 +275,20 @@ def run_experiment(cfg: ScenarioConfig, run_id: str | None = None) -> Experiment
     return result
 
 
-def _finish_experiment(
+def _exchange_stage(
     cfg: ScenarioConfig, run_id: str, scenario: Scenario, rl_result: rl.TrainResult | None
 ) -> ExperimentResult:
-    """Every stage after RL training, for one run. Energy: D2D counts RL
-    reward broadcasts and the materialized point transfers, D2S counts one
-    uplink and one downlink of the model parameters per participant per
-    aggregation."""
+    """The stages of one run from link discovery to the straggler draw: its
+    result up to federated training, with the rl records and a summary
+    whose FL entries _fl_stage fills in. D2D energy counts RL reward
+    broadcasts and the materialized point transfers."""
     n = cfg.n_devices
     records: list[MetricsRecord] = []
     d2d_energy = 0.0
-    d2s_energy = 0.0
 
     links = discover_links(cfg, rl_result)
     if rl_result is not None:
-        records.extend(rl_records(cfg, scenario, rl_result, run_id))
+        records = rl_records(cfg, scenario, rl_result, run_id)
         d2d_energy = records[-1].d2d_energy_j
 
     exchange_result = materialize_exchange(
@@ -289,42 +301,8 @@ def _finish_experiment(
         d2d_energy += energy_cost(int(sent.sum()), distance, cfg)
 
     stats = graph_stats(scenario, links, exchange_result)
-
     n_stragglers = int(round(cfg.straggler_fraction * n))
-    straggler_set = frozenset(
-        int(i)
-        for i in named_rng(cfg.seed, "stragglers").choice(n, size=n_stragglers, replace=False)
-    )
-    spec = fl.ModelSpec(
-        kind=cfg.model,
-        in_dim=cfg.feature_dim,
-        n_classes=cfg.n_classes,
-        hidden=cfg.hidden_units,
-    )
-    fl_trace = fl.run_fl(
-        spec, scenario.datasets, scenario.test_set, cfg, named_rng(cfg.seed, "fl"), straggler_set
-    )
-
-    d2s_dist = cfg.d2s_distance_factor * scenario.mean_distance
-    per_device_round = 2.0 * transmit_energy(spec.n_params * SCALAR_BITS, d2s_dist, cfg)
-    for round_idx, acc in enumerate(fl_trace.accuracy):
-        d2s_energy += fl_trace.participants[round_idx] * per_device_round
-        records.append(
-            MetricsRecord(
-                run_id=run_id,
-                phase="fl",
-                step=round_idx,
-                mean_reward=None,
-                mean_link_success=stats["mean_link_success"],
-                cluster_load=tuple(float(v) for v in stats["cluster_load"]),
-                budget_slack=tuple(float(v) for v in cfg.cluster_budget - stats["cluster_load"]),
-                test_accuracy=acc,
-                d2d_energy_j=d2d_energy,
-                d2s_energy_j=d2s_energy,
-                stragglers=n_stragglers,
-            )
-        )
-
+    stragglers = named_rng(cfg.seed, "stragglers").choice(n, size=n_stragglers, replace=False)
     summary = {
         "run_id": run_id,
         "baseline": cfg.baseline,
@@ -336,11 +314,11 @@ def _finish_experiment(
         "mean_link_success": stats["mean_link_success"],
         "cluster_load": [float(v) for v in stats["cluster_load"]],
         "cluster_budgets": [float(cfg.cluster_budget)] * scenario.partition.k,
-        "final_accuracy": fl_trace.accuracy[-1] if fl_trace.accuracy else None,
-        "rounds": len(fl_trace.accuracy),
-        "stragglers": sorted(straggler_set),
+        "final_accuracy": None,
+        "rounds": 0,
+        "stragglers": sorted(int(i) for i in stragglers),
         "d2d_energy_j": d2d_energy,
-        "d2s_energy_j": d2s_energy,
+        "d2s_energy_j": 0.0,
     }
     return ExperimentResult(
         config=cfg,
@@ -349,8 +327,65 @@ def _finish_experiment(
         records=records,
         summary=summary,
         rl_result=rl_result,
-        fl_trace=fl_trace,
     )
+
+
+def _train_fl(runs: list[ExperimentResult]) -> list[fl.FlTrace]:
+    """Federated training of exchanged runs that share fl.BATCH_KEY, each
+    with its config's "fl" generator: fl.run_fl_runs, or fl.run_fl for a
+    single run."""
+    inputs = [
+        (
+            res.scenario.datasets,
+            res.scenario.test_set,
+            res.config,
+            named_rng(res.config.seed, "fl"),
+            frozenset(res.summary["stragglers"]),
+        )
+        for res in runs
+    ]
+    cfg = runs[0].config
+    spec = fl.ModelSpec(
+        kind=cfg.model, in_dim=cfg.feature_dim, n_classes=cfg.n_classes, hidden=cfg.hidden_units
+    )
+    if len(runs) == 1:
+        return [fl.run_fl(spec, *inputs[0])]
+    return fl.run_fl_runs(spec, *map(list, zip(*inputs)))
+
+
+def _fl_stage(result: ExperimentResult, fl_trace: fl.FlTrace) -> ExperimentResult:
+    """Complete an exchanged run with its FL trace: one record per
+    aggregation round and the summary's FL entries. D2S energy counts one
+    uplink and one downlink of the model parameters per participant per
+    aggregation."""
+    cfg, summary = result.config, result.summary
+    d2s_dist = cfg.d2s_distance_factor * result.scenario.mean_distance
+    per_device_round = 2.0 * transmit_energy(fl_trace.params.size * SCALAR_BITS, d2s_dist, cfg)
+    load = tuple(summary["cluster_load"])
+    slack = tuple(cfg.cluster_budget - v for v in load)
+    d2s_energy = 0.0
+    for step, (acc, participants) in enumerate(zip(fl_trace.accuracy, fl_trace.participants)):
+        d2s_energy += participants * per_device_round
+        result.records.append(
+            MetricsRecord(
+                run_id=summary["run_id"],
+                phase="fl",
+                step=step,
+                mean_reward=None,
+                mean_link_success=summary["mean_link_success"],
+                cluster_load=load,
+                budget_slack=slack,
+                test_accuracy=acc,
+                d2d_energy_j=summary["d2d_energy_j"],
+                d2s_energy_j=d2s_energy,
+                stragglers=len(summary["stragglers"]),
+            )
+        )
+    summary["final_accuracy"] = fl_trace.accuracy[-1] if fl_trace.accuracy else None
+    summary["rounds"] = len(fl_trace.accuracy)
+    summary["d2s_energy_j"] = d2s_energy
+    result.fl_trace = fl_trace
+    return result
 
 
 def sweep_experiment(

@@ -7,19 +7,22 @@ schemes: fedavg and fedprox (local minibatch steps, periodic parameter
 averaging) and fedsgd (one full-batch gradient per round, applied globally).
 
 Devices train in blocks: the parameters of K devices are stacked as (K, P)
-and each local step is one gradient over their stacked (K, B, d) minibatches,
-with the same arithmetic per device as a single-device step, so results do
-not depend on how devices are blocked. Each step gathers its (K, B)
-minibatch into work arrays that a run keeps for all its rounds and shares
-with the evaluation of the global model. run_fl draws a block's minibatch
-indices for a round from one raw word call per device, mapped for the whole
-block with the rule of Generator.integers, value for value. The softmax
-of a step runs on (C, K, B) class planes, filled by adding the bias while
-the logits are transposed, with numpy's own summation order for a C-wide
-last axis; bias gradients sum a (B, K, m) copy over its first axis, adding
-the rows of a device in the order of a sum over the batch axis. No
-reduction in a step runs over the few classes or hidden units of one row,
-and the bits equal those of the row-wise formula.
+and each local step is one gradient over their stacked (K, B, d)
+minibatches, with the same arithmetic per device as a single-device step,
+so results do not depend on how devices are blocked. Each step gathers its
+(K, B) minibatch into work arrays that a run keeps for all its rounds and
+shares with the evaluation of the global model. run_fl_runs trains the
+devices of independent runs whose configs agree on BATCH_KEY in shared
+blocks, each device from its own run's global model, and draws a block's
+minibatch indices for a round from one raw word call per device, mapped for
+the whole block with the rule of Generator.integers, value for value;
+run_fl is its one-run call. The softmax of a step runs on (C, K, B) class
+planes, filled by adding the bias while the logits are transposed, with
+numpy's own summation order for a C-wide last axis; bias gradients sum a
+(B, K, m) copy over its first axis, adding the rows of a device in the
+order of a sum over the batch axis. No reduction in a step runs over the
+few classes or hidden units of one row, and the bits equal those of the
+row-wise formula.
 """
 from __future__ import annotations
 
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ScenarioConfig
+from .config import ScenarioConfig, check_batch
 
 # Devices trained together in one stacked gradient step. Bounds the memory a
 # round adds: a block's concatenated data, one step's (K, B, d) gathered
@@ -44,6 +47,13 @@ from .config import ScenarioConfig
 # faster still on stragglers_n100 (-20.9%) but raised peak RSS by ~1 MB on
 # both workloads, and K = 128 likewise; 64 stays.
 DEVICE_BLOCK = 64
+# The config keys the runs of one FL batch share: one model, and one
+# scheme, step schedule and minibatch size, so that their devices train in
+# shared blocks.
+BATCH_KEY = (
+    "model", "feature_dim", "n_classes", "hidden_units", "scheme", "tau_a", "total_steps",
+    "learning_rate", "prox_mu", "batch_size",
+)
 _LOW32 = np.uint64(0xFFFFFFFF)
 
 
@@ -268,8 +278,9 @@ def _train_block(
     idx: np.ndarray | None = None,
     work: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Local gradient steps for K non-empty devices that all start from the
-    same parameters (P,); returns their (K, P) local parameters.
+    """Local gradient steps for K non-empty devices, device k starting from
+    row k of start (K, P), with the proximal anchor (P,) or (K, P); returns
+    their (K, P) local parameters.
 
     Either idx holds the (steps, K, B) minibatch indices into the block's
     concatenated points, and step s gathers the (K, B) minibatch idx[s]; or
@@ -291,7 +302,7 @@ def _train_block(
     else:
         x = floats[points * dim : m * dim].reshape(*idx.shape[1:], dim)
         y = ints[points:m].reshape(idx.shape[1:])
-    out = np.repeat(start[None], len(block), axis=0)
+    out = start.copy()
     grad = np.empty_like(out)
     views = _unpack(spec, out), _unpack(spec, grad)
     for s in range(steps):
@@ -447,7 +458,7 @@ def local_train(
     idx = None
     if len(data) > batch_size:
         idx = rng.integers(0, len(data), size=(steps, 1, batch_size))
-    return _train_block(spec, params, [data], steps, lr, mu, anchor, idx)[0]
+    return _train_block(spec, params[None], [data], steps, lr, mu, anchor, idx)[0]
 
 
 def full_batch_grad(spec: ModelSpec, params: np.ndarray, data: LabeledSet) -> np.ndarray:
@@ -536,29 +547,63 @@ def run_fl(
 ) -> FlTrace:
     """Alternate local training and aggregation for total_steps // tau_a
     rounds of config's FL settings, evaluating the global model after each
-    aggregation.
+    aggregation: the one-run call of run_fl_runs."""
+    return run_fl_runs(spec, [datasets], [test], [config], [rng], [stragglers])[0]
 
-    Every participant (a non-straggler with data) starts each round from
-    the broadcast global model; participants are trained in near-equal
-    blocks of at most DEVICE_BLOCK devices (see _device_blocks), one stacked
-    (K, P) gradient per local step, each device drawing its minibatches from
-    its own generator (the values of Generator.integers, from one raw word
-    call per device and round; see _draw_indices), and their rows of the
-    (A, P) payload array go to aggregate as they are; under fedsgd each
-    participant sends one full_batch_grad instead. Stragglers contribute nothing to aggregations,
+
+def run_fl_runs(
+    spec: ModelSpec,
+    datasets: list[list[LabeledSet]],
+    tests: list[LabeledSet],
+    configs: list[ScenarioConfig],
+    rngs: list[np.random.Generator],
+    stragglers: list[frozenset[int]],
+) -> list[FlTrace]:
+    """Federated training of R independent runs together, one entry of each
+    sequence per run, their configs equal on BATCH_KEY. Each run's trace is
+    bit-identical to its run_fl alone.
+
+    In every round each participant (a non-straggler with data) starts
+    from its run's global model; under fedprox it is also anchored to it.
+    The participants of all runs are trained in near-equal blocks of at
+    most DEVICE_BLOCK devices (see _device_blocks), one stacked (K, P)
+    gradient per local step, each device drawing its minibatches from its
+    own generator (the values of Generator.integers, from one raw word call
+    per device and round; see _draw_indices). A run's participants fill one
+    contiguous slice of the payload rows, in device order, which goes to
+    aggregate as it is; under fedsgd each participant sends one
+    full_batch_grad instead. Each run then evaluates its new global model
+    on its own test set. Stragglers contribute nothing to aggregations,
     and their generators feed nothing else, so they are not trained at all.
     """
-    params_g = init_params(spec, rng)
-    # default_rng's bit generator, seeded as default_rng(seed) would be.
-    gens = [np.random.PCG64(rng.integers(0, 2**63)) for _ in datasets]
-    active = [i for i, data in enumerate(datasets) if len(data) and i not in stragglers]
-    sizes = [len(datasets[i]) for i in active]
-    weights = [float(n) if config.weighting == "data" else 1.0 for n in sizes]
+    check_batch(configs, BATCH_KEY)
+    config = configs[0]
+    # Per run: its trace, whose params are its global model, and the first
+    # active position of the run and of the next; per active device: its
+    # dataset, its generator and its run.
+    traces: list[FlTrace] = []
+    bounds = [0]
+    active: list[tuple[LabeledSet, np.random.PCG64]] = []
+    owner: list[int] = []
+    for r, (sets, rng, lagging) in enumerate(zip(datasets, rngs, stragglers)):
+        traces.append(FlTrace([], [], init_params(spec, rng)))
+        # default_rng's bit generator, seeded as default_rng(seed) would be.
+        gens = [np.random.PCG64(rng.integers(0, 2**63)) for _ in sets]
+        for i, data in enumerate(sets):
+            if len(data) and i not in lagging:
+                active.append((data, gens[i]))
+                owner.append(r)
+        bounds.append(len(active))
+    sizes = [len(data) for data, _ in active]
+    weights = [
+        [float(n) if cfg.weighting == "data" else 1.0 for n in sizes[a:b]]
+        for cfg, a, b in zip(configs, bounds, bounds[1:])
+    ]
     blocks = _device_blocks(sizes, config.batch_size)
     mu = config.prox_mu if config.scheme == "fedprox" else 0.0
     # One float and one int array, kept for the run, hold a block's points
     # and a step's gathered minibatches while it trains, and the test set's
-    # layer outputs while the global model is evaluated, so that a round
+    # layer outputs while a global model is evaluated, so that a round
     # allocates nothing larger than one step's arrays: glibc may map arrays
     # of a few hundred kB afresh on each allocation, and their pages then
     # fault in every round. Sharing the float array keeps the run's peak at
@@ -566,11 +611,12 @@ def run_fl(
     rows = max(
         (_block_rows([sizes[p] for p in pos], config.batch_size) for pos in blocks), default=0
     )
-    floats = np.empty(max(rows * spec.in_dim, len(test) * _layer_widths(spec)))
+    evaluated = max(len(test) for test in tests) * _layer_widths(spec)
+    floats = np.empty(max(rows * spec.in_dim, evaluated))
     work = floats, np.empty(rows, np.int64)
     payloads = np.empty((len(active), spec.n_params))
-    # Per block: its positions, datasets and, for minibatch blocks, the
-    # state of its index draws (see _draw_indices).
+    # Per block: its positions, the run of each, its datasets and, for
+    # minibatch blocks, the state of its index draws (see _draw_indices).
     plans = []
     for pos in blocks:
         n = np.array([sizes[p] for p in pos], np.int64)[:, None]
@@ -578,24 +624,31 @@ def run_fl(
         if n[0, 0] > config.batch_size:  # so every n >= 2, as batch_size >= 1
             offsets = np.cumsum(n, axis=0) - n
             carry = np.full(len(pos), -1, np.int64)
-            draws = [gens[active[p]] for p in pos], n.astype(np.uint64), offsets, carry
-        plans.append((pos, [datasets[active[p]] for p in pos], draws))
-    accuracy: list[float] = []
-    participants: list[int] = []
+            draws = [active[p][1] for p in pos], n.astype(np.uint64), offsets, carry
+        owners = np.array([owner[p] for p in pos])
+        plans.append((pos, owners, [active[p][0] for p in pos], draws))
+    params_g = np.stack([trace.params for trace in traces])  # the blocks' start rows
     for _ in range(config.total_steps // config.tau_a):
-        if config.scheme == "fedsgd":
-            payloads = [full_batch_grad(spec, params_g, datasets[i]) for i in active]
-        else:
-            for pos, block, draws in plans:
+        if config.scheme != "fedsgd":
+            for pos, owners, block, draws in plans:
                 idx = _draw_indices(*draws, config.tau_a, config.batch_size) if draws else None
+                start = params_g.take(owners, axis=0)
                 payloads[pos] = _train_block(
-                    spec, params_g, block, config.tau_a, config.learning_rate, mu, params_g,
-                    idx, work,
+                    spec, start, block, config.tau_a, config.learning_rate, mu, start, idx, work,
                 )
-        params_g = aggregate(payloads, weights, config.scheme, params_g, lr=config.learning_rate)
-        accuracy.append(evaluate(spec, params_g, test, floats))
-        participants.append(len(active))
-    return FlTrace(accuracy=accuracy, participants=participants, params=params_g)
+        for r, (trace, test) in enumerate(zip(traces, tests)):
+            a, b = bounds[r], bounds[r + 1]
+            if config.scheme == "fedsgd":
+                sent = [full_batch_grad(spec, trace.params, data) for data, _ in active[a:b]]
+            else:
+                sent = payloads[a:b]
+            trace.params = aggregate(
+                sent, weights[r], config.scheme, trace.params, lr=config.learning_rate
+            )
+            params_g[r] = trace.params
+            trace.accuracy.append(evaluate(spec, trace.params, test, floats))
+            trace.participants.append(b - a)
+    return traces
 
 
 def make_class_means(n_classes: int, dim: int, rng: np.random.Generator, spread: float = 3.0) -> np.ndarray:

@@ -13,14 +13,17 @@ and the no-link rule come from the ScenarioConfig each scenario carries.
 
 Independent runs whose configs agree on BATCH_KEY (n_devices, n_classes,
 episodes, allow_no_link) train together (train_runs): their tables stack
-run-major as one (R*N, N) table, every episode draws from each run's own
-generator, and one exchange is scored on the block-diagonal graph of all R
-runs, each run's reward keys as (R, 1) columns. The scorer takes one action
-per row and treats every row as a link, a no-link row offering nothing.
-Every sum in that exchange adds integers or grid-floored buffers, which is
-exact in any order, and every per-run mean reduces one contiguous row, so
-each run's trace is bit-identical to training it alone. The exchange
-stages are exchange.py's own functions.
+run-major as one (R*N, N) table, and one exchange is scored on the
+block-diagonal graph of all R runs, each run's reward keys as (R, 1)
+columns. Each run draws its uniforms for a chunk of episodes (DRAW_CELLS)
+with one call on its own generator, the stream of one call per episode. The
+loop carries one action per row, the row's own index for no link; the
+scorer treats every row as a link, a no-link row offering nothing, and a
+chunk's actions turn into links (-1 for none) after its last episode. Every
+sum in that exchange adds integers or grid-floored buffers, which is exact
+in any order, and every per-run mean reduces one contiguous row, so each
+run's trace is bit-identical to training it alone. The exchange stages are
+exchange.py's own functions.
 """
 from __future__ import annotations
 
@@ -30,7 +33,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .config import _SECTIONS, ScenarioConfig
+from .config import _SECTIONS, ScenarioConfig, check_batch
 from .exchange import (  # noqa: F401  (run_exchange: benchmark spans wrap rl.run_exchange)
     _cells,
     apply_transfers,
@@ -55,6 +58,11 @@ BATCH_CELLS = 2**20
 # need one device and class count, and one loop trains every run for the
 # same episodes under the same no-link rule.
 BATCH_KEY = ("n_devices", "n_classes", "episodes", "allow_no_link")
+# Cap on the uniform draws R*m*N of the m episodes that train_runs handles
+# as one chunk: each run draws them with one Generator.random((m, N))
+# call, the stream of m per-episode calls. 16k cells is 128 kB: 546
+# episodes of three N=10 runs, 16 of one N=1000 run.
+DRAW_CELLS = 2**14
 
 
 @dataclass
@@ -72,8 +80,8 @@ class PolicyTable:
     totals: np.ndarray  # (N, N), or (R*N, N) for R stacked runs
     counts: np.ndarray  # same shape
     _avg: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    # sample_links' reused arrays: probabilities, their reach mask, the
-    # draws, each row's own action and that action's flat cell
+    # _kept's reused arrays: probabilities, their reach mask, each row's own
+    # action, its first flat cell and its own action's flat cell
     _work: tuple[np.ndarray, ...] | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -87,6 +95,16 @@ class PolicyTable:
         """totals / counts: the kept table, which callers must not write to,
         or a new one if the table keeps none."""
         return self.totals / self.counts if self._avg is None else self._avg
+
+    def _kept(self) -> tuple[np.ndarray, ...]:
+        """The work arrays, made with the kept averages on first use."""
+        if self._avg is None:
+            rows, n = self.totals.shape
+            self._avg = self.totals / self.counts
+            own = np.arange(rows) % n
+            first = n * np.arange(rows)
+            self._work = (np.empty((rows, n)), np.empty((rows, n), bool), own, first, first + own)
+        return self._work
 
 
 @dataclass
@@ -127,6 +145,26 @@ def link_probabilities(policies: PolicyTable) -> np.ndarray:
     return _softmax_rows(avg, np.empty_like(avg))
 
 
+def _sample_actions(policies: PolicyTable, u: np.ndarray, allow_no_link: bool) -> np.ndarray:
+    """One action per table row, the row's own index for no link, from the
+    uniform draws u: (R, N) for a table of R stacked runs, in row order.
+    Each row takes the first action whose cumulative probability reaches
+    its draw."""
+    p, reach, _, _, self_cells = policies._kept()
+    _softmax_rows(policies._avg, p)
+    if not allow_no_link:
+        p.put(self_cells, 0.0)
+        p /= p.sum(axis=1, keepdims=True)
+    np.add.accumulate(p, axis=1, out=p)  # np.cumsum
+    # Cumulative sums of non-negative terms never decrease, so the first
+    # reaching action is the first True. The last action takes draws that
+    # rounding leaves above every cumulative sum.
+    runs, n = u.shape
+    np.greater_equal(p.reshape(runs, n, -1), u[:, :, None], out=reach.reshape(runs, n, -1))
+    reach[:, -1] = True
+    return reach.argmax(axis=1)
+
+
 def sample_links(
     policies: PolicyTable,
     rng: np.random.Generator | Sequence[np.random.Generator],
@@ -145,26 +183,11 @@ def sample_links(
     rngs = [rng] if isinstance(rng, np.random.Generator) else rng
     if len(rngs) * n != rows:
         raise ValueError(f"{rows // n} stacked runs need as many generators, got {len(rngs)}")
-    if policies._avg is None:
-        policies._avg = policies.totals / policies.counts
-        own = np.arange(rows) % n
-        mask = np.empty((rows, n), dtype=bool)
-        policies._work = (np.empty((rows, n)), mask, np.empty(rows), own, n * np.arange(rows) + own)
-    p, reach, u, own, self_cells = policies._work
-    _softmax_rows(policies._avg, p)
+    u = np.empty((len(rngs), n))
     for r, g in enumerate(rngs):
-        g.random(n, out=u[r * n : (r + 1) * n])
-    if not allow_no_link:
-        p.put(self_cells, 0.0)
-        p /= p.sum(axis=1, keepdims=True)
-    np.add.accumulate(p, axis=1, out=p)  # np.cumsum
-    # Cumulative sums of non-negative terms never decrease, so the first
-    # reaching action is the first True. The last action takes draws that
-    # rounding leaves above every cumulative sum.
-    np.greater_equal(p, u[:, None], out=reach)
-    reach[:, -1] = True
-    choice = reach.argmax(axis=1)
-    return np.where(choice == own, -1, choice)
+        g.random(n, out=u[r])
+    choice = _sample_actions(policies, u, allow_no_link)
+    return np.where(choice == policies._work[2], -1, choice)
 
 
 def diversity_score(counts: np.ndarray, thresholds: np.ndarray, min_classes: int) -> np.ndarray:
@@ -247,7 +270,9 @@ def update_policy(policies: PolicyTable, chosen: np.ndarray, rewards: np.ndarray
     total at column chosen[i] and bumps that count. Kept averages are
     divided again at those cells only, which gives the same IEEE values as
     dividing the whole table."""
-    cells = np.arange(0, policies.totals.size, policies.totals.shape[1]) + chosen
+    rows, n = policies.totals.shape
+    first = n * np.arange(rows) if policies._work is None else policies._work[3]
+    cells = first + chosen
     totals = policies.totals.take(cells) + rewards
     counts = policies.counts.take(cells) + 1
     policies.totals.put(cells, totals)
@@ -280,6 +305,7 @@ class _Batch:
     own: np.ndarray  # (R*N,) device index within its run
     run_start: np.ndarray  # (R*N,) row of device 0 of the row's run
     drop_rows: np.ndarray  # (R*N,) flat index of each row's first drop entry
+    cells: np.ndarray  # (R*N, L) each row's _cells, taken by transmitter
     cluster: np.ndarray  # (R*N,) flat cluster id
     k: int  # clusters per run, padded
     rewards: SimpleNamespace  # each [rewards] key of the runs' configs as an (R, 1) column
@@ -302,6 +328,7 @@ class _Batch:
             own=np.tile(np.arange(n), runs),
             run_start=np.repeat(n * np.arange(runs), n),
             drop_rows=n * np.arange(runs * n),
+            cells=_cells(np.arange(runs * n), counts.shape[1]).reshape(runs * n, -1),
             cluster=(assignment + k * np.arange(runs)[:, None]).ravel(),
             k=k,
             rewards=SimpleNamespace(
@@ -329,7 +356,7 @@ class _Batch:
         trusted = self.trust.take(tx * n + self.own, axis=0)
         available = available_vector(self.surplus.take(tx, axis=0), trusted)
         requested = requirement_vector(available, self.deficit)
-        cells = _cells(tx, self.counts.shape[1])
+        cells = self.cells.take(tx, axis=0).ravel()
         buffered = transmission_buffers(requested, tx, self.surplus, cells)
         delivered = deliver(buffered, p_drop)
         updated = apply_transfers(self.counts, rx, tx, buffered, delivered, cells)
@@ -368,24 +395,36 @@ def train_runs(
     """Train R independent runs together: one scenario and generator per
     run, their configs equal on BATCH_KEY. Each run's result is
     bit-identical to training it alone; see the module docstring."""
-    for key in BATCH_KEY:
-        if len({getattr(s.config, key) for s in scenarios}) > 1:
-            raise ValueError(f"runs trained together must share {key!r}")
+    check_batch([s.config for s in scenarios], BATCH_KEY)
     cfg = scenarios[0].config
     batch = _Batch.stack(scenarios)
     runs, n = batch.thresholds.shape[:2]
     policies = PolicyTable.fresh(n, runs)
-    links = np.empty((runs, cfg.episodes, n), dtype=np.int64)
-    mean_reward = np.empty((runs, cfg.episodes))
-    cluster_load = np.empty((runs, cfg.episodes, batch.k))
-    for ep in range(cfg.episodes):
-        chosen = sample_links(policies, rngs, cfg.allow_no_link)
-        actions = np.where(chosen >= 0, chosen, batch.own)
-        overall, _, _, load = batch.score(actions)
-        update_policy(policies, actions, overall.ravel())
-        links[:, ep] = chosen.reshape(runs, n)
-        overall.sum(axis=1, out=mean_reward[:, ep])  # divided by n after the loop
-        cluster_load[:, ep] = load
+    episodes = cfg.episodes
+    links = np.empty((runs, episodes, n), dtype=np.int64)
+    mean_reward = np.empty((runs, episodes))
+    success = np.empty((runs, episodes))
+    cluster_load = np.empty((runs, episodes, batch.k))
+    chunk = min(episodes, max(1, DRAW_CELLS // (runs * n)))
+    draws = np.empty((runs, chunk, n))
+    for start in range(0, episodes, chunk):
+        m = min(chunk, episodes - start)
+        for r, g in enumerate(rngs):
+            g.random((m, n), out=draws[r, :m])
+        for j in range(m):
+            actions = _sample_actions(policies, draws[:, j], cfg.allow_no_link)
+            overall, _, _, load = batch.score(actions)
+            update_policy(policies, actions, overall.ravel())
+            ep = start + j
+            links[:, ep] = actions.reshape(runs, n)
+            overall.sum(axis=1, out=mean_reward[:, ep])  # divided by n after the loop
+            cluster_load[:, ep] = load
+        # The chunk's actions as links, a row's own action meaning none; the
+        # work arrays of both steps stay within the chunk.
+        done = links[:, start : start + m]
+        done[done == batch.own[:n]] = -1
+        for r, scenario in enumerate(scenarios):
+            success[r, start : start + m] = link_success(scenario.drop, done[r])
     mean_reward /= n
     results = []
     for i, scenario in enumerate(scenarios):
@@ -395,7 +434,7 @@ def train_runs(
                 policies=PolicyTable(policies.totals[rows], policies.counts[rows]),
                 links=links[i],
                 mean_reward=mean_reward[i],
-                link_success=link_success(scenario.drop, links[i]),
+                link_success=success[i],
                 cluster_load=cluster_load[i, :, : scenario.partition.k].copy(),
             )
         )

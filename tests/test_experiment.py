@@ -14,6 +14,7 @@ from d2dfl.experiment import (
     CSV_HEADER,
     MetricsRecord,
     emit_metrics,
+    fl_batches,
     read_metrics,
     render_metrics,
     rl_batches,
@@ -297,6 +298,48 @@ class TestSweep:
         assert tuple(changed) == rl.BATCH_KEY
         cfgs = [FAST] + [with_overrides(FAST, **{k: v}) for k, v in changed.items()]
         assert rl_batches(cfgs + [FAST]) == [[0, 5], [1], [2], [3], [4]]
+
+    def test_mixed_list_bytes_equal_runs_one_by_one(self):
+        # rl at two tau_a and with stragglers, one rl batch split into two
+        # FL batches, with uniform and none runs in between.
+        cfgs = [
+            FAST,
+            with_overrides(FAST, baseline="uniform", seed=3),
+            with_overrides(FAST, tau_a=5, seed=4),
+            with_overrides(FAST, straggler_fraction=0.4, seed=5),
+            with_overrides(FAST, baseline="none", seed=6),
+            with_overrides(FAST, tau_a=5, seed=7),
+        ]
+        assert fl_batches(cfgs) == [[0, 3], [2, 5]]
+        results = list(run_experiments(cfgs))
+        for cfg, res in zip(cfgs, results, strict=True):
+            alone = run_experiment(cfg)
+            assert render_metrics(res.records, "csv") == render_metrics(alone.records, "csv")
+            assert render_metrics(res.records, "jsonl") == render_metrics(alone.records, "jsonl")
+            assert res.summary == alone.summary
+        assert results[3].summary["stragglers"]
+
+    def test_exchanges_materialize_in_config_order(self, monkeypatch):
+        # The benchmark's capture_exchanges pairs the exchanges it captures
+        # with the configs in this order.
+        seen = []
+        original = experiment.materialize_exchange
+
+        def materialize(scenario, *args):
+            seen.append(scenario.config)
+            return original(scenario, *args)
+
+        monkeypatch.setattr(experiment, "materialize_exchange", materialize)
+        cfgs = [
+            FAST,
+            with_overrides(FAST, baseline="uniform"),
+            with_overrides(FAST, seed=3),
+            with_overrides(FAST, baseline="none"),
+            with_overrides(FAST, seed=4, tau_a=5),
+        ]
+        assert rl_batches(cfgs) == [[0, 2, 4]]
+        assert len(list(run_experiments(cfgs))) == len(cfgs)
+        assert seen == cfgs
 
     def test_sweep_deterministic(self):
         a = sweep_experiment(with_overrides(FAST, baseline="none"), "tau_a", ["5"])

@@ -25,6 +25,7 @@ from d2dfl.fl import (
     loss_and_grad,
     make_class_means,
     run_fl,
+    run_fl_runs,
 )
 
 LINEAR = ModelSpec(kind="linear", in_dim=4, n_classes=3)
@@ -594,6 +595,103 @@ class TestRunFlBlockWidth:
             assert trace.accuracy == traces[2].accuracy
             assert trace.participants == traces[2].participants
             assert np.array_equal(trace.params, traces[2].params)
+
+
+@st.composite
+def fl_runs(draw):
+    """1-4 runs that share fl.BATCH_KEY: one model, scheme and schedule,
+    each run with its own devices of different sizes (full-batch ones
+    included), stragglers, weighting, test set and seed."""
+    spec = ModelSpec(
+        kind=draw(st.sampled_from(["linear", "mlp"])),
+        in_dim=draw(st.integers(1, 4)),
+        n_classes=draw(st.sampled_from([2, 3, 9])),
+        hidden=draw(st.integers(1, 4)),
+    )
+    batch_size = draw(st.integers(1, 5))
+    tau_a = draw(st.integers(1, 3))
+    shared = {
+        "scheme": draw(st.sampled_from(["fedavg", "fedprox", "fedsgd"])),
+        "tau_a": tau_a,
+        "total_steps": tau_a * draw(st.integers(1, 3)),
+        "learning_rate": draw(st.floats(0.01, 1.0)),
+        "prox_mu": draw(st.sampled_from([0.0, 0.3])),
+        "batch_size": batch_size,
+    }
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = st.one_of(
+        st.sampled_from([0, batch_size, batch_size + 1]), st.integers(0, 3 * batch_size)
+    )
+    runs = []
+    for _ in range(draw(st.integers(1, 4))):
+        sizes = draw(st.lists(size, min_size=1, max_size=12))
+        datasets = [
+            LabeledSet(rng.normal(size=(n, spec.in_dim)), rng.integers(0, spec.n_classes, n),
+                       spec.n_classes)
+            for n in sizes
+        ]
+        m = draw(st.integers(1, 40))
+        test = LabeledSet(
+            rng.normal(size=(m, spec.in_dim)), rng.integers(0, spec.n_classes, m), spec.n_classes
+        )
+        config = ScenarioConfig(weighting=draw(st.sampled_from(["data", "uniform"])), **shared)
+        stragglers = frozenset(draw(st.sets(st.integers(0, len(sizes) - 1))))
+        runs.append((datasets, test, config, draw(st.integers(0, 2**32 - 1)), stragglers))
+    return spec, runs
+
+
+class TestRunFlRuns:
+    """run_fl_runs trains runs together, each bit-identical to its run_fl."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(fl_runs())
+    def test_each_run_equals_run_fl_alone(self, inputs):
+        spec, runs = inputs
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            alone = [
+                run_fl(spec, sets, test, cfg, np.random.default_rng(seed), lagging)
+                for sets, test, cfg, seed, lagging in runs
+            ]
+            for width in (1, 5, 64):  # blocks that straddle runs
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(fl, "DEVICE_BLOCK", width)
+                    sets, tests, cfgs, seeds, lagging = zip(*runs)
+                    rngs = [np.random.default_rng(seed) for seed in seeds]
+                    together = run_fl_runs(spec, sets, tests, cfgs, rngs, lagging)
+                for got, want in zip(together, alone, strict=True):
+                    assert got.accuracy == want.accuracy
+                    assert got.participants == want.participants
+                    assert np.array_equal(got.params, want.params)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("model", "mlp"), ("feature_dim", 5), ("n_classes", 7), ("hidden_units", 3),
+            ("scheme", "fedprox"), ("tau_a", 2), ("total_steps", 10), ("learning_rate", 0.5),
+            ("prox_mu", 0.2), ("batch_size", 4),
+        ],
+    )
+    def test_mixed_batch_rejected(self, key, value):
+        assert key in fl.BATCH_KEY
+        spec = ModelSpec(kind="linear", in_dim=3, n_classes=3)
+        sets, test, _ = mixture_split(2, 20, spec, seed=0)
+        cfgs = [ScenarioConfig(), ScenarioConfig(**{key: value})]
+        rngs = [np.random.default_rng(0), np.random.default_rng(1)]
+        with pytest.raises(ValueError, match=f"share {key!r}"):
+            run_fl_runs(spec, [sets, sets], [test, test], cfgs, rngs, [frozenset()] * 2)
+
+    def test_names_first_differing_key(self):
+        assert fl.BATCH_KEY == (
+            "model", "feature_dim", "n_classes", "hidden_units", "scheme", "tau_a",
+            "total_steps", "learning_rate", "prox_mu", "batch_size",
+        )
+        spec = ModelSpec(kind="linear", in_dim=3, n_classes=3)
+        sets, test, _ = mixture_split(2, 20, spec, seed=0)
+        cfgs = [ScenarioConfig(), ScenarioConfig(batch_size=4, scheme="fedsgd", prox_mu=0.5)]
+        rngs = [np.random.default_rng(0), np.random.default_rng(1)]
+        with pytest.raises(ValueError, match="share 'scheme'"):
+            run_fl_runs(spec, [sets, sets], [test, test], cfgs, rngs, [frozenset()] * 2)
 
 
 # Lemire's rule rejects about half the halves at 2**31 + 1 and a quarter at

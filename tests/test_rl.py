@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -625,6 +626,33 @@ class TestBatchedMatchesLoop:
             overall, load = loop_episode(scenario, links)
             assert np.array_equal(out.overall_rewards, overall)
             assert np.array_equal(out.cluster_load, load)
+
+
+class TestDrawChunks:
+    """train_runs draws each run's uniforms for a chunk of episodes at once,
+    the stream of one draw per episode."""
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    @settings(max_examples=30, deadline=None)
+    @given(batch=run_batches())
+    def test_equal_to_per_run_loop(self, chunk, batch):
+        scenarios, seeds = batch
+        scenarios = [replace(s, config=with_overrides(s.config, episodes=12)) for s in scenarios]
+        cells = chunk * len(scenarios) * scenarios[0].n_devices
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rl, "DRAW_CELLS", cells)
+            assert_runs_match_loop(scenarios, seeds)
+
+    def test_peak_memory_holds_one_chunk(self):
+        # Units of one (200, 200) float64 array. The (E, N) = (1500, 200)
+        # links are 7.5 units and the four policy tables 4.1; one chunk's
+        # draws (rl.DRAW_CELLS doubles, 0.4 units) and the chunk's link
+        # conversion and success rates add little. A single chunk of all
+        # 1,500 episodes peaks at 36.1, and link success over all (E, N)
+        # links at once, after per-episode draws, at 28.9.
+        scenario = generate_scenario(config(n_devices=200, episodes=1500, seed=3))
+        peak = peak_units(lambda: train(scenario, np.random.default_rng(0)), 200)
+        assert peak < 15.0
 
 
 class TestBatchKey:
