@@ -36,13 +36,14 @@ def main() -> int:
     seeds = range(args.seed_start, args.seed_start + args.seeds)
     try:
         base = load_config(args.config) if args.config else ScenarioConfig()
-        configs = {b: [with_overrides(base, baseline=b, seed=s) for s in seeds] for b in BASELINES}
+        configs = [with_overrides(base, baseline=b, seed=s) for b in BASELINES for s in seeds]
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 
-    # Each baseline's seeds run as one batch; rows print seed by seed.
-    rows = {b: [r.summary for r in run_experiments(configs[b])] for b in BASELINES}
+    # Every run in one call, which batches the rl seeds; rows print seed by seed.
+    summaries = [r.summary for r in run_experiments(configs)]
+    rows = {b: [s for s in summaries if s["baseline"] == b] for b in BASELINES}
     print(f"{'seed':>4} {'baseline':>8} {'accuracy':>9} {'success':>8} {'points':>7} "
           f"{'d2d_J':>10} {'d2s_J':>10}")
     for i, seed in enumerate(seeds):

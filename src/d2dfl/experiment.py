@@ -8,9 +8,12 @@ rl.train_runs), takes every run's links and exchange in config order, and
 runs the FL of a batch's runs that share fl.BATCH_KEY together (see
 fl.run_fl_runs); other runs train their FL alone.
 
-Metrics are append-only records, one per RL episode and one per FL
-aggregation round, and can be written as CSV or JSON lines with identical
-fields. Output is byte-identical for equal (config, seed).
+Each stage builds its part of a run once: _exchange_stage the links, the
+exchange ledger, the rl records, the D2D energy and the stragglers;
+_fl_stage the FL records and then the run's summary. metrics_records builds
+every metrics record, one per RL episode and one per FL aggregation round;
+records can be written as CSV or JSON lines with identical fields. Output
+is byte-identical for equal (config, seed).
 """
 from __future__ import annotations
 
@@ -18,8 +21,9 @@ import csv
 import io
 import json
 from dataclasses import asdict, dataclass, fields
+from itertools import repeat
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -158,6 +162,14 @@ def links_json(links: np.ndarray) -> dict[str, int | None]:
     return {str(rx): None if tx < 0 else tx for rx, tx in enumerate(links.tolist())}
 
 
+def metrics_records(run_id: str, phase: str, **columns: Iterable) -> list[MetricsRecord]:
+    """One record per step of a run's phase. columns holds one iterable per
+    field after step, itertools.repeat for a constant one; the shortest
+    sets the step count."""
+    rows = zip(*(columns[name] for name in CSV_HEADER[3:]))
+    return [MetricsRecord(run_id, phase, step, *row) for step, row in enumerate(rows)]
+
+
 def rl_records(
     cfg: ScenarioConfig, scenario: Scenario, result: rl.TrainResult, run_id: str
 ) -> list[MetricsRecord]:
@@ -170,31 +182,13 @@ def rl_records(
     slack = cfg.cluster_budget - result.cluster_load
     # A running sum: accumulate adds one episode after another.
     energy = np.full(len(result.mean_reward), episode_energy).cumsum()
-    return [
-        MetricsRecord(run_id, "rl", step, reward, success, load, free, None, d2d, 0.0, None)
-        for step, (reward, success, load, free, d2d) in enumerate(
-            zip(
-                result.mean_reward.tolist(),
-                result.link_success.tolist(),
-                map(tuple, result.cluster_load.tolist()),
-                map(tuple, slack.tolist()),
-                energy.tolist(),
-            )
-        )
-    ]
-
-
-def graph_stats(scenario: Scenario, links: np.ndarray, exchange: ExchangeResult) -> dict:
-    """Success probability and inter-cluster request load of a fixed graph,
-    from the executed exchange's request ledger."""
-    load = rl.inter_cluster_load(
-        exchange.receivers,
-        exchange.transmitters,
-        exchange.requested,
-        scenario.partition.assignment,
-        scenario.partition.k,
+    return metrics_records(
+        run_id, "rl", mean_reward=result.mean_reward.tolist(),
+        mean_link_success=result.link_success.tolist(),
+        cluster_load=map(tuple, result.cluster_load.tolist()),
+        budget_slack=map(tuple, slack.tolist()), test_accuracy=repeat(None),
+        d2d_energy_j=energy.tolist(), d2s_energy_j=repeat(0.0), stragglers=repeat(None),
     )
-    return {"mean_link_success": rl.link_success(scenario.drop, links), "cluster_load": load}
 
 
 def rl_batches(cfgs: list[ScenarioConfig]) -> list[list[int]]:
@@ -248,7 +242,7 @@ def run_experiments(
     batch_of = {i: batch for batch in rl_batches(cfgs) for i in batch}
     group_of = {i: group for group in fl_batches(cfgs) for i in group}
     ready: dict[int, tuple[Scenario, rl.TrainResult | None]] = {}
-    exchanged: dict[int, ExperimentResult] = {}
+    exchanged: dict[int, _Exchanged] = {}
     done: dict[int, ExperimentResult] = {}
     next_out = 0
     for i, (cfg, run_id) in enumerate(zip(cfgs, run_ids)):
@@ -275,74 +269,56 @@ def run_experiment(cfg: ScenarioConfig, run_id: str | None = None) -> Experiment
     return result
 
 
+class _Exchanged(NamedTuple):
+    """A run up to federated training: its inputs and the values of its
+    stages from link discovery to the straggler draw."""
+
+    config: ScenarioConfig
+    run_id: str
+    scenario: Scenario
+    rl_result: rl.TrainResult | None
+    links: np.ndarray  # (N,) transmitter per receiver, -1 for none
+    exchange: ExchangeResult  # the materialized exchange's ledger
+    records: list[MetricsRecord]  # one per RL episode, none for other baselines
+    d2d_energy: float
+    stragglers: list[int]  # sorted device indices
+
+
 def _exchange_stage(
     cfg: ScenarioConfig, run_id: str, scenario: Scenario, rl_result: rl.TrainResult | None
-) -> ExperimentResult:
-    """The stages of one run from link discovery to the straggler draw: its
-    result up to federated training, with the rl records and a summary
-    whose FL entries _fl_stage fills in. D2D energy counts RL reward
-    broadcasts and the materialized point transfers."""
-    n = cfg.n_devices
-    records: list[MetricsRecord] = []
-    d2d_energy = 0.0
-
+) -> _Exchanged:
+    """The stages of one run from link discovery to the straggler draw. D2D
+    energy counts RL reward broadcasts and the materialized point
+    transfers."""
     links = discover_links(cfg, rl_result)
-    if rl_result is not None:
-        records = rl_records(cfg, scenario, rl_result, run_id)
-        d2d_energy = records[-1].d2d_energy_j
-
-    exchange_result = materialize_exchange(
-        scenario, links, cfg.delivery, named_rng(cfg.seed, "exchange")
-    )
-    distances = link_distances(
-        scenario.positions, exchange_result.receivers, exchange_result.transmitters
-    )
-    for sent, distance in zip(exchange_result.buffered, distances.tolist()):
+    records = [] if rl_result is None else rl_records(cfg, scenario, rl_result, run_id)
+    d2d_energy = records[-1].d2d_energy_j if records else 0.0
+    exchange = materialize_exchange(scenario, links, cfg.delivery, named_rng(cfg.seed, "exchange"))
+    distances = link_distances(scenario.positions, exchange.receivers, exchange.transmitters)
+    for sent, distance in zip(exchange.buffered, distances.tolist()):
         d2d_energy += energy_cost(int(sent.sum()), distance, cfg)
-
-    stats = graph_stats(scenario, links, exchange_result)
+    n = cfg.n_devices
     n_stragglers = int(round(cfg.straggler_fraction * n))
     stragglers = named_rng(cfg.seed, "stragglers").choice(n, size=n_stragglers, replace=False)
-    summary = {
-        "run_id": run_id,
-        "baseline": cfg.baseline,
-        "seed": cfg.seed,
-        "n_devices": n,
-        "n_clusters": scenario.partition.k,
-        "links": links_json(links),
-        "points_delivered": exchange_result.delivered_total(),
-        "mean_link_success": stats["mean_link_success"],
-        "cluster_load": [float(v) for v in stats["cluster_load"]],
-        "cluster_budgets": [float(cfg.cluster_budget)] * scenario.partition.k,
-        "final_accuracy": None,
-        "rounds": 0,
-        "stragglers": sorted(int(i) for i in stragglers),
-        "d2d_energy_j": d2d_energy,
-        "d2s_energy_j": 0.0,
-    }
-    return ExperimentResult(
-        config=cfg,
-        scenario=scenario,
-        links=links,
-        records=records,
-        summary=summary,
-        rl_result=rl_result,
+    return _Exchanged(
+        cfg, run_id, scenario, rl_result, links, exchange, records, d2d_energy,
+        sorted(stragglers.tolist()),
     )
 
 
-def _train_fl(runs: list[ExperimentResult]) -> list[fl.FlTrace]:
+def _train_fl(runs: list[_Exchanged]) -> list[fl.FlTrace]:
     """Federated training of exchanged runs that share fl.BATCH_KEY, each
     with its config's "fl" generator: fl.run_fl_runs, or fl.run_fl for a
     single run."""
     inputs = [
         (
-            res.scenario.datasets,
-            res.scenario.test_set,
-            res.config,
-            named_rng(res.config.seed, "fl"),
-            frozenset(res.summary["stragglers"]),
+            run.scenario.datasets,
+            run.scenario.test_set,
+            run.config,
+            named_rng(run.config.seed, "fl"),
+            frozenset(run.stragglers),
         )
-        for res in runs
+        for run in runs
     ]
     cfg = runs[0].config
     spec = fl.ModelSpec(
@@ -353,39 +329,47 @@ def _train_fl(runs: list[ExperimentResult]) -> list[fl.FlTrace]:
     return fl.run_fl_runs(spec, *map(list, zip(*inputs)))
 
 
-def _fl_stage(result: ExperimentResult, fl_trace: fl.FlTrace) -> ExperimentResult:
+def _fl_stage(run: _Exchanged, fl_trace: fl.FlTrace) -> ExperimentResult:
     """Complete an exchanged run with its FL trace: one record per
-    aggregation round and the summary's FL entries. D2S energy counts one
-    uplink and one downlink of the model parameters per participant per
-    aggregation."""
-    cfg, summary = result.config, result.summary
-    d2s_dist = cfg.d2s_distance_factor * result.scenario.mean_distance
+    aggregation round, then the run's summary. The graph's link success and
+    inter-cluster load come from the executed exchange's request ledger.
+    D2S energy counts one uplink and one downlink of the model parameters
+    per participant per aggregation."""
+    cfg, scenario, exchange = run.config, run.scenario, run.exchange
+    k = scenario.partition.k
+    success = rl.link_success(scenario.drop, run.links)
+    ledger = (exchange.receivers, exchange.transmitters, exchange.requested)
+    # float() also for an empty ledger, whose bincount is of integers.
+    load = [float(v) for v in rl.inter_cluster_load(*ledger, scenario.partition.assignment, k)]
+    d2s_dist = cfg.d2s_distance_factor * scenario.mean_distance
     per_device_round = 2.0 * transmit_energy(fl_trace.params.size * SCALAR_BITS, d2s_dist, cfg)
-    load = tuple(summary["cluster_load"])
-    slack = tuple(cfg.cluster_budget - v for v in load)
-    d2s_energy = 0.0
-    for step, (acc, participants) in enumerate(zip(fl_trace.accuracy, fl_trace.participants)):
-        d2s_energy += participants * per_device_round
-        result.records.append(
-            MetricsRecord(
-                run_id=summary["run_id"],
-                phase="fl",
-                step=step,
-                mean_reward=None,
-                mean_link_success=summary["mean_link_success"],
-                cluster_load=load,
-                budget_slack=slack,
-                test_accuracy=acc,
-                d2d_energy_j=summary["d2d_energy_j"],
-                d2s_energy_j=d2s_energy,
-                stragglers=len(summary["stragglers"]),
-            )
-        )
-    summary["final_accuracy"] = fl_trace.accuracy[-1] if fl_trace.accuracy else None
-    summary["rounds"] = len(fl_trace.accuracy)
-    summary["d2s_energy_j"] = d2s_energy
-    result.fl_trace = fl_trace
-    return result
+    # A running sum: accumulate adds one round after another.
+    d2s_energy = (np.array(fl_trace.participants) * per_device_round).cumsum().tolist()
+    records = run.records + metrics_records(
+        run.run_id, "fl", mean_reward=repeat(None), mean_link_success=repeat(success),
+        cluster_load=repeat(tuple(load)),
+        budget_slack=repeat(tuple(cfg.cluster_budget - v for v in load)),
+        test_accuracy=fl_trace.accuracy, d2d_energy_j=repeat(run.d2d_energy),
+        d2s_energy_j=d2s_energy, stragglers=repeat(len(run.stragglers)),
+    )
+    summary = {
+        "run_id": run.run_id,
+        "baseline": cfg.baseline,
+        "seed": cfg.seed,
+        "n_devices": cfg.n_devices,
+        "n_clusters": k,
+        "links": links_json(run.links),
+        "points_delivered": exchange.delivered_total(),
+        "mean_link_success": success,
+        "cluster_load": load,
+        "cluster_budgets": [float(cfg.cluster_budget)] * k,
+        "final_accuracy": fl_trace.accuracy[-1],
+        "rounds": len(fl_trace.accuracy),
+        "stragglers": run.stragglers,
+        "d2d_energy_j": run.d2d_energy,
+        "d2s_energy_j": d2s_energy[-1],
+    }
+    return ExperimentResult(cfg, scenario, run.links, records, summary, run.rl_result, fl_trace)
 
 
 def sweep_experiment(

@@ -3,13 +3,15 @@
 Every device is an agent whose Boltzmann (softmax) policy over incoming-link
 choices comes from running reward totals and pull counts per candidate
 transmitter. A run's agents share one policy table: two (N, N) arrays whose
-row i belongs to receiver i, and their averages totals / counts, kept up to
-date cell by cell. A device may also pick itself, which means "no incoming
-link". Training repeats: sample links, run an expected-value exchange on a
-scratch copy of the class distributions, score local and global rewards,
-and credit each device's chosen action. Each step acts on all devices at
-once. The reward keys (the config's [rewards] section), the episode count
-and the no-link rule come from the ScenarioConfig each scenario carries.
+row i belongs to receiver i. A device may also pick itself, which means "no
+incoming link". Training repeats: sample links, run an expected-value
+exchange on a scratch copy of the class distributions, score local and
+global rewards, and credit each device's chosen action. Each step acts on
+all devices at once. The training loop keeps the averages totals / counts
+and the sampler's work arrays for the run, and divides again only the
+cells an episode credits. The reward keys (the config's [rewards]
+section), the episode count and the no-link rule come from the
+ScenarioConfig each scenario carries.
 
 Independent runs whose configs agree on BATCH_KEY (n_devices, n_classes,
 episodes, allow_no_link) train together (train_runs): their tables stack
@@ -27,7 +29,7 @@ exchange.py's own functions.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Sequence
 
@@ -50,8 +52,8 @@ if TYPE_CHECKING:
     from .scenario import Scenario
 
 # Cap on the policy cells R*N*N of one training batch: one N=1000 run. Bounds
-# the stacked tables a batch holds (policy totals, counts and averages,
-# sample_links' work arrays, and the drop matrices and trust tensors of a
+# the stacked tables a batch holds (policy totals, counts and averages, the
+# sampler's work arrays, and the drop matrices and trust tensors of a
 # batch of two or more runs); larger batches save little per-call time.
 BATCH_CELLS = 2**20
 # The config keys the runs of one training batch share: the stacked tables
@@ -71,20 +73,11 @@ class PolicyTable:
     column per action (candidate transmitter).
 
     Counts start at one so the initial policy is uniform and the average is
-    always defined. The first sample_links call on a table divides out the
-    averages totals / counts and keeps them, with its work arrays;
-    update_policy then keeps them current cell by cell. From then on change
-    totals and counts only through update_policy.
+    always defined.
     """
 
     totals: np.ndarray  # (N, N), or (R*N, N) for R stacked runs
     counts: np.ndarray  # same shape
-    _avg: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    # _kept's reused arrays: probabilities, their reach mask, each row's own
-    # action, its first flat cell and its own action's flat cell
-    _work: tuple[np.ndarray, ...] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     @classmethod
     def fresh(cls, n: int, runs: int = 1) -> "PolicyTable":
@@ -92,19 +85,8 @@ class PolicyTable:
         return cls(totals=np.zeros(shape), counts=np.ones(shape, dtype=np.int64))
 
     def averages(self) -> np.ndarray:
-        """totals / counts: the kept table, which callers must not write to,
-        or a new one if the table keeps none."""
-        return self.totals / self.counts if self._avg is None else self._avg
-
-    def _kept(self) -> tuple[np.ndarray, ...]:
-        """The work arrays, made with the kept averages on first use."""
-        if self._avg is None:
-            rows, n = self.totals.shape
-            self._avg = self.totals / self.counts
-            own = np.arange(rows) % n
-            first = n * np.arange(rows)
-            self._work = (np.empty((rows, n)), np.empty((rows, n), bool), own, first, first + own)
-        return self._work
+        """totals / counts, as a new array."""
+        return self.totals / self.counts
 
 
 @dataclass
@@ -142,26 +124,32 @@ def _softmax_rows(avg: np.ndarray, out: np.ndarray) -> np.ndarray:
 def link_probabilities(policies: PolicyTable) -> np.ndarray:
     """Row-wise softmax over average experienced rewards."""
     avg = policies.averages()
-    return _softmax_rows(avg, np.empty_like(avg))
+    return _softmax_rows(avg, avg)
 
 
-def _sample_actions(policies: PolicyTable, u: np.ndarray, allow_no_link: bool) -> np.ndarray:
-    """One action per table row, the row's own index for no link, from the
-    uniform draws u: (R, N) for a table of R stacked runs, in row order.
-    Each row takes the first action whose cumulative probability reaches
-    its draw."""
-    p, reach, _, _, self_cells = policies._kept()
-    _softmax_rows(policies._avg, p)
+def _sample_actions(
+    avg: np.ndarray, u: np.ndarray, allow_no_link: bool, p: np.ndarray, reach: np.ndarray
+) -> np.ndarray:
+    """One action per row of the averages avg, the row's own index for no
+    link, from the uniform draws u: (R, N) for a table of R stacked runs, in
+    row order. p (float) and reach (bool) are work arrays of avg's shape.
+
+    Each row takes the first action whose cumulative probability exceeds
+    its draw, as Generator.choice does, so no action of zero probability is
+    taken; draws that rounding leaves at or above every cumulative sum take
+    the row's last allowed action."""
+    runs, n = u.shape
+    _softmax_rows(avg, p)
     if not allow_no_link:
-        p.put(self_cells, 0.0)
+        p.reshape(runs, n * n)[:, :: n + 1] = 0.0  # each row's own action
         p /= p.sum(axis=1, keepdims=True)
     np.add.accumulate(p, axis=1, out=p)  # np.cumsum
     # Cumulative sums of non-negative terms never decrease, so the first
-    # reaching action is the first True. The last action takes draws that
-    # rounding leaves above every cumulative sum.
-    runs, n = u.shape
-    np.greater_equal(p.reshape(runs, n, -1), u[:, :, None], out=reach.reshape(runs, n, -1))
+    # action above the draw is the first True.
+    np.greater(p.reshape(runs, n, -1), u[:, :, None], out=reach.reshape(runs, n, -1))
     reach[:, -1] = True
+    if not allow_no_link:
+        reach[n - 1 :: n, -2] = True  # device N-1's last action is N-2
     return reach.argmax(axis=1)
 
 
@@ -177,7 +165,7 @@ def sample_links(
     per run, each drawing for its run's N rows in turn. With
     allow_no_link=False the self action is masked out and the row
     renormalized. One uniform draw per receiver picks the first action
-    whose cumulative probability reaches it.
+    whose cumulative probability exceeds it.
     """
     rows, n = policies.totals.shape
     rngs = [rng] if isinstance(rng, np.random.Generator) else rng
@@ -186,8 +174,9 @@ def sample_links(
     u = np.empty((len(rngs), n))
     for r, g in enumerate(rngs):
         g.random(n, out=u[r])
-    choice = _sample_actions(policies, u, allow_no_link)
-    return np.where(choice == policies._work[2], -1, choice)
+    avg = policies.averages()  # a new array, so it is its own work array
+    choice = _sample_actions(avg, u, allow_no_link, avg, np.empty(avg.shape, bool))
+    return np.where(choice == np.arange(rows) % n, -1, choice)
 
 
 def diversity_score(counts: np.ndarray, thresholds: np.ndarray, min_classes: int) -> np.ndarray:
@@ -265,20 +254,21 @@ def link_success(drop: np.ndarray, links: np.ndarray) -> float | np.ndarray:
     return float(out[0]) if np.ndim(links) == 1 else out
 
 
-def update_policy(policies: PolicyTable, chosen: np.ndarray, rewards: np.ndarray) -> None:
+def update_policy(
+    policies: PolicyTable, chosen: np.ndarray, rewards: np.ndarray, avg: np.ndarray | None = None
+) -> None:
     """Credit every agent's chosen action: row i adds rewards[i] to its
-    total at column chosen[i] and bumps that count. Kept averages are
-    divided again at those cells only, which gives the same IEEE values as
-    dividing the whole table."""
+    total at column chosen[i] and bumps that count. avg, averages a caller
+    keeps, is divided again at those cells only, which gives the same IEEE
+    values as dividing the whole table."""
     rows, n = policies.totals.shape
-    first = n * np.arange(rows) if policies._work is None else policies._work[3]
-    cells = first + chosen
+    cells = np.arange(0, rows * n, n) + chosen
     totals = policies.totals.take(cells) + rewards
     counts = policies.counts.take(cells) + 1
     policies.totals.put(cells, totals)
     policies.counts.put(cells, counts)
-    if policies._avg is not None:
-        policies._avg.put(cells, totals / counts)
+    if avg is not None:
+        avg.put(cells, totals / counts)
 
 
 def _stacked(arrays: Sequence[np.ndarray]) -> np.ndarray:
@@ -400,6 +390,8 @@ def train_runs(
     batch = _Batch.stack(scenarios)
     runs, n = batch.thresholds.shape[:2]
     policies = PolicyTable.fresh(n, runs)
+    avg = policies.averages()  # kept current by update_policy
+    p, reach = np.empty(avg.shape), np.empty(avg.shape, bool)  # the sampler's work arrays
     episodes = cfg.episodes
     links = np.empty((runs, episodes, n), dtype=np.int64)
     mean_reward = np.empty((runs, episodes))
@@ -412,9 +404,9 @@ def train_runs(
         for r, g in enumerate(rngs):
             g.random((m, n), out=draws[r, :m])
         for j in range(m):
-            actions = _sample_actions(policies, draws[:, j], cfg.allow_no_link)
+            actions = _sample_actions(avg, draws[:, j], cfg.allow_no_link, p, reach)
             overall, _, _, load = batch.score(actions)
-            update_policy(policies, actions, overall.ravel())
+            update_policy(policies, actions, overall.ravel(), avg)
             ep = start + j
             links[:, ep] = actions.reshape(runs, n)
             overall.sum(axis=1, out=mean_reward[:, ep])  # divided by n after the loop
@@ -457,10 +449,8 @@ def extract_graph(policies: PolicyTable, allow_no_link: bool) -> np.ndarray:
     """Greedy readout as an (N,) transmitter array: per receiver the
     argmax-average transmitter, ties to the lowest index; the self action
     reads as no link (-1)."""
-    if allow_no_link:
-        avg = policies.averages()
-    else:
-        avg = policies.totals / policies.counts  # fresh, so the kept table stays
+    avg = policies.averages()
+    if not allow_no_link:
         np.fill_diagonal(avg, -np.inf)
     best = avg.argmax(axis=1)
     own = np.arange(len(best))

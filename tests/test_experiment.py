@@ -217,6 +217,28 @@ class TestRunExperiment:
         steps_rl = [rec.step for rec in res.records if rec.phase == "rl"]
         assert steps_rl == list(range(FAST.episodes))
 
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            {"baseline": "rl"},
+            {"baseline": "uniform"},
+            {"baseline": "none"},
+            {"baseline": "rl", "straggler_fraction": 0.4},
+        ],
+    )
+    def test_summary_equals_last_fl_record(self, keys):
+        res = run_experiment(with_overrides(FAST, **keys))
+        summary = res.summary
+        fl_records = [rec for rec in res.records if rec.phase == "fl"]
+        last = fl_records[-1]
+        assert summary["d2d_energy_j"] == last.d2d_energy_j
+        assert summary["d2s_energy_j"] == last.d2s_energy_j
+        assert summary["mean_link_success"] == last.mean_link_success
+        assert tuple(summary["cluster_load"]) == last.cluster_load
+        assert len(summary["stragglers"]) == last.stragglers
+        assert summary["final_accuracy"] == last.test_accuracy
+        assert summary["rounds"] == len(fl_records) == last.step + 1
+
 
 class TestSweep:
     def test_sweep_tau_a(self):

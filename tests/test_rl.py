@@ -68,13 +68,18 @@ class TestLinkProbabilities:
         assert np.allclose(p.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
 
-class _TopDraws:
-    """A generator stand-in whose every uniform draw is the largest double
-    below 1."""
+class _FixedDraws:
+    """A generator stand-in whose every uniform draw is one value."""
+
+    def __init__(self, value: float):
+        self.value = value
 
     def random(self, size, out):
-        out[:] = np.nextafter(1.0, 0.0)
+        out[:] = self.value
         return out
+
+
+TOP_DRAW = np.nextafter(1.0, 0.0)  # the largest uniform draw
 
 
 class TestSampleLinks:
@@ -122,7 +127,7 @@ class TestSampleLinks:
     @pytest.mark.parametrize("allow_no_link", [True, False])
     def test_matches_per_row_searchsorted(self, allow_no_link):
         # Reference: the per-receiver loop, one searchsorted per row on the
-        # same uniform draws, clamped to the last action.
+        # same uniform draws, clamped to the last allowed action.
         rng = np.random.default_rng(31)
         for n in (2, 3, 7, 10, 33):
             table = PolicyTable(
@@ -139,7 +144,8 @@ class TestSampleLinks:
                 if not allow_no_link:
                     p[i] = 0.0
                     p = p / p.sum()
-                choice = min(int(np.searchsorted(np.cumsum(p), u[i])), n - 1)
+                last = n - 1 if allow_no_link or i < n - 1 else n - 2
+                choice = min(int(np.searchsorted(np.cumsum(p), u[i], side="right")), last)
                 expect[i] = -1 if choice == i else choice
             got = sample_links(table, np.random.default_rng(seed), allow_no_link=allow_no_link)
             assert np.array_equal(got, expect)
@@ -148,9 +154,28 @@ class TestSampleLinks:
         # Seven uniform probabilities add up to 0.9999999999999998, below
         # the draw: every receiver takes the last action, device 6 itself.
         table = PolicyTable.fresh(7)
-        assert np.cumsum(link_probabilities(table)[0])[-1] < np.nextafter(1.0, 0.0)
-        links = sample_links(table, [_TopDraws()], allow_no_link=True)
+        assert np.cumsum(link_probabilities(table)[0])[-1] < TOP_DRAW
+        links = sample_links(table, [_FixedDraws(TOP_DRAW)], allow_no_link=True)
         assert links.tolist() == [6, 6, 6, 6, 6, 6, -1]
+
+    def test_zero_draw_skips_masked_self(self):
+        # Device 0's masked own action has cumulative probability 0.0, which
+        # a draw of exactly 0.0 reaches but does not exceed.
+        links = sample_links(PolicyTable.fresh(4), [_FixedDraws(0.0)], allow_no_link=False)
+        assert links.tolist() == [1, 0, 0, 0]
+
+    def test_top_draw_takes_last_allowed_action(self):
+        # The second N(0, 3^2) table of default_rng(1): device 6's masked
+        # row adds up to below the draw, so the fallback applies, and it
+        # must not fall on device 6's masked own action.
+        rng = np.random.default_rng(1)
+        for _ in range(2):
+            table = PolicyTable(rng.normal(0.0, 3.0, (7, 7)), np.ones((7, 7), dtype=np.int64))
+        p = link_probabilities(table)[6]
+        p[6] = 0.0
+        assert np.cumsum(p / p.sum())[-1] < TOP_DRAW
+        links = sample_links(table, [_FixedDraws(TOP_DRAW)], allow_no_link=False)
+        assert links.tolist() == [6, 6, 6, 6, 6, 6, 5]
 
     def test_generator_count_must_match_runs(self):
         with pytest.raises(ValueError, match="generators"):
@@ -160,27 +185,26 @@ class TestSampleLinks:
 
 
 class TestKeptAverages:
-    """sample_links starts keeping totals / counts; update_policy keeps them
-    current cell by cell, and no reader writes to them."""
+    """Averages kept through update_policy stay equal to totals / counts,
+    and no reader writes to a table."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(2, 12), st.integers(0, 40), st.integers(0, 2**32 - 1))
     def test_equal_to_division_after_updates(self, n, updates, seed):
         rng = np.random.default_rng(seed)
         table = PolicyTable(rng.normal(0.0, 3.0, (n, n)), rng.integers(1, 9, (n, n)))
-        sample_links(table, rng, allow_no_link=True)
+        kept = table.averages()
         for _ in range(updates):
-            update_policy(table, rng.integers(0, n, n), rng.normal(0.0, 5.0, n))
+            update_policy(table, rng.integers(0, n, n), rng.normal(0.0, 5.0, n), kept)
             if rng.random() < 0.3:
                 sample_links(table, rng, allow_no_link=bool(rng.integers(2)))
-        kept = table.averages()
         assert np.array_equal(kept, table.totals / table.counts)
-        before = kept.copy()
+        totals, counts = table.totals.copy(), table.counts.copy()
         extract_graph(table, allow_no_link=False)
         extract_graph(table, allow_no_link=True)
         link_probabilities(table)
-        assert table.averages() is kept
-        assert np.array_equal(kept, before)
+        assert np.array_equal(table.totals, totals)
+        assert np.array_equal(table.counts, counts)
 
     def test_unsampled_table_divides_on_each_read(self):
         table = PolicyTable(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[1, 2], [3, 8]]))
@@ -454,35 +478,28 @@ class TestExtractGraph:
         graph = extract_graph(table, allow_no_link=False)
         assert graph.tolist() == [1, 0]
 
-    def kept_table(self, n):
-        """A table whose sample_links call keeps the averages, updated once."""
-        rng = np.random.default_rng(n)
-        table = PolicyTable.fresh(n)
-        sample_links(table, rng, allow_no_link=True)
-        update_policy(table, rng.integers(0, n, size=n), rng.normal(size=n) * 5.0)
-        assert table._avg is not None
-        return table
-
     @pytest.mark.parametrize("allow_no_link", [False, True])
     def test_kept_averages_read_not_written(self, allow_no_link):
-        table = self.kept_table(6)
-        kept = table._avg.copy()
-        avg = table.totals / table.counts
+        rng = np.random.default_rng(6)
+        table = PolicyTable.fresh(6)
+        kept = table.averages()
+        update_policy(table, rng.integers(0, 6, size=6), rng.normal(size=6) * 5.0, kept)
+        totals, counts = table.totals.copy(), table.counts.copy()
+        avg = kept.copy()
         if not allow_no_link:
             np.fill_diagonal(avg, -np.inf)
         best = avg.argmax(axis=1)
         expected = np.where(best == np.arange(6), -1, best)
         assert np.array_equal(extract_graph(table, allow_no_link), expected)
-        assert np.array_equal(table._avg, kept)
+        assert np.array_equal(table.totals, totals)
+        assert np.array_equal(table.counts, counts)
 
     def test_peak_memory_at_n200(self):
         # Units of one (200, 200) float64 array; dividing the table and
         # copying it before masking the diagonal peaked at 2.0.
-        fresh = PolicyTable.fresh(200)
-        fresh.totals[:] = np.random.default_rng(1).normal(size=(200, 200))
-        kept = self.kept_table(200)
-        for table in (fresh, kept):
-            assert peak_units(lambda: extract_graph(table, allow_no_link=False), 200) < 1.6
+        table = PolicyTable.fresh(200)
+        table.totals[:] = np.random.default_rng(1).normal(size=(200, 200))
+        assert peak_units(lambda: extract_graph(table, allow_no_link=False), 200) < 1.6
 
 
 def loop_episode(scenario, links):
@@ -520,7 +537,8 @@ def loop_train(scenario, rng):
         if not allow_no_link:
             p[own, own] = 0.0
             p = p / p.sum(axis=1, keepdims=True)
-        choice = np.minimum((np.cumsum(p, axis=1) < u[:, None]).sum(axis=1), n - 1)
+        last = np.where(allow_no_link | (own < n - 1), n - 1, n - 2)
+        choice = np.minimum((np.cumsum(p, axis=1) <= u[:, None]).sum(axis=1), last)
         links[ep] = np.where(choice == own, -1, choice)
         overall, load[ep] = loop_episode(scenario, links[ep])
         totals[own, choice] += overall
