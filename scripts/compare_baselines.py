@@ -41,7 +41,7 @@ def main() -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 
-    # Every run in one call, which batches the rl seeds; rows print seed by seed.
+    # Every run in one call, which batches every baseline; rows print seed by seed.
     summaries = [r.summary for r in run_experiments(configs)]
     rows = {b: [s for s in summaries if s["baseline"] == b] for b in BASELINES}
     print(f"{'seed':>4} {'baseline':>8} {'accuracy':>9} {'success':>8} {'points':>7} "

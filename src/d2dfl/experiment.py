@@ -2,11 +2,13 @@
 exchange -> federated training, with per-step metrics and energy accounting.
 
 run_experiments is the one pipeline: run_experiment, sweep_experiment and
-the CLI go through it. It trains the rl runs of a list of configs in batches
+the CLI go through it. One rule (batches) groups runs for both stages: in
+config order, by a tuple of config keys, under a cap of rl.BATCH_CELLS
+summed N**2 cells. It trains the rl runs of a list of configs in batches
 (runs sharing rl.BATCH_KEY train as one stacked policy table, see
 rl.train_runs), takes every run's links and exchange in config order, and
-runs the FL of a batch's runs that share fl.BATCH_KEY together (see
-fl.run_fl_runs); other runs train their FL alone.
+runs the FL of the runs of every baseline that share fl.BATCH_KEY together
+(see fl.run_fl_runs).
 
 Each stage builds its part of a run once: _exchange_stage the links, the
 exchange ledger, the rl records, the D2D energy and the stragglers;
@@ -191,34 +193,33 @@ def rl_records(
     )
 
 
-def rl_batches(cfgs: list[ScenarioConfig]) -> list[list[int]]:
-    """Group the indices of the rl configs into training batches, in config
-    order: runs that share rl.BATCH_KEY, at most rl.BATCH_CELLS policy cells
-    (R*N*N) per batch, one run at the least."""
-    batches: list[list[int]] = []
-    open_batch: dict[tuple, list[int]] = {}
-    for i, cfg in enumerate(cfgs):
-        if cfg.baseline != "rl":
-            continue
-        key = batch_key(cfg, rl.BATCH_KEY)
-        batch = open_batch.get(key)
-        if batch is None or (len(batch) + 1) * cfg.n_devices**2 > rl.BATCH_CELLS:
-            batch = open_batch[key] = []
-            batches.append(batch)
+def batches(
+    cfgs: list[ScenarioConfig], keys: tuple[str, ...], runs: Iterable[int]
+) -> list[list[int]]:
+    """Group the run indices runs into batches, in config order: runs whose
+    configs share keys (see config.batch_key), at most rl.BATCH_CELLS
+    summed n_devices**2 cells per batch, one run at the least."""
+    groups: list[list[int]] = []
+    open_batch: dict[tuple, tuple[list[int], int]] = {}
+    for i in runs:
+        key, cells = batch_key(cfgs[i], keys), cfgs[i].n_devices**2
+        batch, used = open_batch.get(key, (None, 0))
+        if batch is None or used + cells > rl.BATCH_CELLS:
+            batch, used = [], 0
+            groups.append(batch)
         batch.append(i)
-    return batches
+        open_batch[key] = (batch, used + cells)
+    return groups
+
+
+def rl_batches(cfgs: list[ScenarioConfig]) -> list[list[int]]:
+    """The rl runs' training batches: they share rl.BATCH_KEY."""
+    return batches(cfgs, rl.BATCH_KEY, (i for i, cfg in enumerate(cfgs) if cfg.baseline == "rl"))
 
 
 def fl_batches(cfgs: list[ScenarioConfig]) -> list[list[int]]:
-    """Split every training batch of rl_batches into the runs that share
-    fl.BATCH_KEY, which train their FL together, in config order."""
-    groups: list[list[int]] = []
-    for batch in rl_batches(cfgs):
-        by_key: dict[tuple, list[int]] = {}
-        for i in batch:
-            by_key.setdefault(batch_key(cfgs[i], fl.BATCH_KEY), []).append(i)
-        groups += by_key.values()
-    return groups
+    """Every run's FL batch, of any baseline: they share fl.BATCH_KEY."""
+    return batches(cfgs, fl.BATCH_KEY, range(len(cfgs)))
 
 
 def run_experiments(
@@ -233,10 +234,9 @@ def run_experiments(
     rl_batches) generate their scenarios and train together when the first
     of them is reached. Every run then takes its links and exchange in
     config order, and the runs of one FL batch (see fl_batches) train their
-    FL together (fl.run_fl_runs) once the last of them is exchanged; other
-    runs train alone (fl.run_fl). Each result is byte-identical to running
-    its config alone, and is yielded as soon as it and every result before
-    it are done.
+    FL together (fl.run_fl_runs) once the last of them is exchanged. Each
+    result is byte-identical to running its config alone, and is yielded as
+    soon as it and every result before it are done.
     """
     run_ids = run_ids or [f"{cfg.baseline}-s{cfg.seed}" for cfg in cfgs]
     batch_of = {i: batch for batch in rl_batches(cfgs) for i in batch}
@@ -254,7 +254,7 @@ def run_experiments(
                 scenarios = [generate_scenario(cfgs[j]) for j in batch]
                 ready.update(zip(batch, zip(scenarios, train_rl(scenarios))))
         exchanged[i] = _exchange_stage(cfg, run_id, *ready.pop(i))
-        group = group_of.get(i, [i])
+        group = group_of[i]
         if i == group[-1]:
             runs = [exchanged.pop(j) for j in group]
             done.update(zip(group, map(_fl_stage, runs, _train_fl(runs))))
@@ -308,25 +308,19 @@ def _exchange_stage(
 
 def _train_fl(runs: list[_Exchanged]) -> list[fl.FlTrace]:
     """Federated training of exchanged runs that share fl.BATCH_KEY, each
-    with its config's "fl" generator: fl.run_fl_runs, or fl.run_fl for a
-    single run."""
-    inputs = [
-        (
-            run.scenario.datasets,
-            run.scenario.test_set,
-            run.config,
-            named_rng(run.config.seed, "fl"),
-            frozenset(run.stragglers),
-        )
-        for run in runs
-    ]
+    with its config's "fl" generator (fl.run_fl_runs)."""
     cfg = runs[0].config
     spec = fl.ModelSpec(
         kind=cfg.model, in_dim=cfg.feature_dim, n_classes=cfg.n_classes, hidden=cfg.hidden_units
     )
-    if len(runs) == 1:
-        return [fl.run_fl(spec, *inputs[0])]
-    return fl.run_fl_runs(spec, *map(list, zip(*inputs)))
+    return fl.run_fl_runs(
+        spec,
+        [run.scenario.datasets for run in runs],
+        [run.scenario.test_set for run in runs],
+        [run.config for run in runs],
+        [named_rng(run.config.seed, "fl") for run in runs],
+        [frozenset(run.stragglers) for run in runs],
+    )
 
 
 def _fl_stage(run: _Exchanged, fl_trace: fl.FlTrace) -> ExperimentResult:
@@ -339,8 +333,7 @@ def _fl_stage(run: _Exchanged, fl_trace: fl.FlTrace) -> ExperimentResult:
     k = scenario.partition.k
     success = rl.link_success(scenario.drop, run.links)
     ledger = (exchange.receivers, exchange.transmitters, exchange.requested)
-    # float() also for an empty ledger, whose bincount is of integers.
-    load = [float(v) for v in rl.inter_cluster_load(*ledger, scenario.partition.assignment, k)]
+    load = rl.inter_cluster_load(*ledger, scenario.partition.assignment, k).tolist()
     d2s_dist = cfg.d2s_distance_factor * scenario.mean_distance
     per_device_round = 2.0 * transmit_energy(fl_trace.params.size * SCALAR_BITS, d2s_dist, cfg)
     # A running sum: accumulate adds one round after another.

@@ -24,9 +24,6 @@ class ClusterPartition:
     assignment: np.ndarray  # shape (N,), cluster index per device
     k: int
 
-    def members(self, cluster: int) -> np.ndarray:
-        return np.flatnonzero(self.assignment == cluster)
-
 
 def drop_probability(w, cfg: ScenarioConfig):
     """Probability that a transmission with received signal strength w fails.

@@ -54,7 +54,10 @@ if TYPE_CHECKING:
 # Cap on the policy cells R*N*N of one training batch: one N=1000 run. Bounds
 # the stacked tables a batch holds (policy totals, counts and averages, the
 # sampler's work arrays, and the drop matrices and trust tensors of a
-# batch of two or more runs); larger batches save little per-call time.
+# batch of two or more runs); larger batches save little per-call time. It
+# caps the summed N*N of an FL batch too (experiment.batches), which holds
+# its runs' scenarios, with their O(N*N) drop and trust arrays, until its
+# last run is exchanged.
 BATCH_CELLS = 2**20
 # The config keys the runs of one training batch share: the stacked tables
 # need one device and class count, and one loop trains every run for the
@@ -225,7 +228,8 @@ def inter_cluster_load(
     cluster = assignment[receivers]
     crossing = assignment.take(transmitters) != cluster
     points = np.where(crossing, requested.sum(axis=1), 0.0)
-    return np.bincount(cluster, weights=points, minlength=n_clusters)
+    # The bincount of an empty ledger is of integers, even with weights.
+    return np.bincount(cluster, weights=points, minlength=n_clusters).astype(float, copy=False)
 
 
 def global_reward(

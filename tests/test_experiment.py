@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from d2dfl import cli, experiment, rl
+from d2dfl import cli, experiment, fl, rl
 from d2dfl.config import ConfigError, ScenarioConfig, save_config, with_overrides
 from d2dfl.exchange import run_exchange
 from d2dfl.experiment import (
@@ -321,9 +321,49 @@ class TestSweep:
         cfgs = [FAST] + [with_overrides(FAST, **{k: v}) for k, v in changed.items()]
         assert rl_batches(cfgs + [FAST]) == [[0, 5], [1], [2], [3], [4]]
 
+    def test_fl_batches_split_on_every_batch_key(self):
+        # Each config differs from FAST in one fl.BATCH_KEY key, so each
+        # runs its FL alone: run_fl_runs refuses a batch that mixes them.
+        changed = {
+            "model": "mlp", "feature_dim": 5, "n_classes": 5, "hidden_units": 3,
+            "scheme": "fedprox", "tau_a": 5, "total_steps": 20, "learning_rate": 0.5,
+            "prox_mu": 0.2, "batch_size": 4,
+        }
+        assert tuple(changed) == fl.BATCH_KEY
+        cfgs = [FAST] + [with_overrides(FAST, **{k: v}) for k, v in changed.items()]
+        assert fl_batches(cfgs + [FAST]) == [[0, 11]] + [[i] for i in range(1, 11)]
+        scenario = generate_scenario(FAST)
+        spec = fl.ModelSpec(kind="linear", in_dim=FAST.feature_dim, n_classes=FAST.n_classes)
+        for key, cfg in zip(changed, cfgs[1:]):
+            with pytest.raises(ValueError, match=f"share {key!r}"):
+                fl.run_fl_runs(
+                    spec, [scenario.datasets] * 2, [scenario.test_set] * 2, [FAST, cfg],
+                    [np.random.default_rng(0), np.random.default_rng(1)], [frozenset()] * 2,
+                )
+
+    def test_fl_batches_cap_mixed_sizes(self, monkeypatch):
+        # Runs of 5 and 6 devices and every baseline share an FL batch up
+        # to a cap on their summed N**2 cells, here exactly 5*5 + 5*5 + 6*6;
+        # rl batch [0, 4] trains across FL batches [0, 1, 2] and [3, 4, 5].
+        cfgs = [
+            with_overrides(FAST, n_devices=n, baseline=b, seed=s)
+            for n, b, s in [
+                (5, "rl", 0), (5, "uniform", 1), (6, "none", 2), (6, "rl", 3),
+                (5, "rl", 4), (5, "uniform", 5),
+            ]
+        ]
+        assert fl_batches(cfgs) == [[0, 1, 2, 3, 4, 5]]
+        monkeypatch.setattr(rl, "BATCH_CELLS", 2 * 5 * 5 + 6 * 6)
+        assert fl_batches(cfgs) == [[0, 1, 2], [3, 4, 5]]
+        assert rl_batches(cfgs) == [[0, 4], [3]]
+        for cfg, res in zip(cfgs, run_experiments(cfgs), strict=True):
+            alone = run_experiment(cfg)
+            assert render_metrics(res.records) == render_metrics(alone.records)
+            assert res.summary == alone.summary
+
     def test_mixed_list_bytes_equal_runs_one_by_one(self):
         # rl at two tau_a and with stragglers, one rl batch split into two
-        # FL batches, with uniform and none runs in between.
+        # FL batches; the uniform and none runs in between join the first.
         cfgs = [
             FAST,
             with_overrides(FAST, baseline="uniform", seed=3),
@@ -332,7 +372,7 @@ class TestSweep:
             with_overrides(FAST, baseline="none", seed=6),
             with_overrides(FAST, tau_a=5, seed=7),
         ]
-        assert fl_batches(cfgs) == [[0, 3], [2, 5]]
+        assert fl_batches(cfgs) == [[0, 1, 3, 4], [2, 5]]
         results = list(run_experiments(cfgs))
         for cfg, res in zip(cfgs, results, strict=True):
             alone = run_experiment(cfg)

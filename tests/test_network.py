@@ -160,7 +160,7 @@ class TestPartitionClusters:
             assert np.all(part.assignment >= 0)
             assert part.k == len(set(part.assignment.tolist()))
             for k in range(part.k):
-                members = part.members(k)
+                members = np.flatnonzero(part.assignment == k)
                 for a in members:
                     for b in members:
                         if a != b:

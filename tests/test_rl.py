@@ -271,6 +271,13 @@ class TestRewards:
         load = inter_cluster_load(np.array([0, 1]), np.array([1, 0]), req, np.array([0, 0]), 1)
         assert load.tolist() == [0.0]
 
+    def test_empty_ledger_floats(self):
+        # The none baseline's ledger: bincount alone would give int64 zeros.
+        empty = np.empty(0, dtype=np.int64)
+        load = inter_cluster_load(empty, empty, np.empty((0, 8)), np.zeros(4, np.int64), 2)
+        assert load.dtype == np.float64
+        assert load.tolist() == [0.0, 0.0]
+
     def test_global_reward_value(self):
         w = config(alpha3=0.1, cluster_budget=10.0)
         out = global_reward(np.array([2.0, 4.0]), np.array([4.0]), w)
