@@ -75,12 +75,12 @@ def _cmd_train(args) -> int:
         cfg = with_overrides(cfg, baseline="rl")
     scenario = generate_scenario(cfg)
     (rl_result,) = train_rl([scenario])
-    records = rl_records(cfg, scenario, rl_result, f"train-s{cfg.seed}")
+    records = rl_records(scenario, rl_result, f"train-s{cfg.seed}")
     emit_metrics(records, args.out, args.format)
     print(
         json.dumps(
             {
-                "links": links_json(discover_links(cfg, rl_result)),
+                "links": links_json(discover_links(scenario, rl_result)),
                 "episodes": cfg.episodes,
                 "final_mean_reward": records[-1].mean_reward if records else None,
             },

@@ -10,8 +10,9 @@ rl.train_runs), takes every run's links and exchange in config order, and
 runs the FL of the runs of every baseline that share fl.BATCH_KEY together
 (see fl.run_fl_runs).
 
-Each stage builds its part of a run once: _exchange_stage the links, the
-exchange ledger, the rl records, the D2D energy and the stragglers;
+Each stage reads the run's settings from its scenario's config and builds
+its part of the run once: _exchange_stage the links, the exchange ledger,
+the rl records, the D2D energy and the stragglers; _train_fl the FL traces;
 _fl_stage the FL records and then the run's summary. metrics_records builds
 every metrics record, one per RL episode and one per FL aggregation round;
 records can be written as CSV or JSON lines with identical fields. Output
@@ -130,8 +131,7 @@ def read_metrics(path: str | Path, fmt: str = "csv") -> list[MetricsRecord]:
 
 @dataclass
 class ExperimentResult:
-    config: ScenarioConfig
-    scenario: Scenario
+    scenario: Scenario  # its config is the run's
     links: np.ndarray  # (N,) transmitter per receiver, -1 for none
     records: list[MetricsRecord]
     summary: dict
@@ -145,10 +145,11 @@ def train_rl(scenarios: list[Scenario]) -> list[rl.TrainResult]:
     return rl.train_runs(scenarios, [named_rng(s.config.seed, "rl") for s in scenarios])
 
 
-def discover_links(cfg: ScenarioConfig, rl_result: rl.TrainResult | None) -> np.ndarray:
-    """The exchange graph for the configured baseline, as an (N,)
+def discover_links(scenario: Scenario, rl_result: rl.TrainResult | None) -> np.ndarray:
+    """The exchange graph for the scenario's configured baseline, as an (N,)
     transmitter array with -1 for no link. An rl run reads its graph from
     its trained rl_result; the other baselines take None."""
+    cfg = scenario.config
     if cfg.baseline == "rl":
         return rl.extract_graph(rl_result.policies, allow_no_link=cfg.allow_no_link)
     if cfg.baseline == "uniform":
@@ -172,13 +173,12 @@ def metrics_records(run_id: str, phase: str, **columns: Iterable) -> list[Metric
     return [MetricsRecord(run_id, phase, step, *row) for step, row in enumerate(rows)]
 
 
-def rl_records(
-    cfg: ScenarioConfig, scenario: Scenario, result: rl.TrainResult, run_id: str
-) -> list[MetricsRecord]:
+def rl_records(scenario: Scenario, result: rl.TrainResult, run_id: str) -> list[MetricsRecord]:
     """One metrics record per training episode of an rl run. The cumulative
     D2D energy counts reward signaling: each device shares its scalar local
     reward with the other N-1 devices once per episode, counted but modeled
     as lossless."""
+    cfg = scenario.config
     n = cfg.n_devices
     episode_energy = n * (n - 1) * transmit_energy(SCALAR_BITS, scenario.mean_distance, cfg)
     slack = cfg.cluster_budget - result.cluster_load
@@ -253,7 +253,7 @@ def run_experiments(
             else:
                 scenarios = [generate_scenario(cfgs[j]) for j in batch]
                 ready.update(zip(batch, zip(scenarios, train_rl(scenarios))))
-        exchanged[i] = _exchange_stage(cfg, run_id, *ready.pop(i))
+        exchanged[i] = _exchange_stage(run_id, *ready.pop(i))
         group = group_of[i]
         if i == group[-1]:
             runs = [exchanged.pop(j) for j in group]
@@ -273,7 +273,6 @@ class _Exchanged(NamedTuple):
     """A run up to federated training: its inputs and the values of its
     stages from link discovery to the straggler draw."""
 
-    config: ScenarioConfig
     run_id: str
     scenario: Scenario
     rl_result: rl.TrainResult | None
@@ -285,15 +284,16 @@ class _Exchanged(NamedTuple):
 
 
 def _exchange_stage(
-    cfg: ScenarioConfig, run_id: str, scenario: Scenario, rl_result: rl.TrainResult | None
+    run_id: str, scenario: Scenario, rl_result: rl.TrainResult | None
 ) -> _Exchanged:
     """The stages of one run from link discovery to the straggler draw. D2D
     energy counts RL reward broadcasts and the materialized point
     transfers."""
-    links = discover_links(cfg, rl_result)
-    records = [] if rl_result is None else rl_records(cfg, scenario, rl_result, run_id)
+    cfg = scenario.config
+    links = discover_links(scenario, rl_result)
+    records = [] if rl_result is None else rl_records(scenario, rl_result, run_id)
     d2d_energy = records[-1].d2d_energy_j if records else 0.0
-    exchange = materialize_exchange(scenario, links, cfg.delivery, named_rng(cfg.seed, "exchange"))
+    exchange = materialize_exchange(scenario, links, named_rng(cfg.seed, "exchange"))
     distances = link_distances(scenario.positions, exchange.receivers, exchange.transmitters)
     for sent, distance in zip(exchange.buffered, distances.tolist()):
         d2d_energy += energy_cost(int(sent.sum()), distance, cfg)
@@ -301,7 +301,7 @@ def _exchange_stage(
     n_stragglers = int(round(cfg.straggler_fraction * n))
     stragglers = named_rng(cfg.seed, "stragglers").choice(n, size=n_stragglers, replace=False)
     return _Exchanged(
-        cfg, run_id, scenario, rl_result, links, exchange, records, d2d_energy,
+        run_id, scenario, rl_result, links, exchange, records, d2d_energy,
         sorted(stragglers.tolist()),
     )
 
@@ -309,16 +309,9 @@ def _exchange_stage(
 def _train_fl(runs: list[_Exchanged]) -> list[fl.FlTrace]:
     """Federated training of exchanged runs that share fl.BATCH_KEY, each
     with its config's "fl" generator (fl.run_fl_runs)."""
-    cfg = runs[0].config
-    spec = fl.ModelSpec(
-        kind=cfg.model, in_dim=cfg.feature_dim, n_classes=cfg.n_classes, hidden=cfg.hidden_units
-    )
     return fl.run_fl_runs(
-        spec,
-        [run.scenario.datasets for run in runs],
-        [run.scenario.test_set for run in runs],
-        [run.config for run in runs],
-        [named_rng(run.config.seed, "fl") for run in runs],
+        [run.scenario for run in runs],
+        [named_rng(run.scenario.config.seed, "fl") for run in runs],
         [frozenset(run.stragglers) for run in runs],
     )
 
@@ -329,7 +322,8 @@ def _fl_stage(run: _Exchanged, fl_trace: fl.FlTrace) -> ExperimentResult:
     inter-cluster load come from the executed exchange's request ledger.
     D2S energy counts one uplink and one downlink of the model parameters
     per participant per aggregation."""
-    cfg, scenario, exchange = run.config, run.scenario, run.exchange
+    scenario, exchange = run.scenario, run.exchange
+    cfg = scenario.config
     k = scenario.partition.k
     success = rl.link_success(scenario.drop, run.links)
     ledger = (exchange.receivers, exchange.transmitters, exchange.requested)
@@ -362,7 +356,7 @@ def _fl_stage(run: _Exchanged, fl_trace: fl.FlTrace) -> ExperimentResult:
         "d2d_energy_j": run.d2d_energy,
         "d2s_energy_j": d2s_energy[-1],
     }
-    return ExperimentResult(cfg, scenario, run.links, records, summary, run.rl_result, fl_trace)
+    return ExperimentResult(scenario, run.links, records, summary, run.rl_result, fl_trace)
 
 
 def sweep_experiment(

@@ -11,28 +11,34 @@ and each local step is one gradient over their stacked (K, B, d)
 minibatches, with the same arithmetic per device as a single-device step,
 so results do not depend on how devices are blocked. Each step gathers its
 (K, B) minibatch into work arrays that a run keeps for all its rounds and
-shares with the evaluation of the global model. run_fl_runs trains the
-devices of independent runs whose configs agree on BATCH_KEY in shared
-blocks, each device from its own run's global model, and draws a block's
-minibatch indices for a round from one raw word call per device, mapped for
-the whole block with the rule of Generator.integers, value for value;
-run_fl is its one-run call. The softmax of a step runs on (C, K, B) class
-planes, filled by adding the bias while the logits are transposed, with
-numpy's own summation order for a C-wide last axis; bias gradients sum a
-(B, K, m) copy over its first axis, adding the rows of a device in the
-order of a sum over the batch axis. No reduction in a step runs over the
-few classes or hidden units of one row, and the bits equal those of the
-row-wise formula.
+shares with the evaluation of the global model. run_fl_runs takes the
+scenarios of independent runs whose configs agree on BATCH_KEY, reads each
+run's datasets, test set and settings from its scenario and the model from
+its config (ModelSpec.of), and trains their devices in shared blocks, each
+from its own run's global model; it draws a block's minibatch indices for
+a round from one raw word call per device, mapped for the whole block with
+the rule of Generator.integers, value for value; run_fl is its one-run
+call. The softmax of a step runs on (C, K, B) class planes, filled by
+adding the bias while the logits are transposed, with numpy's own
+summation order for a C-wide last axis; bias gradients sum a (B, K, m)
+copy over its first axis, adding the rows of a device in the order of a
+sum over the batch axis. No reduction in a step runs over the few classes
+or hidden units of one row, and the bits equal those of the row-wise
+formula.
 """
 from __future__ import annotations
 
 import math
 import warnings
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .config import ScenarioConfig, check_batch
+
+if TYPE_CHECKING:
+    from .scenario import Scenario
 
 # Devices trained together in one stacked gradient step. Bounds the memory a
 # round adds: a block's concatenated data, one step's (K, B, d) gathered
@@ -47,9 +53,9 @@ from .config import ScenarioConfig, check_batch
 # faster still on stragglers_n100 (-20.9%) but raised peak RSS by ~1 MB on
 # both workloads, and K = 128 likewise; 64 stays.
 DEVICE_BLOCK = 64
-# The config keys the runs of one FL batch share: one model, and one
-# scheme, step schedule and minibatch size, so that their devices train in
-# shared blocks.
+# The config keys run_fl_runs reads from its first config, so the runs of
+# one FL batch must share them: one model, and one scheme, step schedule and
+# minibatch size, so that their devices train in shared blocks.
 BATCH_KEY = (
     "model", "feature_dim", "n_classes", "hidden_units", "scheme", "tau_a", "total_steps",
     "learning_rate", "prox_mu", "batch_size",
@@ -78,6 +84,11 @@ class ModelSpec:
     in_dim: int
     n_classes: int
     hidden: int = 16
+
+    @classmethod
+    def of(cls, config: ScenarioConfig) -> ModelSpec:
+        """The model a run's config names."""
+        return cls(config.model, config.feature_dim, config.n_classes, config.hidden_units)
 
     @property
     def shapes(self) -> tuple[tuple[int, ...], ...]:
@@ -428,37 +439,35 @@ def _accepted(gen: np.random.PCG64, n: int, halves: np.ndarray, count: int) -> t
 
 
 def local_train(
-    spec: ModelSpec,
     params: np.ndarray,
     data: LabeledSet,
-    steps: int,
-    lr: float,
+    config: ScenarioConfig,
     rng: np.random.Generator,
-    batch_size: int = 32,
-    scheme: str = "fedavg",
     global_params: np.ndarray | None = None,
-    prox_mu: float = 0.0,
 ) -> np.ndarray:
-    """Run one round of local work and return the new local parameters.
+    """Run one round of local work on the model config names and return
+    the new local parameters.
 
-    fedavg/fedprox take `steps` minibatch gradient steps (fedprox adds the
-    proximal pull toward the incoming global model); fedsgd returns the
-    unmodified parameters, see full_batch_grad. Minibatches are drawn with
-    replacement, all steps' indices in one rng.integers call (the stream of
-    one call per step); when batch_size >= len(data) every step uses the
-    whole dataset instead and nothing is drawn from rng. Empty datasets
-    train nothing. rng may be any Generator in any state, so run_fl, which
-    owns its devices' generators, draws its indices another way
-    (_draw_indices).
+    fedavg/fedprox take config.tau_a minibatch steps of config.learning_rate
+    (fedprox adds the proximal pull of config.prox_mu toward global_params);
+    fedsgd returns the unmodified parameters, see full_batch_grad.
+    Minibatches of config.batch_size are drawn with replacement, all steps'
+    indices in one rng.integers call (the stream of one call per step); when
+    batch_size >= len(data) every step uses the whole dataset instead and
+    nothing is drawn from rng. Empty datasets train nothing. rng may be any
+    Generator in any state, so run_fl, which owns its devices' generators,
+    draws its indices another way (_draw_indices).
     """
-    if len(data) == 0 or scheme == "fedsgd":
+    if len(data) == 0 or config.scheme == "fedsgd":
         return params.copy()
-    mu = prox_mu if scheme == "fedprox" else 0.0
-    anchor = global_params if scheme == "fedprox" else None
+    mu = config.prox_mu if config.scheme == "fedprox" else 0.0
+    anchor = global_params if config.scheme == "fedprox" else None
+    steps, batch_size = config.tau_a, config.batch_size
     idx = None
     if len(data) > batch_size:
         idx = rng.integers(0, len(data), size=(steps, 1, batch_size))
-    return _train_block(spec, params[None], [data], steps, lr, mu, anchor, idx)[0]
+    spec = ModelSpec.of(config)
+    return _train_block(spec, params[None], [data], steps, config.learning_rate, mu, anchor, idx)[0]
 
 
 def full_batch_grad(spec: ModelSpec, params: np.ndarray, data: LabeledSet) -> np.ndarray:
@@ -472,7 +481,7 @@ def aggregate(
     weights: list[float],
     scheme: str,
     global_params: np.ndarray,
-    lr: float = 0.1,
+    lr: float,
 ) -> np.ndarray:
     """Combine participant payloads, (A, P) rows or a list of (P,) vectors,
     into the next global model.
@@ -538,30 +547,25 @@ class FlTrace:
 
 
 def run_fl(
-    spec: ModelSpec,
-    datasets: list[LabeledSet],
-    test: LabeledSet,
-    config: ScenarioConfig,
+    scenario: Scenario,
     rng: np.random.Generator,
     stragglers: frozenset[int] = frozenset(),
 ) -> FlTrace:
     """Alternate local training and aggregation for total_steps // tau_a
-    rounds of config's FL settings, evaluating the global model after each
-    aggregation: the one-run call of run_fl_runs."""
-    return run_fl_runs(spec, [datasets], [test], [config], [rng], [stragglers])[0]
+    rounds of the scenario config's FL settings, evaluating the global model
+    after each aggregation: the one-run call of run_fl_runs."""
+    return run_fl_runs([scenario], [rng], [stragglers])[0]
 
 
 def run_fl_runs(
-    spec: ModelSpec,
-    datasets: list[list[LabeledSet]],
-    tests: list[LabeledSet],
-    configs: list[ScenarioConfig],
+    scenarios: list[Scenario],
     rngs: list[np.random.Generator],
     stragglers: list[frozenset[int]],
 ) -> list[FlTrace]:
     """Federated training of R independent runs together, one entry of each
-    sequence per run, their configs equal on BATCH_KEY. Each run's trace is
-    bit-identical to its run_fl alone.
+    sequence per run, their scenarios' configs equal on BATCH_KEY, which
+    fix the model (ModelSpec.of). Each run's trace is bit-identical to its
+    run_fl alone.
 
     In every round each participant (a non-straggler with data) starts
     from its run's global model; under fedprox it is also anchored to it.
@@ -573,11 +577,13 @@ def run_fl_runs(
     contiguous slice of the payload rows, in device order, which goes to
     aggregate as it is; under fedsgd each participant sends one
     full_batch_grad instead. Each run then evaluates its new global model
-    on its own test set. Stragglers contribute nothing to aggregations,
+    on its scenario's test set. Stragglers contribute nothing to aggregations,
     and their generators feed nothing else, so they are not trained at all.
     """
+    configs = [s.config for s in scenarios]
     check_batch(configs, BATCH_KEY)
     config = configs[0]
+    spec = ModelSpec.of(config)
     # Per run: its trace, whose params are its global model, and the first
     # active position of the run and of the next; per active device: its
     # dataset, its generator and its run.
@@ -585,11 +591,11 @@ def run_fl_runs(
     bounds = [0]
     active: list[tuple[LabeledSet, np.random.PCG64]] = []
     owner: list[int] = []
-    for r, (sets, rng, lagging) in enumerate(zip(datasets, rngs, stragglers)):
+    for r, (scenario, rng, lagging) in enumerate(zip(scenarios, rngs, stragglers)):
         traces.append(FlTrace([], [], init_params(spec, rng)))
         # default_rng's bit generator, seeded as default_rng(seed) would be.
-        gens = [np.random.PCG64(rng.integers(0, 2**63)) for _ in sets]
-        for i, data in enumerate(sets):
+        gens = [np.random.PCG64(rng.integers(0, 2**63)) for _ in scenario.datasets]
+        for i, data in enumerate(scenario.datasets):
             if len(data) and i not in lagging:
                 active.append((data, gens[i]))
                 owner.append(r)
@@ -611,7 +617,7 @@ def run_fl_runs(
     rows = max(
         (_block_rows([sizes[p] for p in pos], config.batch_size) for pos in blocks), default=0
     )
-    evaluated = max(len(test) for test in tests) * _layer_widths(spec)
+    evaluated = max(len(s.test_set) for s in scenarios) * _layer_widths(spec)
     floats = np.empty(max(rows * spec.in_dim, evaluated))
     work = floats, np.empty(rows, np.int64)
     payloads = np.empty((len(active), spec.n_params))
@@ -636,7 +642,7 @@ def run_fl_runs(
                 payloads[pos] = _train_block(
                     spec, start, block, config.tau_a, config.learning_rate, mu, start, idx, work,
                 )
-        for r, (trace, test) in enumerate(zip(traces, tests)):
+        for r, (trace, scenario) in enumerate(zip(traces, scenarios)):
             a, b = bounds[r], bounds[r + 1]
             if config.scheme == "fedsgd":
                 sent = [full_batch_grad(spec, trace.params, data) for data, _ in active[a:b]]
@@ -646,12 +652,12 @@ def run_fl_runs(
                 sent, weights[r], config.scheme, trace.params, lr=config.learning_rate
             )
             params_g[r] = trace.params
-            trace.accuracy.append(evaluate(spec, trace.params, test, floats))
+            trace.accuracy.append(evaluate(spec, trace.params, scenario.test_set, floats))
             trace.participants.append(b - a)
     return traces
 
 
-def make_class_means(n_classes: int, dim: int, rng: np.random.Generator, spread: float = 3.0) -> np.ndarray:
+def make_class_means(n_classes: int, dim: int, rng: np.random.Generator, spread: float) -> np.ndarray:
     """Gaussian-mixture component means for the synthetic classification task.
 
     Classes come in close pairs around shared centers (fine-grained
@@ -666,7 +672,7 @@ def make_class_means(n_classes: int, dim: int, rng: np.random.Generator, spread:
 
 
 def sample_class_points(
-    means: np.ndarray, label: int, n: int, rng: np.random.Generator, noise: float = 1.0
+    means: np.ndarray, label: int, n: int, rng: np.random.Generator, noise: float
 ) -> np.ndarray:
     return means[label] + rng.normal(0.0, noise, size=(n, means.shape[1]))
 
@@ -675,7 +681,7 @@ def dataset_from_counts(
     means: np.ndarray,
     counts: np.ndarray,
     rng: np.random.Generator,
-    noise: float = 1.0,
+    noise: float,
 ) -> LabeledSet:
     """Draw a labeled set with exactly the given per-class counts."""
     xs, ys = [], []

@@ -194,6 +194,4 @@ def transmit_energy(n_bits: float, distance: float, cfg: ScenarioConfig) -> floa
 def energy_cost(n_points: int, distance: float, cfg: ScenarioConfig) -> float:
     """Energy in joules to transmit n_points data points of
     cfg.per_point_bits each over one hop."""
-    if n_points < 0:
-        raise ValueError("n_points must be nonnegative")
     return transmit_energy(n_points * cfg.per_point_bits, distance, cfg)

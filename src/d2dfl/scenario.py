@@ -3,7 +3,8 @@ non-i.i.d. data split, all driven by named sub-seeds of one root seed.
 
 Also provides the uniform random-graph baseline and the materialization step
 that moves actual data points between device datasets according to an
-integer exchange.
+integer exchange. A Scenario carries its config, and every stage that takes
+one (RL, the materialized exchange, FL) reads its settings from it.
 """
 from __future__ import annotations
 
@@ -191,11 +192,11 @@ def uniform_baseline_links(n_devices: int, rng: np.random.Generator) -> np.ndarr
 def materialize_exchange(
     scenario: Scenario,
     links: np.ndarray,
-    mode: str,
     rng: np.random.Generator,
 ) -> ExchangeResult:
     """Run the exchange over an (N,) transmitter array (-1 for no link)
-    with whole data points and move the actual samples.
+    with whole data points, in the delivery mode of scenario.config, and
+    move the actual samples.
 
     Transmitted points leave the sender's dataset whether or not they
     survive the channel; delivered points join the receiver's. Updates
@@ -208,7 +209,7 @@ def materialize_exchange(
         scenario.thresholds,
         scenario.trust,
         scenario.drop,
-        mode=mode,
+        mode=scenario.config.delivery,
         rng=rng,
         integer_payloads=True,
     )

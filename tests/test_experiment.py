@@ -167,7 +167,7 @@ class TestRunExperiment:
         # Total energy must equal the sum of per-event energies, recomputed
         # independently: signaling per episode plus per-link transfer costs.
         res = run_experiment(FAST)
-        cfg = res.config
+        cfg = res.scenario.config
         n = cfg.n_devices
         probe = generate_scenario(cfg)
         signaling = cfg.episodes * n * (n - 1) * transmit_energy(
@@ -175,9 +175,7 @@ class TestRunExperiment:
         )
         from d2dfl.scenario import materialize_exchange, named_rng
 
-        result = materialize_exchange(
-            probe, res.links, cfg.delivery, named_rng(cfg.seed, "exchange")
-        )
+        result = materialize_exchange(probe, res.links, named_rng(cfg.seed, "exchange"))
         distances = pairwise_distances(probe.positions)
         transfer = sum(
             energy_cost(
@@ -333,11 +331,10 @@ class TestSweep:
         cfgs = [FAST] + [with_overrides(FAST, **{k: v}) for k, v in changed.items()]
         assert fl_batches(cfgs + [FAST]) == [[0, 11]] + [[i] for i in range(1, 11)]
         scenario = generate_scenario(FAST)
-        spec = fl.ModelSpec(kind="linear", in_dim=FAST.feature_dim, n_classes=FAST.n_classes)
         for key, cfg in zip(changed, cfgs[1:]):
             with pytest.raises(ValueError, match=f"share {key!r}"):
                 fl.run_fl_runs(
-                    spec, [scenario.datasets] * 2, [scenario.test_set] * 2, [FAST, cfg],
+                    [scenario, replace(scenario, config=cfg)],
                     [np.random.default_rng(0), np.random.default_rng(1)], [frozenset()] * 2,
                 )
 

@@ -1,7 +1,9 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import make_scenario
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +18,7 @@ from d2dfl.fl import (
     _draw_indices,
     _layer_widths,
     _softmax,
+    _train_block,
     aggregate,
     dataset_from_counts,
     evaluate,
@@ -41,6 +44,25 @@ WIDE_SPECS = {
     "linear-c17": ModelSpec(kind="linear", in_dim=4, n_classes=17),
     "mlp-c17": ModelSpec(kind="mlp", in_dim=4, n_classes=17, hidden=6),
 }
+
+
+def model_config(spec: ModelSpec, cfg: ScenarioConfig, **keys) -> ScenarioConfig:
+    """cfg with the model keys that name spec and keys replaced. Not
+    validated, so a test may use a model or schedule smaller than a config
+    file allows."""
+    return replace(
+        cfg, model=spec.kind, feature_dim=spec.in_dim, n_classes=spec.n_classes,
+        hidden_units=spec.hidden, **keys,
+    )
+
+
+def fl_scenario(spec: ModelSpec, datasets, test: LabeledSet, cfg: ScenarioConfig):
+    """A Scenario around explicit FL datasets and test set, its config
+    model_config(spec, cfg), with placeholder fields, as conftest's
+    make_scenario builds."""
+    counts = np.array([d.class_counts() for d in datasets])
+    scenario = make_scenario(counts, np.zeros_like(counts), config=model_config(spec, cfg))
+    return replace(scenario, datasets=list(datasets), test_set=test)
 
 
 def toy_data(spec: ModelSpec, n=10, seed=0) -> LabeledSet:
@@ -106,24 +128,24 @@ class TestLocalTrain:
     def test_zero_learning_rate_is_identity(self):
         data = toy_data(LINEAR)
         params = init_params(LINEAR, np.random.default_rng(0))
-        out = local_train(LINEAR, params, data, steps=5, lr=0.0, rng=np.random.default_rng(1))
+        cfg = model_config(LINEAR, ScenarioConfig(), tau_a=5, learning_rate=0.0)
+        out = local_train(params, data, cfg, np.random.default_rng(1))
         assert np.array_equal(out, params)
 
     def test_loss_decreases_at_small_lr(self):
         data = toy_data(LINEAR, n=60, seed=4)
         params = init_params(LINEAR, np.random.default_rng(5))
         before, _ = loss_and_grad(LINEAR, params, data.x, data.y)
-        out = local_train(
-            LINEAR, params, data, steps=200, lr=0.05, rng=np.random.default_rng(6),
-            batch_size=60,
-        )
+        cfg = model_config(LINEAR, ScenarioConfig(), tau_a=200, learning_rate=0.05, batch_size=60)
+        out = local_train(params, data, cfg, np.random.default_rng(6))
         after, _ = loss_and_grad(LINEAR, out, data.x, data.y)
         assert after < before
 
     def test_empty_dataset_untouched(self):
         empty = LabeledSet(np.empty((0, 4)), np.empty(0, dtype=np.int64), 3)
         params = init_params(LINEAR, np.random.default_rng(0))
-        out = local_train(LINEAR, params, empty, steps=3, lr=0.1, rng=np.random.default_rng(1))
+        cfg = model_config(LINEAR, ScenarioConfig(), tau_a=3, learning_rate=0.1)
+        out = local_train(params, empty, cfg, np.random.default_rng(1))
         assert np.array_equal(out, params)
 
     def test_large_prox_pins_to_anchor(self):
@@ -132,46 +154,59 @@ class TestLocalTrain:
         anchor = init_params(LINEAR, np.random.default_rng(8))
         dists = []
         for mu in (0.0, 1.0, 10.0, 80.0):
-            out = local_train(
-                LINEAR,
-                anchor,
-                data,
-                steps=100,
-                lr=0.01,
-                rng=np.random.default_rng(9),
-                scheme="fedprox",
-                global_params=anchor,
+            cfg = model_config(
+                LINEAR, ScenarioConfig(), tau_a=100, learning_rate=0.01, scheme="fedprox",
                 prox_mu=mu,
             )
+            out = local_train(anchor, data, cfg, np.random.default_rng(9), global_params=anchor)
             dists.append(np.linalg.norm(out - anchor))
         assert dists == sorted(dists, reverse=True)
+
+    def test_fedprox_applies_config_prox_mu(self):
+        # The steps of a direct _train_block call with the config's mu, on
+        # the indices local_train draws; with mu = 0 they differ.
+        data = toy_data(LINEAR, n=40, seed=7)
+        anchor = init_params(LINEAR, np.random.default_rng(8))
+        start = init_params(LINEAR, np.random.default_rng(10), scale=1.0)
+        cfg = model_config(
+            LINEAR, ScenarioConfig(), scheme="fedprox", tau_a=20, learning_rate=0.05,
+            prox_mu=0.7, batch_size=8,
+        )
+        out = local_train(start, data, cfg, np.random.default_rng(9), global_params=anchor)
+        idx = np.random.default_rng(9).integers(0, len(data), size=(20, 1, 8))
+        want = _train_block(LINEAR, start[None], [data], 20, 0.05, 0.7, anchor, idx)[0]
+        assert np.array_equal(out, want)
+        without = _train_block(LINEAR, start[None], [data], 20, 0.05, 0.0, None, idx)[0]
+        assert not np.allclose(out, without)
 
 
 class TestAggregate:
     def test_average_of_equal_models(self):
         m = np.array([1.0, -2.0, 3.0])
-        out = aggregate([m.copy(), m.copy()], [3.0, 5.0], "fedavg", np.zeros(3))
+        out = aggregate([m.copy(), m.copy()], [3.0, 5.0], "fedavg", np.zeros(3), 0.1)
         assert np.allclose(out, m)
 
     def test_weighted_average_value(self):
         m1 = np.array([0.0, 4.0])
         m2 = np.array([8.0, 0.0])
-        out = aggregate([m1, m2], [1.0, 3.0], "fedavg", np.zeros(2))
+        out = aggregate([m1, m2], [1.0, 3.0], "fedavg", np.zeros(2), 0.1)
         assert np.allclose(out, (m1 + 3 * m2) / 4)
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(10)
         models = [rng.normal(size=5) for _ in range(4)]
         weights = [1.0, 2.0, 3.0, 4.0]
-        a = aggregate(models, weights, "fedavg", np.zeros(5))
+        a = aggregate(models, weights, "fedavg", np.zeros(5), 0.1)
         order = [2, 0, 3, 1]
-        b = aggregate([models[i] for i in order], [weights[i] for i in order], "fedavg", np.zeros(5))
+        b = aggregate(
+            [models[i] for i in order], [weights[i] for i in order], "fedavg", np.zeros(5), 0.1
+        )
         assert np.allclose(a, b, atol=1e-12)
 
     def test_empty_keeps_global(self):
         g = np.array([1.0, 2.0])
         with pytest.warns(UserWarning):
-            out = aggregate([], [], "fedavg", g)
+            out = aggregate([], [], "fedavg", g, 0.1)
         assert np.array_equal(out, g)
 
     def test_fedsgd_applies_step(self):
@@ -207,7 +242,8 @@ class TestEvaluate:
         data = dataset_from_counts(means, np.array([30, 30]), rng, noise=0.5)
         spec = ModelSpec(kind="linear", in_dim=2, n_classes=2)
         params = init_params(spec, rng)
-        params = local_train(spec, params, data, steps=300, lr=0.5, rng=rng, batch_size=60)
+        cfg = model_config(spec, ScenarioConfig(), tau_a=300, learning_rate=0.5, batch_size=60)
+        params = local_train(params, data, cfg, rng)
         assert evaluate(spec, params, data) == 1.0
 
     def test_empty_test_set_rejected(self):
@@ -247,8 +283,8 @@ def mixture_split(n_devices, per_device, spec, seed, iid=True):
     rng = np.random.default_rng(seed)
     means = make_class_means(spec.n_classes, spec.in_dim, rng, spread=4.0)
     counts = np.full(spec.n_classes, per_device // spec.n_classes)
-    sets = [dataset_from_counts(means, counts, rng) for _ in range(n_devices)]
-    test = dataset_from_counts(means, np.full(spec.n_classes, 50), rng)
+    sets = [dataset_from_counts(means, counts, rng, noise=1.0) for _ in range(n_devices)]
+    test = dataset_from_counts(means, np.full(spec.n_classes, 50), rng, noise=1.0)
     return sets, test, means
 
 
@@ -257,15 +293,15 @@ class TestRunFl:
         spec = ModelSpec(kind="linear", in_dim=3, n_classes=3)
         sets, test, _ = mixture_split(3, 30, spec, seed=0)
         cfg = ScenarioConfig(tau_a=20, total_steps=20)
-        trace = run_fl(spec, sets, test, cfg, np.random.default_rng(0))
+        trace = run_fl(fl_scenario(spec, sets, test, cfg), np.random.default_rng(0))
         assert len(trace.accuracy) == 1
 
     def test_deterministic_per_seed(self):
         spec = ModelSpec(kind="linear", in_dim=3, n_classes=3)
         sets, test, _ = mixture_split(3, 30, spec, seed=1)
         cfg = ScenarioConfig(tau_a=5, total_steps=30)
-        t1 = run_fl(spec, sets, test, cfg, np.random.default_rng(7))
-        t2 = run_fl(spec, sets, test, cfg, np.random.default_rng(7))
+        t1 = run_fl(fl_scenario(spec, sets, test, cfg), np.random.default_rng(7))
+        t2 = run_fl(fl_scenario(spec, sets, test, cfg), np.random.default_rng(7))
         assert t1.accuracy == t2.accuracy
 
     def test_iid_matches_centralized_oracle(self):
@@ -277,20 +313,17 @@ class TestRunFl:
         spec = ModelSpec(kind="linear", in_dim=3, n_classes=3)
         rng = np.random.default_rng(2)
         means = make_class_means(spec.n_classes, spec.in_dim, rng, spread=4.0)
-        shared = dataset_from_counts(means, np.array([40, 40, 40]), rng)
-        test = dataset_from_counts(means, np.array([60, 60, 60]), rng)
+        shared = dataset_from_counts(means, np.array([40, 40, 40]), rng, noise=1.0)
+        test = dataset_from_counts(means, np.array([60, 60, 60]), rng, noise=1.0)
         sets = [shared, shared, shared]
         cfg = ScenarioConfig(tau_a=10, total_steps=100, learning_rate=0.1, batch_size=len(shared))
-        trace = run_fl(spec, sets, test, cfg, np.random.default_rng(11))
+        trace = run_fl(fl_scenario(spec, sets, test, cfg), np.random.default_rng(11))
 
         params = init_params(spec, np.random.default_rng(11))
         central_rng = np.random.default_rng(12)
         central_acc = []
         for _ in range(cfg.total_steps // cfg.tau_a):
-            params = local_train(
-                spec, params, shared, steps=cfg.tau_a, lr=cfg.learning_rate,
-                rng=central_rng, batch_size=cfg.batch_size,
-            )
+            params = local_train(params, shared, model_config(spec, cfg), central_rng)
             central_acc.append(evaluate(spec, params, test))
         assert trace.accuracy == central_acc
 
@@ -299,7 +332,9 @@ class TestRunFl:
         sets, test, _ = mixture_split(3, 30, spec, seed=3)
         cfg = ScenarioConfig(tau_a=5, total_steps=10)
         with pytest.warns(UserWarning):
-            trace = run_fl(spec, sets, test, cfg, np.random.default_rng(4), frozenset({0, 1, 2}))
+            trace = run_fl(
+                fl_scenario(spec, sets, test, cfg), np.random.default_rng(4), frozenset({0, 1, 2})
+            )
         assert trace.participants == [0, 0]
         assert trace.accuracy[0] == trace.accuracy[1]
 
@@ -307,15 +342,26 @@ class TestRunFl:
         spec = ModelSpec(kind="linear", in_dim=3, n_classes=3)
         sets, test, _ = mixture_split(4, 60, spec, seed=5)
         cfg = ScenarioConfig(scheme="fedsgd", tau_a=1, total_steps=400, learning_rate=0.5)
-        trace = run_fl(spec, sets, test, cfg, np.random.default_rng(6))
+        trace = run_fl(fl_scenario(spec, sets, test, cfg), np.random.default_rng(6))
         assert trace.accuracy[-1] > 0.8
 
     def test_fedprox_runs_and_learns(self):
         spec = ModelSpec(kind="linear", in_dim=3, n_classes=3)
         sets, test, _ = mixture_split(4, 60, spec, seed=8)
         cfg = ScenarioConfig(scheme="fedprox", tau_a=5, total_steps=100, prox_mu=0.1)
-        trace = run_fl(spec, sets, test, cfg, np.random.default_rng(9))
+        trace = run_fl(fl_scenario(spec, sets, test, cfg), np.random.default_rng(9))
         assert trace.accuracy[-1] > 0.8
+
+    @pytest.mark.parametrize("kind", ["linear", "mlp"])
+    def test_trains_the_model_its_config_names(self, kind):
+        data_spec = ModelSpec("linear", 3, 3)
+        sets, test, _ = mixture_split(3, 30, data_spec, seed=0)
+        cfg = ScenarioConfig(
+            model=kind, feature_dim=3, n_classes=3, hidden_units=3, tau_a=5, total_steps=10
+        )
+        scenario = replace(fl_scenario(data_spec, sets, test, ScenarioConfig()), config=cfg)
+        trace = run_fl(scenario, np.random.default_rng(0))
+        assert trace.params.size == ModelSpec(kind, 3, 3, 3).n_params
 
 
 class TestModelShapes:
@@ -466,7 +512,8 @@ class TestBatchedMatchesLoop:
         spec, datasets, test, config, stragglers, seed = inputs
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
-            trace = run_fl(spec, datasets, test, config, np.random.default_rng(seed), stragglers)
+            scenario = fl_scenario(spec, datasets, test, config)
+            trace = run_fl(scenario, np.random.default_rng(seed), stragglers)
         oracle_rng = np.random.default_rng(seed)
         accuracy, participants, params = loop_oracle(
             spec, datasets, test, config, stragglers, oracle_rng
@@ -532,7 +579,8 @@ class TestRunFlManyBlocks:
         lengths = [len(b) for b in blocks if active[b[0]] > batch_size]
         assert len(lengths) == 3 and sum(lengths) == n_mini
         assert max(lengths) - min(lengths) <= 1
-        trace = run_fl(spec, datasets, test, config, np.random.default_rng(5), stragglers)
+        scenario = fl_scenario(spec, datasets, test, config)
+        trace = run_fl(scenario, np.random.default_rng(5), stragglers)
         accuracy, participants, params = loop_oracle(
             spec, datasets, test, config, stragglers, np.random.default_rng(5)
         )
@@ -590,7 +638,8 @@ class TestRunFlBlockWidth:
         traces = []
         for width in (1, 5, DEVICE_BLOCK):
             monkeypatch.setattr(fl, "DEVICE_BLOCK", width)
-            traces.append(run_fl(spec, datasets, test, config, np.random.default_rng(3), stragglers))
+            scenario = fl_scenario(spec, datasets, test, config)
+            traces.append(run_fl(scenario, np.random.default_rng(3), stragglers))
         for trace in traces[:2]:
             assert trace.accuracy == traces[2].accuracy
             assert trace.participants == traces[2].participants
@@ -650,15 +699,16 @@ class TestRunFlRuns:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
             alone = [
-                run_fl(spec, sets, test, cfg, np.random.default_rng(seed), lagging)
+                run_fl(fl_scenario(spec, sets, test, cfg), np.random.default_rng(seed), lagging)
                 for sets, test, cfg, seed, lagging in runs
             ]
             for width in (1, 5, 64):  # blocks that straddle runs
                 with pytest.MonkeyPatch.context() as mp:
                     mp.setattr(fl, "DEVICE_BLOCK", width)
                     sets, tests, cfgs, seeds, lagging = zip(*runs)
+                    scenarios = [fl_scenario(spec, *run) for run in zip(sets, tests, cfgs)]
                     rngs = [np.random.default_rng(seed) for seed in seeds]
-                    together = run_fl_runs(spec, sets, tests, cfgs, rngs, lagging)
+                    together = run_fl_runs(scenarios, rngs, lagging)
                 for got, want in zip(together, alone, strict=True):
                     assert got.accuracy == want.accuracy
                     assert got.participants == want.participants
@@ -677,9 +727,11 @@ class TestRunFlRuns:
         spec = ModelSpec(kind="linear", in_dim=3, n_classes=3)
         sets, test, _ = mixture_split(2, 20, spec, seed=0)
         cfgs = [ScenarioConfig(), ScenarioConfig(**{key: value})]
+        scenario = fl_scenario(spec, sets, test, ScenarioConfig())
+        scenarios = [replace(scenario, config=cfg) for cfg in cfgs]
         rngs = [np.random.default_rng(0), np.random.default_rng(1)]
         with pytest.raises(ValueError, match=f"share {key!r}"):
-            run_fl_runs(spec, [sets, sets], [test, test], cfgs, rngs, [frozenset()] * 2)
+            run_fl_runs(scenarios, rngs, [frozenset()] * 2)
 
     def test_names_first_differing_key(self):
         assert fl.BATCH_KEY == (
@@ -689,9 +741,11 @@ class TestRunFlRuns:
         spec = ModelSpec(kind="linear", in_dim=3, n_classes=3)
         sets, test, _ = mixture_split(2, 20, spec, seed=0)
         cfgs = [ScenarioConfig(), ScenarioConfig(batch_size=4, scheme="fedsgd", prox_mu=0.5)]
+        scenario = fl_scenario(spec, sets, test, ScenarioConfig())
+        scenarios = [replace(scenario, config=cfg) for cfg in cfgs]
         rngs = [np.random.default_rng(0), np.random.default_rng(1)]
         with pytest.raises(ValueError, match="share 'scheme'"):
-            run_fl_runs(spec, [sets, sets], [test, test], cfgs, rngs, [frozenset()] * 2)
+            run_fl_runs(scenarios, rngs, [frozenset()] * 2)
 
 
 # Lemire's rule rejects about half the halves at 2**31 + 1 and a quarter at

@@ -171,6 +171,11 @@ class TestEnergy:
     def test_nothing_sent_is_free(self):
         assert energy_cost(0, 123.0, ScenarioConfig()) == 0.0
 
+    @pytest.mark.parametrize("n_points, distance", [(-1, 10.0), (1, -1.0)])
+    def test_negative_input_rejected(self, n_points, distance):
+        with pytest.raises(ValueError, match="nonnegative"):
+            energy_cost(n_points, distance, ScenarioConfig())
+
     def test_hand_value(self):
         params = ScenarioConfig(
             per_point_bits=1000, elec_energy_per_bit=5e-8, amp_energy_per_bit_per_dist2=1e-10

@@ -1,10 +1,12 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from d2dfl.config import ScenarioConfig, held_out, with_overrides
-from d2dfl.exchange import EXPECTED, STOCHASTIC
+from d2dfl.exchange import EXPECTED, STOCHASTIC, run_exchange
 from d2dfl.scenario import (
     draw_trust,
     generate_scenario,
@@ -156,7 +158,7 @@ class TestUniformBaselineLinks:
 
 
 class TestMaterializeExchange:
-    def _scenario(self, seed=0, trust_density=1.0):
+    def _scenario(self, seed=0, trust_density=1.0, delivery=STOCHASTIC):
         cfg = with_overrides(
             ScenarioConfig(),
             n_devices=5,
@@ -166,25 +168,26 @@ class TestMaterializeExchange:
             class_threshold=12,
             diversity_min=3,
             trust_density=trust_density,
+            delivery=delivery,
             seed=seed,
         )
         return generate_scenario(cfg)
 
     def test_counts_match_datasets_exactly(self):
         for mode in (EXPECTED, STOCHASTIC):
-            s = self._scenario(seed=3)
+            s = self._scenario(seed=3, delivery=mode)
             links = (np.arange(5) + 1) % 5
-            materialize_exchange(s, links, mode, named_rng(3, "exchange"))
+            materialize_exchange(s, links, named_rng(3, "exchange"))
             for i, data in enumerate(s.datasets):
                 assert np.array_equal(data.class_counts(), s.counts[i]), mode
 
     def test_lossless_conservation_of_points(self):
-        s = self._scenario(seed=4)
+        s = self._scenario(seed=4, delivery=EXPECTED)
         s.drop[:] = 0.0
         before = s.counts.sum(axis=0).copy()
         total_before = sum(len(d) for d in s.datasets)
         links = (np.arange(5) + 2) % 5
-        materialize_exchange(s, links, EXPECTED, named_rng(4, "exchange"))
+        materialize_exchange(s, links, named_rng(4, "exchange"))
         assert np.array_equal(s.counts.sum(axis=0), before)
         assert sum(len(d) for d in s.datasets) == total_before
 
@@ -194,7 +197,7 @@ class TestMaterializeExchange:
         np.fill_diagonal(s.drop, 0.0)
         total_before = sum(len(d) for d in s.datasets)
         links = (np.arange(5) + 1) % 5
-        result = materialize_exchange(s, links, STOCHASTIC, named_rng(5, "exchange"))
+        result = materialize_exchange(s, links, named_rng(5, "exchange"))
         sent = sum(p.buffered.sum() for p in result.plans)
         arrived = sum(p.delivered.sum() for p in result.plans)
         assert arrived < sent
@@ -203,18 +206,37 @@ class TestMaterializeExchange:
     def test_trust_respected_in_moved_points(self):
         s = self._scenario(seed=6, trust_density=0.4)
         links = (np.arange(5) + 1) % 5
-        result = materialize_exchange(s, links, STOCHASTIC, named_rng(6, "exchange"))
+        result = materialize_exchange(s, links, named_rng(6, "exchange"))
         for plan in result.plans:
             for cls in range(s.n_classes):
                 if plan.delivered[cls] > 0:
                     assert s.trust[plan.transmitter, plan.receiver, cls] == 1
 
+    def test_follows_config_delivery(self):
+        # On a lossy channel each mode's ledger is that of run_exchange in
+        # that mode, and the two differ.
+        links = (np.arange(5) + 1) % 5
+        ledgers = {}
+        for mode in (EXPECTED, STOCHASTIC):
+            s = self._scenario(seed=8, delivery=mode)
+            s.drop[:] = 0.4
+            np.fill_diagonal(s.drop, 0.0)
+            want = run_exchange(
+                links, s.counts, s.thresholds, s.trust, s.drop, mode=mode,
+                rng=named_rng(8, "exchange"), integer_payloads=True,
+            )
+            got = materialize_exchange(s, links, named_rng(8, "exchange"))
+            for f in fields(got):
+                assert np.array_equal(getattr(got, f.name), getattr(want, f.name)), f.name
+            ledgers[mode] = got.delivered
+        assert not np.array_equal(ledgers[EXPECTED], ledgers[STOCHASTIC])
+
     def test_deterministic(self):
         s1 = self._scenario(seed=7)
         s2 = self._scenario(seed=7)
         links = np.array([1, -1, 3, -1, -1])
-        materialize_exchange(s1, links, STOCHASTIC, named_rng(7, "exchange"))
-        materialize_exchange(s2, links, STOCHASTIC, named_rng(7, "exchange"))
+        materialize_exchange(s1, links, named_rng(7, "exchange"))
+        materialize_exchange(s2, links, named_rng(7, "exchange"))
         assert np.array_equal(s1.counts, s2.counts)
         for d1, d2 in zip(s1.datasets, s2.datasets):
             assert np.array_equal(d1.x, d2.x)
