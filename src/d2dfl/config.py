@@ -166,9 +166,9 @@ def class_allocation(cfg: ScenarioConfig) -> np.ndarray:
     return alloc
 
 
-def held_out(n_points: int, test_fraction: float) -> int:
-    """Points of one class a device gives to the pooled test split."""
-    return int(round(n_points * test_fraction))
+def held_out(n_points: int | np.ndarray, test_fraction: float) -> np.int64 | np.ndarray:
+    """Points of one class a device gives to the pooled test split, per entry of an array."""
+    return np.rint(np.multiply(n_points, test_fraction)).astype(np.int64)
 
 
 def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:

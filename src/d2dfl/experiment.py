@@ -11,12 +11,12 @@ runs the FL of the runs of every baseline that share fl.BATCH_KEY together
 (see fl.run_fl_runs).
 
 Each stage reads the run's settings from its scenario's config and builds
-its part of the run once: _exchange_stage the links, the exchange ledger,
-the rl records, the D2D energy and the stragglers; _train_fl the FL traces;
-_fl_stage the FL records and then the run's summary. metrics_records builds
-every metrics record, one per RL episode and one per FL aggregation round;
-records can be written as CSV or JSON lines with identical fields. Output
-is byte-identical for equal (config, seed).
+its part of the run once: _readout the links and an rl run's trace, not its
+policy tables; _exchange_stage the rl records, data points, exchange ledger,
+D2D energy and stragglers; _train_fl the FL traces; _fl_stage the FL records
+and then the run's summary. metrics_records builds every record, one per RL
+episode and one per FL round, written as CSV or JSON lines with identical
+fields. Output is byte-identical for equal (config, seed).
 """
 from __future__ import annotations
 
@@ -36,6 +36,7 @@ from .exchange import ExchangeResult
 from .network import SCALAR_BITS, energy_cost, link_distances, transmit_energy
 from .scenario import (
     Scenario,
+    draw_points,
     generate_scenario,
     materialize_exchange,
     named_rng,
@@ -135,7 +136,7 @@ class ExperimentResult:
     links: np.ndarray  # (N,) transmitter per receiver, -1 for none
     records: list[MetricsRecord]
     summary: dict
-    rl_result: rl.TrainResult | None = None
+    rl_result: rl.RlTrace | None = None
     fl_trace: fl.FlTrace | None = None
 
 
@@ -173,7 +174,7 @@ def metrics_records(run_id: str, phase: str, **columns: Iterable) -> list[Metric
     return [MetricsRecord(run_id, phase, step, *row) for step, row in enumerate(rows)]
 
 
-def rl_records(scenario: Scenario, result: rl.TrainResult, run_id: str) -> list[MetricsRecord]:
+def rl_records(scenario: Scenario, result: rl.RlTrace, run_id: str) -> list[MetricsRecord]:
     """One metrics record per training episode of an rl run. The cumulative
     D2D energy counts reward signaling: each device shares its scalar local
     reward with the other N-1 devices once per episode, counted but modeled
@@ -229,19 +230,19 @@ def run_experiments(
     yielded in config order; run ids default to "<baseline>-s<seed>".
 
     Stages: generate scenario; discover links (RL training, uniform draw, or
-    none); materialize the exchange on the real datasets; run federated
+    none); draw the data points and materialize the exchange; run federated
     training; collect metrics. The rl runs of one training batch (see
-    rl_batches) generate their scenarios and train together when the first
-    of them is reached. Every run then takes its links and exchange in
-    config order, and the runs of one FL batch (see fl_batches) train their
-    FL together (fl.run_fl_runs) once the last of them is exchanged. Each
-    result is byte-identical to running its config alone, and is yielded as
-    soon as it and every result before it are done.
+    rl_batches) generate their scenarios, train and read out their links
+    together when the first of them is reached. Every run then takes its
+    exchange in config order, and the runs of one FL batch (see fl_batches)
+    train their FL together (fl.run_fl_runs) once the last of them is
+    exchanged. Each result is byte-identical to running its config alone,
+    and is yielded as soon as it and every result before it are done.
     """
     run_ids = run_ids or [f"{cfg.baseline}-s{cfg.seed}" for cfg in cfgs]
     batch_of = {i: batch for batch in rl_batches(cfgs) for i in batch}
     group_of = {i: group for group in fl_batches(cfgs) for i in group}
-    ready: dict[int, tuple[Scenario, rl.TrainResult | None]] = {}
+    ready: dict[int, tuple[Scenario, np.ndarray, rl.RlTrace | None]] = {}
     exchanged: dict[int, _Exchanged] = {}
     done: dict[int, ExperimentResult] = {}
     next_out = 0
@@ -249,10 +250,10 @@ def run_experiments(
         if i not in ready:
             batch = batch_of.get(i)
             if batch is None:
-                ready[i] = (generate_scenario(cfg), None)
+                ready[i] = _readout(generate_scenario(cfg), None)
             else:
                 scenarios = [generate_scenario(cfgs[j]) for j in batch]
-                ready.update(zip(batch, zip(scenarios, train_rl(scenarios))))
+                ready.update(zip(batch, map(_readout, scenarios, train_rl(scenarios))))
         exchanged[i] = _exchange_stage(run_id, *ready.pop(i))
         group = group_of[i]
         if i == group[-1]:
@@ -269,13 +270,22 @@ def run_experiment(cfg: ScenarioConfig, run_id: str | None = None) -> Experiment
     return result
 
 
+def _readout(scenario: Scenario, rl_result: rl.TrainResult | None) -> tuple:
+    """A run's links and an rl run's trace, not its policy tables, which no
+    later stage reads."""
+    links = discover_links(scenario, rl_result)
+    if rl_result is not None:
+        rl_result = rl.RlTrace(**{f.name: getattr(rl_result, f.name) for f in fields(rl.RlTrace)})
+    return scenario, links, rl_result
+
+
 class _Exchanged(NamedTuple):
     """A run up to federated training: its inputs and the values of its
     stages from link discovery to the straggler draw."""
 
     run_id: str
     scenario: Scenario
-    rl_result: rl.TrainResult | None
+    rl_result: rl.RlTrace | None
     links: np.ndarray  # (N,) transmitter per receiver, -1 for none
     exchange: ExchangeResult  # the materialized exchange's ledger
     records: list[MetricsRecord]  # one per RL episode, none for other baselines
@@ -284,15 +294,15 @@ class _Exchanged(NamedTuple):
 
 
 def _exchange_stage(
-    run_id: str, scenario: Scenario, rl_result: rl.TrainResult | None
+    run_id: str, scenario: Scenario, links: np.ndarray, rl_result: rl.RlTrace | None
 ) -> _Exchanged:
-    """The stages of one run from link discovery to the straggler draw. D2D
-    energy counts RL reward broadcasts and the materialized point
-    transfers."""
+    """The stages of one run from its rl records and data points to the
+    straggler draw. D2D energy counts RL reward broadcasts and the
+    materialized point transfers."""
     cfg = scenario.config
-    links = discover_links(scenario, rl_result)
     records = [] if rl_result is None else rl_records(scenario, rl_result, run_id)
     d2d_energy = records[-1].d2d_energy_j if records else 0.0
+    draw_points(scenario)
     exchange = materialize_exchange(scenario, links, named_rng(cfg.seed, "exchange"))
     distances = link_distances(scenario.positions, exchange.receivers, exchange.transmitters)
     for sent, distance in zip(exchange.buffered, distances.tolist()):

@@ -83,7 +83,7 @@ class ModelSpec:
     kind: str  # "linear" or "mlp"
     in_dim: int
     n_classes: int
-    hidden: int = 16
+    hidden: int = ScenarioConfig.hidden_units
 
     @classmethod
     def of(cls, config: ScenarioConfig) -> ModelSpec:
@@ -671,27 +671,15 @@ def make_class_means(n_classes: int, dim: int, rng: np.random.Generator, spread:
     return means
 
 
-def sample_class_points(
-    means: np.ndarray, label: int, n: int, rng: np.random.Generator, noise: float
-) -> np.ndarray:
-    return means[label] + rng.normal(0.0, noise, size=(n, means.shape[1]))
-
-
 def dataset_from_counts(
     means: np.ndarray,
     counts: np.ndarray,
     rng: np.random.Generator,
     noise: float,
 ) -> LabeledSet:
-    """Draw a labeled set with exactly the given per-class counts."""
-    xs, ys = [], []
-    for label, c in enumerate(counts):
-        c = int(c)
-        if c == 0:
-            continue
-        xs.append(sample_class_points(means, label, c, rng, noise))
-        ys.append(np.full(c, label, dtype=np.int64))
-    if not xs:
-        dim = means.shape[1]
-        return LabeledSet(np.empty((0, dim)), np.empty(0, dtype=np.int64), means.shape[0])
-    return LabeledSet(np.concatenate(xs), np.concatenate(ys), means.shape[0])
+    """Draw a labeled set with exactly the given per-class counts, classes in
+    contiguous blocks in class order: one normal draw, the stream of one per class."""
+    labels = np.repeat(np.arange(len(counts)), counts)
+    x = rng.normal(0.0, noise, size=(len(labels), means.shape[1]))
+    x += means[labels]
+    return LabeledSet(x, labels, means.shape[0])

@@ -105,14 +105,20 @@ class EpisodeOutcome:
 
 
 @dataclass
-class TrainResult:
-    """Trained policies and the per-episode trace, one row per episode."""
+class RlTrace:
+    """A run's training trace, one row per episode."""
 
-    policies: PolicyTable
     links: np.ndarray  # (E, N) transmitter per receiver, -1 for none
     mean_reward: np.ndarray  # (E,) mean overall reward
     link_success: np.ndarray  # (E,)
     cluster_load: np.ndarray  # (E, K)
+
+
+@dataclass
+class TrainResult(RlTrace):
+    """The training trace and the trained policies."""
+
+    policies: PolicyTable
 
 
 def _softmax_rows(avg: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -135,7 +141,7 @@ def _sample_actions(
 ) -> np.ndarray:
     """One action per row of the averages avg, the row's own index for no
     link, from the uniform draws u: (R, N) for a table of R stacked runs, in
-    row order. p (float) and reach (bool) are work arrays of avg's shape.
+    row order. p (float) and reach (bool) are work arrays of avg's shape, not avg.
 
     Each row takes the first action whose cumulative probability exceeds
     its draw, as Generator.choice does, so no action of zero probability is
@@ -145,7 +151,13 @@ def _sample_actions(
     _softmax_rows(avg, p)
     if not allow_no_link:
         p.reshape(runs, n * n)[:, :: n + 1] = 0.0  # each row's own action
-        p /= p.sum(axis=1, keepdims=True)
+        total = p.sum(axis=1, keepdims=True)
+        if not total.all():  # a row whose allowed actions all underflowed
+            for row in np.flatnonzero(total == 0.0):  # shifted by its allowed max instead
+                masked = np.where(np.arange(n) == row % n, -np.inf, avg[row])
+                p[row] = np.exp(masked - masked.max())
+                total[row] = p[row].sum()
+        p /= total
     np.add.accumulate(p, axis=1, out=p)  # np.cumsum
     # Cumulative sums of non-negative terms never decrease, so the first
     # action above the draw is the first True.
@@ -177,8 +189,8 @@ def sample_links(
     u = np.empty((len(rngs), n))
     for r, g in enumerate(rngs):
         g.random(n, out=u[r])
-    avg = policies.averages()  # a new array, so it is its own work array
-    choice = _sample_actions(avg, u, allow_no_link, avg, np.empty(avg.shape, bool))
+    avg = policies.averages()
+    choice = _sample_actions(avg, u, allow_no_link, np.empty(avg.shape), np.empty(avg.shape, bool))
     return np.where(choice == np.arange(rows) % n, -1, choice)
 
 

@@ -1,10 +1,10 @@
 """Scenario generation: device placement, channel, clusters, trust, and the
 non-i.i.d. data split, all driven by named sub-seeds of one root seed.
 
-Also provides the uniform random-graph baseline and the materialization step
-that moves actual data points between device datasets according to an
-integer exchange. A Scenario carries its config, and every stage that takes
-one (RL, the materialized exchange, FL) reads its settings from it.
+Also provides draw_points (the data points, which RL does not read), the
+uniform random-graph baseline, and the materialized exchange that moves
+points between device datasets. A Scenario carries its config; every stage
+that takes one (RL, the exchange, FL) reads its settings from it.
 """
 from __future__ import annotations
 
@@ -44,8 +44,12 @@ class Scenario:
     trust: np.ndarray  # (N, N, L), trust[j, i, l]
     counts: np.ndarray  # (N, L) integer class distributions
     thresholds: np.ndarray  # (N, L)
-    datasets: list[fl.LabeledSet]
-    test_set: fl.LabeledSet
+    datasets: list[fl.LabeledSet] | None = None  # None until draw_points
+    test_set: fl.LabeledSet | None = None
+    # What draw_points reads, then clears:
+    data_rng: np.random.Generator | None = None  # "data", after counts and means
+    class_means: np.ndarray | None = None  # (L, d)
+    drawn_counts: np.ndarray | None = None  # (N, L), before the test split
 
     @property
     def n_devices(self) -> int:
@@ -119,19 +123,19 @@ def held_out_mask(y: np.ndarray, counts: np.ndarray, test_fraction: float) -> np
     held_out(counts[c], test_fraction) points of every class c. y must hold
     each class as one contiguous block in class order, as dataset_from_counts
     emits it, so a point's rank in its class is its offset in its block."""
-    n_test = np.array([held_out(int(c), test_fraction) for c in counts], dtype=np.int64)
+    n_test = held_out(counts, test_fraction)
     rank = np.arange(len(y)) - (np.cumsum(counts) - counts)[y]
     return rank < n_test[y]
 
 
 def generate_scenario(cfg: ScenarioConfig) -> Scenario:
-    """Build a full scenario from a config, validated here first.
+    """Build a scenario from a config, validated here first; draw_points draws its points.
 
     Deterministic per (config, seed): positions are uniform in a square,
     RSS follows the configured path loss, trust entries are i.i.d.
-    Bernoulli(trust_density), each device holds samples from exactly
-    classes_per_device classes, and a test split (test_fraction of every
-    device's data) is pooled globally before any exchange happens.
+    Bernoulli(trust_density), and each device holds samples from exactly
+    classes_per_device classes; its counts are those it keeps after giving
+    held_out of every class to the pooled test split.
     """
     validate_config(cfg)
     pos_rng = named_rng(cfg.seed, "positions")
@@ -148,35 +152,36 @@ def generate_scenario(cfg: ScenarioConfig) -> Scenario:
     drawn = _non_iid_counts(cfg, data_rng)
     means = fl.make_class_means(cfg.n_classes, cfg.feature_dim, data_rng, cfg.feature_spread)
 
-    datasets: list[fl.LabeledSet] = []
-    test_x, test_y = [], []
-    counts = np.zeros_like(drawn)
-    for i, drawn_i in enumerate(drawn):
-        full = fl.dataset_from_counts(means, drawn_i, data_rng, cfg.feature_noise)
-        # Hold out test_fraction per class so the test pool mirrors the
-        # global distribution; devices keep the remainder.
-        test = held_out_mask(full.y, drawn_i, cfg.test_fraction)
-        datasets.append(fl.LabeledSet(full.x[~test], full.y[~test], cfg.n_classes))
-        if test.any():
-            test_x.append(full.x[test])
-            test_y.append(full.y[test])
-        counts[i] = datasets[i].class_counts()
-    test_set = fl.LabeledSet(
-        np.concatenate(test_x), np.concatenate(test_y), cfg.n_classes
-    )
-    thresholds = np.full((cfg.n_devices, cfg.n_classes), cfg.class_threshold, dtype=np.int64)
-
     return Scenario(
         config=cfg,
         positions=positions,
         drop=drop,
         partition=partition,
         trust=trust,
-        counts=counts,
-        thresholds=thresholds,
-        datasets=datasets,
-        test_set=test_set,
+        counts=drawn - held_out(drawn, cfg.test_fraction),
+        thresholds=np.full((cfg.n_devices, cfg.n_classes), cfg.class_threshold, dtype=np.int64),
+        data_rng=data_rng,
+        class_means=means,
+        drawn_counts=drawn,
     )
+
+
+def draw_points(scenario: Scenario) -> None:
+    """Draw a generated scenario's data points in place, device by device,
+    then clear what they were drawn from, so a second call raises. Each
+    device gives the first held_out points of every class to the pooled
+    test set, which so mirrors the global mix, and keeps scenario.counts."""
+    if scenario.data_rng is None:
+        raise ValueError("the scenario's data points are already drawn")
+    cfg, means, rng = scenario.config, scenario.class_means, scenario.data_rng
+    scenario.datasets, tests = [], []
+    for drawn_i in scenario.drawn_counts:
+        full = fl.dataset_from_counts(means, drawn_i, rng, cfg.feature_noise)
+        test = held_out_mask(full.y, drawn_i, cfg.test_fraction)
+        scenario.datasets.append(fl.LabeledSet(full.x[~test], full.y[~test], cfg.n_classes))
+        tests.append((full.x[test], full.y[test]))
+    scenario.test_set = fl.LabeledSet(*map(np.concatenate, zip(*tests)), cfg.n_classes)
+    scenario.data_rng = scenario.class_means = scenario.drawn_counts = None
 
 
 def uniform_baseline_links(n_devices: int, rng: np.random.Generator) -> np.ndarray:

@@ -1,11 +1,13 @@
 import hashlib
 import json
 import re
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import peak_units
 
 from d2dfl import cli, experiment, fl, rl
 from d2dfl.config import ConfigError, ScenarioConfig, save_config, with_overrides
@@ -24,7 +26,7 @@ from d2dfl.experiment import (
 )
 from d2dfl.network import SCALAR_BITS, energy_cost, pairwise_distances, transmit_energy
 from d2dfl.rl import inter_cluster_load
-from d2dfl.scenario import generate_scenario
+from d2dfl.scenario import draw_points, generate_scenario
 
 FAST = with_overrides(
     ScenarioConfig(),
@@ -170,6 +172,7 @@ class TestRunExperiment:
         cfg = res.scenario.config
         n = cfg.n_devices
         probe = generate_scenario(cfg)
+        draw_points(probe)
         signaling = cfg.episodes * n * (n - 1) * transmit_energy(
             SCALAR_BITS, probe.mean_distance, cfg
         )
@@ -236,6 +239,35 @@ class TestRunExperiment:
         assert len(summary["stragglers"]) == last.stragglers
         assert summary["final_accuracy"] == last.test_accuracy
         assert summary["rounds"] == len(fl_records) == last.step + 1
+
+
+    def test_policy_tables_die_before_points_are_drawn(self, monkeypatch):
+        # Only the graph readout reads the tables: they are gone when the
+        # exchange stage draws the points, and the result keeps RL's trace.
+        tables, alive_at_draw = [], []
+        train_runs, draw = rl.train_runs, experiment.draw_points
+
+        def tracked(*args):
+            results = train_runs(*args)
+            tables.extend(weakref.ref(r.policies.totals.base) for r in results)
+            return results
+
+        def draw_points(scenario):
+            alive_at_draw.append(any(ref() is not None for ref in tables))
+            draw(scenario)
+
+        monkeypatch.setattr(rl, "train_runs", tracked)
+        monkeypatch.setattr(experiment, "draw_points", draw_points)
+        res = run_experiment(FAST)
+        assert tables and alive_at_draw == [False]
+        assert type(res.rl_result) is rl.RlTrace
+
+    def test_peak_memory_at_n200(self):
+        # Units of one (200, 200) float64 array. An rl run peaks in FL at
+        # 16.5; keeping its two policy tables until then peaked at 18.5.
+        cfg = with_overrides(ScenarioConfig(), n_devices=200, episodes=10)
+        cfg = with_overrides(cfg, total_steps=cfg.tau_a)
+        assert peak_units(lambda: run_experiment(cfg), 200) < 17.5
 
 
 class TestSweep:
@@ -446,6 +478,14 @@ class TestCli:
         parsed = read_metrics(out, "jsonl")
         assert len(parsed) == FAST.episodes
         assert "links" in capsys.readouterr().out
+
+    def test_train_draws_no_points(self, tmp_path, monkeypatch):
+        def no_points(*args):
+            raise AssertionError("train drew data points")
+
+        monkeypatch.setattr(fl, "dataset_from_counts", no_points)
+        cfg_path = self._write_cfg(tmp_path, FAST)
+        assert cli.main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "t.csv")]) == 0
 
     def test_train_links_null_for_no_link(self, tmp_path, capsys):
         cfg_path = self._write_cfg(tmp_path, MIXED)

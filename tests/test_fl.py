@@ -369,6 +369,9 @@ class TestModelShapes:
         assert LINEAR.n_params == (4 + 1) * 3
         assert MLP.n_params == (4 + 1) * 6 + (6 + 1) * 3
 
+    def test_hidden_default_is_config_default(self):
+        assert ModelSpec("mlp", 2, 3).hidden == ScenarioConfig().hidden_units
+
     def test_evaluate_mlp_seven_points(self):
         data = toy_data(MLP, n=7)
         params = init_params(MLP, np.random.default_rng(1), scale=1.0)

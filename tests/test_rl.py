@@ -1,4 +1,5 @@
 import itertools
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -25,7 +26,7 @@ from d2dfl.rl import (
     train_runs,
     update_policy,
 )
-from d2dfl.scenario import generate_scenario
+from d2dfl.scenario import generate_scenario, named_rng
 
 
 def config(**keys) -> ScenarioConfig:
@@ -176,6 +177,24 @@ class TestSampleLinks:
         assert np.cumsum(p / p.sum())[-1] < TOP_DRAW
         links = sample_links(table, [_FixedDraws(TOP_DRAW)], allow_no_link=False)
         assert links.tolist() == [6, 6, 6, 6, 6, 6, 5]
+
+    def test_underflowed_masked_row_samples_allowed_actions(self):
+        # Row 0's own average leads its allowed ones by more than ~745, so
+        # its masked softmax sums to exactly 0. Shifted by its allowed
+        # maximum it is (0, 1, e^-1) / (1 + e^-1): a draw of 0.5 takes
+        # action 1, one of 0.9 action 2. Rows 1 and 2 follow the plain rule.
+        avg = np.array([[0.0, -1000.0, -1001.0], [0.3, 0.0, -0.4], [1.0, 2.0, 0.0]])
+        for draw, first in ((0.5, 1), (0.9, 2)):
+            u = np.full((1, 3), draw)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = rl._sample_actions(avg, u, False, np.empty((3, 3)), np.empty((3, 3), bool))
+            expect = [first]
+            for i in (1, 2):
+                p = np.exp(avg[i] - avg[i].max())
+                p[i] = 0.0
+                expect.append(int(np.searchsorted(np.cumsum(p / p.sum()), draw, side="right")))
+            assert got.tolist() == expect
 
     def test_generator_count_must_match_runs(self):
         with pytest.raises(ValueError, match="generators"):
@@ -389,6 +408,18 @@ class TestTraining:
                 scenario.partition.assignment
             ]
             assert np.array_equal(out.overall_rewards, expect)
+
+    def test_underflowed_rows_train_on_their_allowed_actions(self):
+        # At alpha2 = 5000 every allowed average of rows 0, 1, 4 and 5 sits
+        # more than ~745 below the masked own action. Dividing their zero
+        # row sums gave NaN rows, which took their last allowed action in
+        # every episode: links [5 5 3 2 5 4] against the greedy [3 2 3 2 2 4].
+        cfg = config(n_devices=6, episodes=200, alpha2=5000.0, seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = train(generate_scenario(cfg), named_rng(1, "rl"))
+        greedy = extract_graph(result.policies, allow_no_link=False)
+        assert np.array_equal(result.links[-1], greedy)
 
     def test_mean_reward_trace_improves(self):
         # Trained policies earn more per episode than fresh ones. The trace

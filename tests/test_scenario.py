@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from d2dfl.config import ScenarioConfig, held_out, with_overrides
 from d2dfl.exchange import EXPECTED, STOCHASTIC, run_exchange
 from d2dfl.scenario import (
+    draw_points,
     draw_trust,
     generate_scenario,
     held_out_mask,
@@ -37,6 +38,8 @@ class TestGenerateScenario:
     def test_deterministic_per_seed(self):
         s1 = generate_scenario(SMALL)
         s2 = generate_scenario(SMALL)
+        draw_points(s1)
+        draw_points(s2)
         assert np.array_equal(s1.positions, s2.positions)
         assert np.array_equal(s1.drop, s2.drop)
         assert np.array_equal(s1.counts, s2.counts)
@@ -67,16 +70,28 @@ class TestGenerateScenario:
 
     def test_dataset_counts_match_distribution_vectors(self):
         s = generate_scenario(SMALL)
+        draw_points(s)
         for i, data in enumerate(s.datasets):
             assert np.array_equal(data.class_counts(), s.counts[i])
 
     def test_test_split_fraction(self):
         s = generate_scenario(SMALL)
+        draw_points(s)
         total = SMALL.n_devices * SMALL.samples_per_device
         kept = sum(len(d) for d in s.datasets)
         held = len(s.test_set)
         assert kept + held == total
         assert held == pytest.approx(total * SMALL.test_fraction, rel=0.05)
+
+    def test_points_undrawn_until_draw_points(self):
+        s = generate_scenario(SMALL)
+        assert s.datasets is None and s.test_set is None
+        counts = s.counts.copy()
+        draw_points(s)
+        assert np.array_equal(s.counts, counts)
+        assert (s.data_rng, s.class_means, s.drawn_counts) == (None, None, None)
+        with pytest.raises(ValueError, match="already drawn"):
+            draw_points(s)
 
     def test_class_choice_uniform_over_seeds(self):
         cfg = with_overrides(SMALL, n_devices=4)
@@ -104,6 +119,17 @@ class TestDrawTrust:
         rows = draw_trust(n, n_classes, density, np.random.default_rng(seed))
         assert rows.dtype == np.int8
         assert np.array_equal(rows, one_shot)
+
+
+class TestHeldOut:
+    @pytest.mark.parametrize("test_fraction", [0.1, 0.2, 0.25, 0.3, 0.5, 0.7])
+    def test_array_equals_rounding_each_count(self, test_fraction):
+        # Python's round, half to even, on each count; 0.5 * odd counts are halves.
+        counts = np.arange(500).reshape(50, 10)
+        expect = [[int(round(int(c) * test_fraction)) for c in row] for row in counts]
+        got = held_out(counts, test_fraction)
+        assert got.dtype == np.int64
+        assert got.tolist() == expect
 
 
 class TestHeldOutMask:
@@ -171,7 +197,9 @@ class TestMaterializeExchange:
             delivery=delivery,
             seed=seed,
         )
-        return generate_scenario(cfg)
+        s = generate_scenario(cfg)
+        draw_points(s)
+        return s
 
     def test_counts_match_datasets_exactly(self):
         for mode in (EXPECTED, STOCHASTIC):
