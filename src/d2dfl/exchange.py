@@ -15,7 +15,9 @@ requests read per-device surplus and deficit tables (class_margins). RL
 training scores its expected-value exchanges with these same stage functions
 on a ledger of one row per device, in device order, where a device's own
 index means no link; their sums (bincounts over (device, class) cells) are
-exact in any link order.
+exact in any link order. RL scores several episodes in one call: the ledger
+then carries a leading episode axis, (E, M, L) arrays over one device table,
+with episode e's cells numbered after those of episodes 0..e-1.
 
 Counts are integers up to step 3; the proportional split can produce
 fractional buffers, which are kept as reals during reward computation and
@@ -23,6 +25,7 @@ rounded to integers only when data points are actually moved.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,12 +102,12 @@ def _cells(rows: np.ndarray, n_classes: int) -> np.ndarray:
 
 def _row_sums(cells: np.ndarray, values: np.ndarray, n_rows: int) -> np.ndarray:
     """(n_rows, L) table of the (M, L) values summed by their _cells index:
-    one bincount. It adds each cell's values in ledger order, so the sums
-    are exact whenever the values are integers or lie on the _GRID
-    lattice."""
-    n_classes = values.shape[1]
-    sums = np.bincount(cells, weights=values.ravel(), minlength=n_rows * n_classes)
-    return sums.reshape(n_rows, n_classes)
+    one bincount, an (E, n_rows, L) table for (E, M, L) values. It adds each
+    cell's values in ledger order, so the sums are exact whenever the values
+    are integers or lie on the _GRID lattice."""
+    shape = (*values.shape[:-2], n_rows, values.shape[-1])
+    sums = np.bincount(cells, weights=values.ravel(), minlength=math.prod(shape))
+    return sums.reshape(shape)
 
 
 def available_vector(surplus_tx: np.ndarray, trusted: np.ndarray) -> np.ndarray:
@@ -139,13 +142,15 @@ def transmission_buffers(
     Fractional shares are floored onto a fine binary grid (error < 1e-6 per
     entry) so downstream count arithmetic stays exact. Demands are integers,
     so their sum is the same in any link order. cells is the transmitters'
-    _cells index, built here when not given.
+    _cells index, built here for a single exchange when not given; a
+    leading episode axis needs it given, each episode's cells after the
+    last one's.
     """
     requested = np.asarray(requested, dtype=float)
     transmitters = np.asarray(transmitters, dtype=np.int64)
     if cells is None:
         cells = _cells(transmitters, requested.shape[1])
-    total = _row_sums(cells, requested, len(surplus)).take(transmitters, axis=0)
+    total = _row_sums(cells, requested, len(surplus)).take(cells).reshape(requested.shape)
     have = surplus.take(transmitters, axis=0)
     split = total > have
     share = np.divide(requested, total, out=np.zeros(requested.shape), where=split)
@@ -161,7 +166,7 @@ def deliver(
 ) -> np.ndarray:
     """Push transmission buffers through the lossy channel.
 
-    p_drop is one probability in [0, 1], or one per row of a 2-D buffered;
+    p_drop is one probability in [0, 1], or one per (L,) row of buffered;
     run_exchange checks a caller's drop matrix. Expected mode scales by the
     success probability; stochastic mode drops each point independently
     (binomial on the rounded buffer, clamped so a fractional buffer is never
@@ -169,7 +174,7 @@ def deliver(
     """
     p_drop = np.asarray(p_drop, dtype=float)
     buffered = np.asarray(buffered, dtype=float)
-    keep = (1.0 - p_drop)[:, None] if p_drop.ndim else 1.0 - p_drop
+    keep = (1.0 - p_drop)[..., None] if p_drop.ndim else 1.0 - p_drop
     if mode == EXPECTED:
         return keep * buffered
     if mode == STOCHASTIC:
@@ -212,8 +217,9 @@ def apply_transfers(
     """Post-exchange distributions: every transmitter loses what it put on
     the wire, every receiver (at most one link each) gains what arrived.
     receivers may be slice(None) for a ledger of one row per device, in
-    device order. cells is the transmitters' _cells index, built here when
-    not given.
+    device order. cells is the transmitters' _cells index, built here for a
+    single exchange when not given; (E, N, L) results for a leading episode
+    axis, as in transmission_buffers.
 
     In any class a device either gives (it has a surplus) or gains (it has a
     deficit), never both, and buffers lie on the _GRID lattice, so this

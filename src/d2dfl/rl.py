@@ -7,25 +7,37 @@ row i belongs to receiver i. A device may also pick itself, which means "no
 incoming link". Training repeats: sample links, run an expected-value
 exchange on a scratch copy of the class distributions, score local and
 global rewards, and credit each device's chosen action. Each step acts on
-all devices at once. The training loop keeps the averages totals / counts
-and the sampler's work arrays for the run, and divides again only the
-cells an episode credits. The reward keys (the config's [rewards]
-section), the episode count and the no-link rule come from the
-ScenarioConfig each scenario carries.
+all devices at once. The reward keys (the config's [rewards] section), the
+episode count and the no-link rule come from the ScenarioConfig each
+scenario carries.
+
+Feedback arrives in batches (the batched-bandit setting of Perchet et al.,
+"Batched Bandit Problems", arXiv:1505.00369): the episodes of a run come in
+feedback batches of FEEDBACK_EPISODES, each sampled from the policy as it
+stood at the batch's start. The softmax and its cumulative sums run once
+per batch, and the batch's rewards are credited before the next batch's
+table is built. The training loop keeps the averages totals / counts, the
+batch's cumulative table and the sampler's work arrays for the run, and
+divides again only the cells an update credits. Within a batch, episodes
+are sampled and scored together in pieces of q episodes, q*R*N*N cells at
+most (DRAW_CELLS): each run draws a piece's uniforms with one call on its
+own generator, the stream of one call per episode, and one exchange call
+scores the piece's episodes side by side. The scorer indexes the runs'
+static arrays (channel, trust, class tables, clusters) per episode and
+copies none of them.
 
 Independent runs whose configs agree on BATCH_KEY (n_devices, n_classes,
 episodes, allow_no_link) train together (train_runs): their tables stack
 run-major as one (R*N, N) table, and one exchange is scored on the
 block-diagonal graph of all R runs, each run's reward keys as (R, 1)
-columns. Each run draws its uniforms for a chunk of episodes (DRAW_CELLS)
-with one call on its own generator, the stream of one call per episode. The
-loop carries one action per row, the row's own index for no link; the
-scorer treats every row as a link, a no-link row offering nothing, and a
-chunk's actions turn into links (-1 for none) after its last episode. Every
-sum in that exchange adds integers or grid-floored buffers, which is exact
-in any order, and every per-run mean reduces one contiguous row, so each
-run's trace is bit-identical to training it alone. The exchange stages are
-exchange.py's own functions.
+columns. The loop carries one action per row, the row's own index for no
+link; the scorer treats every row as a link, a no-link row offering
+nothing, and the actions turn into links (-1 for none) after the last
+episode. Every sum in that exchange adds integers or grid-floored buffers,
+which is exact in any order, every per-run mean reduces one contiguous row,
+and a batch's length does not depend on R, so each run's trace is
+bit-identical to training it alone. The exchange stages are exchange.py's
+own functions.
 """
 from __future__ import annotations
 
@@ -63,10 +75,17 @@ BATCH_CELLS = 2**20
 # need one device and class count, and one loop trains every run for the
 # same episodes under the same no-link rule.
 BATCH_KEY = ("n_devices", "n_classes", "episodes", "allow_no_link")
-# Cap on the uniform draws R*m*N of the m episodes that train_runs handles
-# as one chunk: each run draws them with one Generator.random((m, N))
-# call, the stream of m per-episode calls. 16k cells is 128 kB: 546
-# episodes of three N=10 runs, 16 of one N=1000 run.
+# Episodes per feedback batch: a run's policy is refreshed once per batch.
+# Fifty episodes leave the learned graph of a default N=10 run nearly as it
+# is with a refresh every episode (98.5% of links on held-out seeds), and
+# the batch's softmax costs little next to its fifty episodes.
+FEEDBACK_EPISODES = 50
+# Cap on the cells q*R*N*N of the q episodes of a batch that train_runs
+# samples and scores as one piece: the sampler compares q draws per row
+# against every cumulative sum, in a kept (q, R*N, N) work array. 16k
+# cells keep each piece's arrays within a few hundred kB: one piece per
+# batch for three N=10 runs, one episode per piece for one run at N >= 91.
+# After training, the actions turn into links DRAW_CELLS entries at a time.
 DRAW_CELLS = 2**14
 
 
@@ -136,21 +155,16 @@ def link_probabilities(policies: PolicyTable) -> np.ndarray:
     return _softmax_rows(avg, avg)
 
 
-def _sample_actions(
-    avg: np.ndarray, u: np.ndarray, allow_no_link: bool, p: np.ndarray, reach: np.ndarray
-) -> np.ndarray:
-    """One action per row of the averages avg, the row's own index for no
-    link, from the uniform draws u: (R, N) for a table of R stacked runs, in
-    row order. p (float) and reach (bool) are work arrays of avg's shape, not avg.
-
-    Each row takes the first action whose cumulative probability exceeds
-    its draw, as Generator.choice does, so no action of zero probability is
-    taken; draws that rounding leaves at or above every cumulative sum take
-    the row's last allowed action."""
-    runs, n = u.shape
+def _cumulative_policy(avg: np.ndarray, allow_no_link: bool, p: np.ndarray) -> np.ndarray:
+    """Each row's cumulative action probabilities under the averages avg of
+    a table of stacked runs, written into p, a work array of avg's shape
+    (not avg): the row-wise softmax, each row's own action masked out and
+    the row renormalized when no link is disallowed, then summed along the
+    row."""
+    n = avg.shape[1]
     _softmax_rows(avg, p)
     if not allow_no_link:
-        p.reshape(runs, n * n)[:, :: n + 1] = 0.0  # each row's own action
+        p.reshape(-1, n * n)[:, :: n + 1] = 0.0  # each row's own action
         total = p.sum(axis=1, keepdims=True)
         if not total.all():  # a row whose allowed actions all underflowed
             for row in np.flatnonzero(total == 0.0):  # shifted by its allowed max instead
@@ -158,14 +172,27 @@ def _sample_actions(
                 p[row] = np.exp(masked - masked.max())
                 total[row] = p[row].sum()
         p /= total
-    np.add.accumulate(p, axis=1, out=p)  # np.cumsum
+    return np.add.accumulate(p, axis=1, out=p)  # np.cumsum
+
+
+def _pick(cum: np.ndarray, u: np.ndarray, allow_no_link: bool, reach: np.ndarray) -> np.ndarray:
+    """One action per row of the cumulative table cum (_cumulative_policy),
+    the row's own index for no link, for each episode of the uniform draws
+    u: (..., R, N) for a table of R stacked runs, in row order. reach is a
+    bool work array of shape (..., R*N, N). Returns (..., R*N) actions.
+
+    Each row takes the first action whose cumulative probability exceeds
+    its draw, as Generator.choice does, so no action of zero probability is
+    taken; draws that rounding leaves at or above every cumulative sum take
+    the row's last allowed action."""
+    n = cum.shape[1]
     # Cumulative sums of non-negative terms never decrease, so the first
     # action above the draw is the first True.
-    np.greater(p.reshape(runs, n, -1), u[:, :, None], out=reach.reshape(runs, n, -1))
-    reach[:, -1] = True
+    np.greater(cum.reshape(-1, n, n), u[..., None], out=reach.reshape(u.shape + (n,)))
+    reach[..., -1] = True
     if not allow_no_link:
-        reach[n - 1 :: n, -2] = True  # device N-1's last action is N-2
-    return reach.argmax(axis=1)
+        reach[..., n - 1 :: n, -2] = True  # device N-1's last action is N-2
+    return reach.argmax(axis=-1)
 
 
 def sample_links(
@@ -190,7 +217,8 @@ def sample_links(
     for r, g in enumerate(rngs):
         g.random(n, out=u[r])
     avg = policies.averages()
-    choice = _sample_actions(avg, u, allow_no_link, np.empty(avg.shape), np.empty(avg.shape, bool))
+    cum = _cumulative_policy(avg, allow_no_link, np.empty(avg.shape))
+    choice = _pick(cum, u, allow_no_link, np.empty(avg.shape, bool))
     return np.where(choice == np.arange(rows) % n, -1, choice)
 
 
@@ -235,13 +263,16 @@ def inter_cluster_load(
     receivers, transmitters and requested are an exchange ledger: one link
     and its (L,) request row per entry; receivers may be slice(None) for a
     ledger of one row per device, in device order. Requests are whole
-    points, so the sums do not depend on the ledger's order.
+    points, so the sums do not depend on the ledger's order. E such ledgers
+    of one row per device pass an (E, N) assignment whose cluster ids run
+    on from episode to episode, and flat transmitter indices into it.
     """
     cluster = assignment[receivers]
     crossing = assignment.take(transmitters) != cluster
-    points = np.where(crossing, requested.sum(axis=1), 0.0)
+    points = np.where(crossing, requested.sum(axis=-1), 0.0)
     # The bincount of an empty ledger is of integers, even with weights.
-    return np.bincount(cluster, weights=points, minlength=n_clusters).astype(float, copy=False)
+    loads = np.bincount(cluster.ravel(), weights=points.ravel(), minlength=n_clusters)
+    return loads.astype(float, copy=False)
 
 
 def global_reward(
@@ -271,20 +302,22 @@ def link_success(drop: np.ndarray, links: np.ndarray) -> float | np.ndarray:
 
 
 def update_policy(
-    policies: PolicyTable, chosen: np.ndarray, rewards: np.ndarray, avg: np.ndarray | None = None
+    policies: PolicyTable, cells: np.ndarray, rewards: np.ndarray, avg: np.ndarray | None = None
 ) -> None:
-    """Credit every agent's chosen action: row i adds rewards[i] to its
-    total at column chosen[i] and bumps that count. avg, averages a caller
-    keeps, is divided again at those cells only, which gives the same IEEE
-    values as dividing the whole table."""
-    rows, n = policies.totals.shape
-    cells = np.arange(0, rows * n, n) + chosen
-    totals = policies.totals.take(cells) + rewards
-    counts = policies.counts.take(cells) + 1
-    policies.totals.put(cells, totals)
-    policies.counts.put(cells, counts)
+    """Credit each reward to its chosen cell, row * N + action of the
+    table's flat (C-order) arrays: the total there adds the reward and the
+    count goes up by one. cells and rewards are one entry per row, or
+    (E, rows) for E episodes, credited in episode order, so a cell that
+    several episodes chose sums their rewards as E one-episode updates
+    would. avg, averages a caller keeps, is divided again at the credited
+    cells only, which gives the same IEEE values as dividing the whole
+    table."""
+    totals, counts = policies.totals.reshape(-1), policies.counts.reshape(-1)
+    cells = np.ravel(cells)  # np.add.at takes a slower path for 2-D operands
+    np.add.at(totals, cells, np.ravel(rewards))
+    np.add.at(counts, cells, 1)
     if avg is not None:
-        avg.put(cells, totals / counts)
+        avg.put(cells, totals.take(cells) / counts.take(cells))
 
 
 def _stacked(arrays: Sequence[np.ndarray]) -> np.ndarray:
@@ -310,7 +343,7 @@ class _Batch:
     trust: np.ndarray  # (R*N*N, L)
     own: np.ndarray  # (R*N,) device index within its run
     run_start: np.ndarray  # (R*N,) row of device 0 of the row's run
-    drop_rows: np.ndarray  # (R*N,) flat index of each row's first drop entry
+    drop_rows: np.ndarray  # (R*N,) flat index of each row's first drop and policy-table entry
     cells: np.ndarray  # (R*N, L) each row's _cells, taken by transmitter
     cluster: np.ndarray  # (R*N,) flat cluster id
     k: int  # clusters per run, padded
@@ -346,36 +379,42 @@ class _Batch:
         )
 
     def score(self, actions: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Expected-value exchange and rewards of one action per row (the
-        transmitter's index within its run, the row's own index for no
-        link). Returns the overall and local rewards (R, N), global rewards
-        (R, K) and inter-cluster load (R, K).
+        """Expected-value exchanges and rewards of E episodes side by side,
+        one action per row each: actions is (E, R*N), the transmitter's
+        index within its run, the row's own index for no link. Returns the
+        overall and local rewards (E, R, N), global rewards (E, R, K) and
+        inter-cluster load (E, R, K).
 
         Every row is a ledger entry, in receiver order. A no-link row needs
         no mask: no class has both a surplus and a deficit, so its request
         is zero whatever the device's trust in itself, and its drop penalty
-        is set to zero."""
-        runs, n = self.thresholds.shape[:2]
+        is set to zero. The episodes index the static arrays and copy none:
+        episode e's (device, class) cells and cluster ids are numbered
+        after those of episodes 0..e-1, so its sums stay its own."""
+        episodes, rows = actions.shape
+        runs, n, n_classes = self.thresholds.shape
+        ep = np.arange(episodes)[:, None]  # numbers each episode's cells and clusters
         rx = slice(None)  # every row is its own receiver, in order
         tx = self.run_start + actions
         p_drop = np.where(actions == self.own, 0.0, self.drop.take(self.drop_rows + actions))
         trusted = self.trust.take(tx * n + self.own, axis=0)
         available = available_vector(self.surplus.take(tx, axis=0), trusted)
         requested = requirement_vector(available, self.deficit)
-        cells = self.cells.take(tx, axis=0).ravel()
+        cells = (self.cells.take(tx, axis=0) + (rows * n_classes * ep)[..., None]).ravel()
         buffered = transmission_buffers(requested, tx, self.surplus, cells)
         delivered = deliver(buffered, p_drop)
         updated = apply_transfers(self.counts, rx, tx, buffered, delivered, cells)
         locals_ = local_reward(
-            updated.reshape(self.thresholds.shape),
+            updated.reshape(episodes, runs, n, n_classes),
             self.thresholds,
-            p_drop.reshape(runs, n),
+            p_drop.reshape(episodes, runs, n),
             self.rewards,
         )
-        load = inter_cluster_load(rx, tx, requested, self.cluster, runs * self.k)
-        load = load.reshape(runs, self.k)
+        cluster = self.cluster + runs * self.k * ep
+        load = inter_cluster_load(rx, tx + rows * ep, requested, cluster, episodes * runs * self.k)
+        load = load.reshape(episodes, runs, self.k)
         globals_ = global_reward(locals_, load, self.rewards)
-        overall = locals_ + self.rewards.gamma * globals_.take(self.cluster).reshape(runs, n)
+        overall = locals_ + self.rewards.gamma * globals_.take(cluster).reshape(locals_.shape)
         return overall, locals_, globals_, load
 
 
@@ -384,13 +423,13 @@ def run_episode(scenario: "Scenario", links: np.ndarray) -> EpisodeOutcome:
     copy of the class distributions, as a training episode does."""
     checked = check_links(links, scenario.n_devices)
     actions = np.where(checked >= 0, checked, np.arange(len(checked)))
-    overall, locals_, globals_, load = _Batch.stack([scenario]).score(actions)
+    overall, locals_, globals_, load = _Batch.stack([scenario]).score(actions[None])
     return EpisodeOutcome(
         links=links,
-        local_rewards=locals_[0],
-        global_rewards=globals_[0],
-        overall_rewards=overall[0],
-        cluster_load=load[0],
+        local_rewards=locals_[0, 0],
+        global_rewards=globals_[0, 0],
+        overall_rewards=overall[0, 0],
+        cluster_load=load[0, 0],
         link_success=link_success(scenario.drop, checked),
     )
 
@@ -405,41 +444,47 @@ def train_runs(
     cfg = scenarios[0].config
     batch = _Batch.stack(scenarios)
     runs, n = batch.thresholds.shape[:2]
+    rows = runs * n
     policies = PolicyTable.fresh(n, runs)
     avg = policies.averages()  # kept current by update_policy
-    p, reach = np.empty(avg.shape), np.empty(avg.shape, bool)  # the sampler's work arrays
+    cum = np.empty(avg.shape)  # the feedback batch's cumulative policy
     episodes = cfg.episodes
     links = np.empty((runs, episodes, n), dtype=np.int64)
     mean_reward = np.empty((runs, episodes))
     success = np.empty((runs, episodes))
     cluster_load = np.empty((runs, episodes, batch.k))
-    chunk = min(episodes, max(1, DRAW_CELLS // (runs * n)))
-    draws = np.empty((runs, chunk, n))
-    for start in range(0, episodes, chunk):
-        m = min(chunk, episodes - start)
-        for r, g in enumerate(rngs):
-            g.random((m, n), out=draws[r, :m])
-        for j in range(m):
-            actions = _sample_actions(avg, draws[:, j], cfg.allow_no_link, p, reach)
+    piece = min(FEEDBACK_EPISODES, episodes, max(1, DRAW_CELLS // (rows * n)))
+    draws = np.empty((runs, piece, n))
+    reach = np.empty((piece, rows, n), bool)  # the sampler's work array
+    for start in range(0, episodes, FEEDBACK_EPISODES):
+        stop = min(start + FEEDBACK_EPISODES, episodes)
+        _cumulative_policy(avg, cfg.allow_no_link, cum)
+        for lo in range(start, stop, piece):
+            q = min(piece, stop - lo)
+            for r, g in enumerate(rngs):
+                g.random((q, n), out=draws[r, :q])
+            actions = _pick(cum, draws[:, :q].swapaxes(0, 1), cfg.allow_no_link, reach[:q])
             overall, _, _, load = batch.score(actions)
-            update_policy(policies, actions, overall.ravel(), avg)
-            ep = start + j
-            links[:, ep] = actions.reshape(runs, n)
-            overall.sum(axis=1, out=mean_reward[:, ep])  # divided by n after the loop
-            cluster_load[:, ep] = load
-        # The chunk's actions as links, a row's own action meaning none; the
-        # work arrays of both steps stay within the chunk.
-        done = links[:, start : start + m]
+            # The averages are read again only by the next batch's table.
+            update_policy(policies, batch.drop_rows + actions, overall.reshape(q, rows), avg)
+            links[:, lo : lo + q] = actions.reshape(q, runs, n).swapaxes(0, 1)
+            mean_reward[:, lo : lo + q] = overall.sum(axis=2).T  # divided by n after the loop
+            cluster_load[:, lo : lo + q] = load.swapaxes(0, 1)
+    mean_reward /= n
+    # The actions as links, a row's own action meaning none, in slices of
+    # DRAW_CELLS link entries that bound link_success's work arrays.
+    span = max(1, DRAW_CELLS // rows)
+    for lo in range(0, episodes, span):
+        done = links[:, lo : lo + span]
         done[done == batch.own[:n]] = -1
         for r, scenario in enumerate(scenarios):
-            success[r, start : start + m] = link_success(scenario.drop, done[r])
-    mean_reward /= n
+            success[r, lo : lo + span] = link_success(scenario.drop, done[r])
     results = []
     for i, scenario in enumerate(scenarios):
-        rows = slice(i * n, (i + 1) * n)
+        block = slice(i * n, (i + 1) * n)
         results.append(
             TrainResult(
-                policies=PolicyTable(policies.totals[rows], policies.counts[rows]),
+                policies=PolicyTable(policies.totals[block], policies.counts[block]),
                 links=links[i],
                 mean_reward=mean_reward[i],
                 link_success=success[i],
@@ -453,8 +498,9 @@ def train(scenario: "Scenario", rng: np.random.Generator) -> TrainResult:
     """Run the full policy-training loop for one run, for the episodes of
     its scenario's config.
 
-    Each episode samples links from the current policies, scores them, and
-    updates every device's row at its chosen action (the self index for
+    Each episode samples links from the policies as they stood at the
+    start of its feedback batch (FEEDBACK_EPISODES), scores them, and
+    credits every device's row at its chosen action (the self index for
     the no-link action). Distributions reset every episode: training probes
     counterfactual exchanges, real data moves only after graph extraction.
     """

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from d2dfl.exchange import (
     EXPECTED,
     STOCHASTIC,
+    _cells,
     apply_transfers,
     available_vector,
     class_margins,
@@ -554,3 +555,27 @@ class TestStagesMatchLoop:
         if every_row:
             got = apply_transfers(counts, slice(None), transmitters, buffered, delivered)
             assert np.array_equal(got, expect)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 7), st.integers(1, 4), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_episode_axis_equals_each_episode_alone(self, n, n_classes, episodes, seed):
+        # E ledgers of one row per device over one device table, with each
+        # episode's cells numbered after the last one's.
+        rng = np.random.default_rng(seed)
+        counts = rng.integers(0, 60, (n, n_classes)).astype(float)
+        surplus, deficit = class_margins(counts, rng.integers(0, 40, (n, n_classes)))
+        transmitters = rng.integers(0, n, (episodes, n))
+        trusted = rng.random((episodes, n, n_classes)) < 0.7
+        requested = requirement_vector(available_vector(surplus[transmitters], trusted), deficit)
+        p_drop = rng.uniform(0.0, 1.0, (episodes, n))
+        offsets = n * n_classes * np.arange(episodes)[:, None]
+        cells = (_cells(transmitters.ravel(), n_classes).reshape(episodes, -1) + offsets).ravel()
+        buffered = transmission_buffers(requested, transmitters, surplus, cells)
+        delivered = deliver(buffered, p_drop)
+        updated = apply_transfers(counts, slice(None), transmitters, buffered, delivered, cells)
+        for e in range(episodes):
+            alone = transmission_buffers(requested[e], transmitters[e], surplus)
+            assert np.array_equal(buffered[e], alone)
+            assert np.array_equal(delivered[e], deliver(alone, p_drop[e]))
+            expect = apply_transfers(counts, slice(None), transmitters[e], alone, delivered[e])
+            assert np.array_equal(updated[e], expect)

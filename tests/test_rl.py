@@ -188,7 +188,8 @@ class TestSampleLinks:
             u = np.full((1, 3), draw)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                got = rl._sample_actions(avg, u, False, np.empty((3, 3)), np.empty((3, 3), bool))
+                cum = rl._cumulative_policy(avg, False, np.empty((3, 3)))
+                got = rl._pick(cum, u, False, np.empty((3, 3), bool))
             expect = [first]
             for i in (1, 2):
                 p = np.exp(avg[i] - avg[i].max())
@@ -214,7 +215,8 @@ class TestKeptAverages:
         table = PolicyTable(rng.normal(0.0, 3.0, (n, n)), rng.integers(1, 9, (n, n)))
         kept = table.averages()
         for _ in range(updates):
-            update_policy(table, rng.integers(0, n, n), rng.normal(0.0, 5.0, n), kept)
+            cells = np.arange(n) * n + rng.integers(0, n, n)
+            update_policy(table, cells, rng.normal(0.0, 5.0, n), kept)
             if rng.random() < 0.3:
                 sample_links(table, rng, allow_no_link=bool(rng.integers(2)))
         assert np.array_equal(kept, table.totals / table.counts)
@@ -224,6 +226,24 @@ class TestKeptAverages:
         link_probabilities(table)
         assert np.array_equal(table.totals, totals)
         assert np.array_equal(table.counts, counts)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 12), st.integers(0, 2**32 - 1))
+    def test_chunk_equals_its_rows_one_update_at_a_time(self, n, episodes, seed):
+        # Few actions, so a chunk credits the same cell in many episodes.
+        rng = np.random.default_rng(seed)
+        table = PolicyTable(rng.normal(0.0, 3.0, (n, n)), rng.integers(1, 9, (n, n)))
+        one = PolicyTable(table.totals.copy(), table.counts.copy())
+        kept, kept_one = table.averages(), table.averages()
+        cells = np.arange(n) * n + rng.integers(0, min(n, 2), (episodes, n))
+        rewards = rng.normal(0.0, 5.0, (episodes, n))
+        update_policy(table, cells, rewards, kept)
+        for e in range(episodes):
+            update_policy(one, cells[e], rewards[e], kept_one)
+        assert np.array_equal(table.totals, one.totals)
+        assert np.array_equal(table.counts, one.counts)
+        assert np.array_equal(kept, kept_one)
+        assert np.array_equal(kept, table.totals / table.counts)
 
     def test_unsampled_table_divides_on_each_read(self):
         table = PolicyTable(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[1, 2], [3, 8]]))
@@ -327,7 +347,7 @@ class TestUpdatePolicy:
         before_t = table.totals.copy()
         before_c = table.counts.copy()
         chosen = np.array([2, 0, 3, 3])
-        update_policy(table, chosen, np.array([5.0, 1.0, 2.0, 3.0]))
+        update_policy(table, np.arange(4) * 4 + chosen, np.array([5.0, 1.0, 2.0, 3.0]))
         delta_t = table.totals - before_t
         delta_c = table.counts - before_c
         assert np.array_equal(np.argwhere(delta_t), [[0, 2], [1, 0], [2, 3], [3, 3]])
@@ -521,7 +541,8 @@ class TestExtractGraph:
         rng = np.random.default_rng(6)
         table = PolicyTable.fresh(6)
         kept = table.averages()
-        update_policy(table, rng.integers(0, 6, size=6), rng.normal(size=6) * 5.0, kept)
+        cells = np.arange(6) * 6 + rng.integers(0, 6, size=6)
+        update_policy(table, cells, rng.normal(size=6) * 5.0, kept)
         totals, counts = table.totals.copy(), table.counts.copy()
         avg = kept.copy()
         if not allow_no_link:
@@ -558,8 +579,9 @@ def loop_episode(scenario, links):
     return local + cfg.gamma * glob[assignment], load
 
 
-def loop_train(scenario, rng):
-    """train as a plain per-run loop over loop_episode."""
+def loop_train(scenario, rng, refresh):
+    """train as a plain per-run loop over loop_episode, its averages
+    refreshed every refresh episodes (the feedback batch)."""
     episodes, allow_no_link = scenario.config.episodes, scenario.config.allow_no_link
     n = scenario.n_devices
     own = np.arange(n)
@@ -568,7 +590,8 @@ def loop_train(scenario, rng):
     mean_reward, success = np.empty(episodes), np.empty(episodes)
     load = np.empty((episodes, scenario.partition.k))
     for ep in range(episodes):
-        avg = totals / counts
+        if ep % refresh == 0:
+            avg = totals / counts
         z = np.exp(avg - avg.max(axis=1, keepdims=True))
         p = z / z.sum(axis=1, keepdims=True)
         u = rng.random(n)
@@ -592,7 +615,7 @@ def assert_runs_match_loop(scenarios, seeds):
     results = train_runs(scenarios, [np.random.default_rng(s) for s in seeds])
     for scenario, seed, got in zip(scenarios, seeds, results):
         totals, counts, links, mean_reward, success, load = loop_train(
-            scenario, np.random.default_rng(seed)
+            scenario, np.random.default_rng(seed), rl.FEEDBACK_EPISODES
         )
         assert np.array_equal(got.policies.totals, totals)
         assert np.array_equal(got.policies.counts, counts)
@@ -643,12 +666,23 @@ def run_batches(draw):
 
 
 class TestBatchedMatchesLoop:
-    """train_runs equals a per-run loop over run_exchange, run by run."""
+    """train_runs equals a per-run loop over run_exchange, run by run, for
+    the default feedback batch and for batches of 1 (a refresh every
+    episode) and 7 episodes."""
 
     @settings(max_examples=100, deadline=None)
     @given(run_batches())
     def test_equal_to_per_run_loop(self, batch):
         assert_runs_match_loop(*batch)
+
+    @pytest.mark.parametrize("feedback", [1, 7])
+    @settings(max_examples=100, deadline=None)
+    @given(batch=run_batches())
+    def test_equal_to_per_run_loop_at_feedback(self, feedback, batch):
+        # A batch of 1 is the rule of a refresh every episode.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rl, "FEEDBACK_EPISODES", feedback)
+            assert_runs_match_loop(*batch)
 
     @pytest.mark.parametrize("allow_no_link", [False, True])
     def test_two_generated_runs_at_n300(self, allow_no_link):
@@ -685,19 +719,37 @@ class TestBatchedMatchesLoop:
 
 
 class TestDrawChunks:
-    """train_runs draws each run's uniforms for a chunk of episodes at once,
-    the stream of one draw per episode."""
+    """train_runs samples and scores the episodes of a feedback batch in
+    pieces under a cell cap, each run drawing a piece's uniforms at once:
+    the stream of one draw per episode, and the same bytes for any piece."""
 
-    @pytest.mark.parametrize("chunk", [1, 7])
+    @pytest.mark.parametrize("piece", [1, 7])
     @settings(max_examples=30, deadline=None)
     @given(batch=run_batches())
-    def test_equal_to_per_run_loop(self, chunk, batch):
+    def test_equal_to_per_run_loop(self, piece, batch):
         scenarios, seeds = batch
         scenarios = [replace(s, config=with_overrides(s.config, episodes=12)) for s in scenarios]
-        cells = chunk * len(scenarios) * scenarios[0].n_devices
+        cells = piece * len(scenarios) * scenarios[0].n_devices**2
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(rl, "DRAW_CELLS", cells)
             assert_runs_match_loop(scenarios, seeds)
+
+    @pytest.mark.parametrize("allow_no_link", [False, True])
+    def test_piece_cap_never_changes_the_bytes(self, allow_no_link):
+        # Three N=10 runs take one piece per feedback batch by default, and
+        # one episode per piece under a cap of one cell.
+        cfgs = [config(seed=s, episodes=120, allow_no_link=allow_no_link) for s in (0, 1, 2)]
+        scenarios = [generate_scenario(c) for c in cfgs]
+        results = []
+        for cap in (rl.DRAW_CELLS, 1):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(rl, "DRAW_CELLS", cap)
+                results.append(train_runs(scenarios, [named_rng(s, "rl") for s in (0, 1, 2)]))
+        for got, once in zip(*results):
+            for field in ("links", "mean_reward", "link_success", "cluster_load"):
+                assert np.array_equal(getattr(got, field), getattr(once, field))
+            assert np.array_equal(got.policies.totals, once.policies.totals)
+            assert np.array_equal(got.policies.counts, once.policies.counts)
 
     def test_peak_memory_holds_one_chunk(self):
         # Units of one (200, 200) float64 array. The (E, N) = (1500, 200)
@@ -709,6 +761,34 @@ class TestDrawChunks:
         scenario = generate_scenario(config(n_devices=200, episodes=1500, seed=3))
         peak = peak_units(lambda: train(scenario, np.random.default_rng(0)), 200)
         assert peak < 15.0
+
+    def test_peak_memory_scores_pieces_without_copies(self):
+        # Units of one (40, 40) float64 array; one run at N=40 takes pieces
+        # of 10 episodes. Scoring a piece by indexing the batch's static
+        # arrays peaks at 31.3; stacking ten copies of them (drop matrix,
+        # trust tensor, class tables, clusters) and scoring those peaks at
+        # 63.9.
+        scenario = generate_scenario(config(n_devices=40, episodes=200, seed=3))
+        peak = peak_units(lambda: train(scenario, np.random.default_rng(0)), 40)
+        assert peak < 45.0
+
+
+class TestFeedbackDelay:
+    """Refreshing the policy once per feedback batch, not every episode,
+    leaves the learned graph nearly as it was."""
+
+    def test_greedy_graph_agrees_with_per_episode_refresh(self):
+        # Held-out seeds 10-29 of the default N=10 config: 98.5% of links
+        # agree on average, and 9 or 10 of each run's 10.
+        seeds = range(10, 30)
+        scenarios = [generate_scenario(config(seed=s)) for s in seeds]
+        graphs = []
+        for feedback in (rl.FEEDBACK_EPISODES, 1):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(rl, "FEEDBACK_EPISODES", feedback)
+                results = train_runs(scenarios, [named_rng(s, "rl") for s in seeds])
+            graphs.append([extract_graph(r.policies, allow_no_link=False) for r in results])
+        assert np.mean(np.equal(*graphs)) >= 0.95
 
 
 class TestBatchKey:
