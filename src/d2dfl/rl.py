@@ -466,7 +466,7 @@ def train_runs(
             actions = _pick(cum, draws[:, :q].swapaxes(0, 1), cfg.allow_no_link, reach[:q])
             overall, _, _, load = batch.score(actions)
             # The averages are read again only by the next batch's table.
-            update_policy(policies, batch.drop_rows + actions, overall.reshape(q, rows), avg)
+            update_policy(policies, batch.drop_rows + actions, overall, avg)
             links[:, lo : lo + q] = actions.reshape(q, runs, n).swapaxes(0, 1)
             mean_reward[:, lo : lo + q] = overall.sum(axis=2).T  # divided by n after the loop
             cluster_load[:, lo : lo + q] = load.swapaxes(0, 1)
