@@ -14,11 +14,11 @@ scenario carries.
 Feedback arrives in batches (the batched-bandit setting of Perchet et al.,
 "Batched Bandit Problems", arXiv:1505.00369): the episodes of a run come in
 feedback batches of FEEDBACK_EPISODES, each sampled from the policy as it
-stood at the batch's start. The softmax and its cumulative sums run once
-per batch, and the batch's rewards are credited before the next batch's
-table is built. The training loop keeps the averages totals / counts, the
-batch's cumulative table and the sampler's work arrays for the run, and
-divides again only the cells an update credits. Within a batch, episodes
+stood at the batch's start. The averages, the softmax and its cumulative
+sums are computed once per batch from the totals and counts, and the
+batch's rewards are credited before the next batch's table is built. The
+training loop keeps only the policy table, the batch's cumulative table
+and the sampler's work arrays for the run. Within a batch, episodes
 are sampled and scored together in pieces of q episodes, q*R*N*N cells at
 most (DRAW_CELLS): each run draws a piece's uniforms with one call on its
 own generator, the stream of one call per episode, and one exchange call
@@ -64,8 +64,8 @@ if TYPE_CHECKING:
     from .scenario import Scenario
 
 # Cap on the policy cells R*N*N of one training batch: one N=1000 run. Bounds
-# the stacked tables a batch holds (policy totals, counts and averages, the
-# sampler's work arrays, and the drop matrices and trust tensors of a
+# the stacked tables a batch holds (policy totals and counts, the sampler's
+# cumulative table, and the drop matrices and trust tensors of a
 # batch of two or more runs); larger batches save little per-call time. It
 # caps the summed N*N of an FL batch too (experiment.batches), which holds
 # its runs' scenarios, with their O(N*N) drop and trust arrays, until its
@@ -155,20 +155,21 @@ def link_probabilities(policies: PolicyTable) -> np.ndarray:
     return _softmax_rows(avg, avg)
 
 
-def _cumulative_policy(avg: np.ndarray, allow_no_link: bool, p: np.ndarray) -> np.ndarray:
-    """Each row's cumulative action probabilities under the averages avg of
-    a table of stacked runs, written into p, a work array of avg's shape
-    (not avg): the row-wise softmax, each row's own action masked out and
-    the row renormalized when no link is disallowed, then summed along the
-    row."""
-    n = avg.shape[1]
-    _softmax_rows(avg, p)
+def _cumulative_policy(policies: PolicyTable, allow_no_link: bool, p: np.ndarray) -> np.ndarray:
+    """Each row's cumulative action probabilities under the averages of a
+    table of stacked runs, written into p, a work array of the table's
+    shape: the averages totals / counts, their row-wise softmax, each row's
+    own action masked out and the row renormalized when no link is
+    disallowed, then summed along the row."""
+    totals, counts = policies.totals, policies.counts
+    n = totals.shape[1]
+    _softmax_rows(np.divide(totals, counts, out=p), p)
     if not allow_no_link:
         p.reshape(-1, n * n)[:, :: n + 1] = 0.0  # each row's own action
         total = p.sum(axis=1, keepdims=True)
         if not total.all():  # a row whose allowed actions all underflowed
             for row in np.flatnonzero(total == 0.0):  # shifted by its allowed max instead
-                masked = np.where(np.arange(n) == row % n, -np.inf, avg[row])
+                masked = np.where(np.arange(n) == row % n, -np.inf, totals[row] / counts[row])
                 p[row] = np.exp(masked - masked.max())
                 total[row] = p[row].sum()
         p /= total
@@ -216,9 +217,8 @@ def sample_links(
     u = np.empty((len(rngs), n))
     for r, g in enumerate(rngs):
         g.random(n, out=u[r])
-    avg = policies.averages()
-    cum = _cumulative_policy(avg, allow_no_link, np.empty(avg.shape))
-    choice = _pick(cum, u, allow_no_link, np.empty(avg.shape, bool))
+    cum = _cumulative_policy(policies, allow_no_link, np.empty((rows, n)))
+    choice = _pick(cum, u, allow_no_link, np.empty((rows, n), bool))
     return np.where(choice == np.arange(rows) % n, -1, choice)
 
 
@@ -301,23 +301,17 @@ def link_success(drop: np.ndarray, links: np.ndarray) -> float | np.ndarray:
     return float(out[0]) if np.ndim(links) == 1 else out
 
 
-def update_policy(
-    policies: PolicyTable, cells: np.ndarray, rewards: np.ndarray, avg: np.ndarray | None = None
-) -> None:
+def update_policy(policies: PolicyTable, cells: np.ndarray, rewards: np.ndarray) -> None:
     """Credit each reward to its chosen cell, row * N + action of the
     table's flat (C-order) arrays: the total there adds the reward and the
     count goes up by one. cells and rewards are one entry per row, or
     (E, rows) for E episodes, credited in episode order, so a cell that
     several episodes chose sums their rewards as E one-episode updates
-    would. avg, averages a caller keeps, is divided again at the credited
-    cells only, which gives the same IEEE values as dividing the whole
-    table."""
+    would."""
     totals, counts = policies.totals.reshape(-1), policies.counts.reshape(-1)
     cells = np.ravel(cells)  # np.add.at takes a slower path for 2-D operands
     np.add.at(totals, cells, np.ravel(rewards))
     np.add.at(counts, cells, 1)
-    if avg is not None:
-        avg.put(cells, totals.take(cells) / counts.take(cells))
 
 
 def _stacked(arrays: Sequence[np.ndarray]) -> np.ndarray:
@@ -446,8 +440,7 @@ def train_runs(
     runs, n = batch.thresholds.shape[:2]
     rows = runs * n
     policies = PolicyTable.fresh(n, runs)
-    avg = policies.averages()  # kept current by update_policy
-    cum = np.empty(avg.shape)  # the feedback batch's cumulative policy
+    cum = np.empty((rows, n))  # the feedback batch's cumulative policy
     episodes = cfg.episodes
     links = np.empty((runs, episodes, n), dtype=np.int64)
     mean_reward = np.empty((runs, episodes))
@@ -458,15 +451,15 @@ def train_runs(
     reach = np.empty((piece, rows, n), bool)  # the sampler's work array
     for start in range(0, episodes, FEEDBACK_EPISODES):
         stop = min(start + FEEDBACK_EPISODES, episodes)
-        _cumulative_policy(avg, cfg.allow_no_link, cum)
+        _cumulative_policy(policies, cfg.allow_no_link, cum)
         for lo in range(start, stop, piece):
             q = min(piece, stop - lo)
             for r, g in enumerate(rngs):
                 g.random((q, n), out=draws[r, :q])
             actions = _pick(cum, draws[:, :q].swapaxes(0, 1), cfg.allow_no_link, reach[:q])
             overall, _, _, load = batch.score(actions)
-            # The averages are read again only by the next batch's table.
-            update_policy(policies, batch.drop_rows + actions, overall, avg)
+            # The table is read again only by the next batch's sampler.
+            update_policy(policies, batch.drop_rows + actions, overall)
             links[:, lo : lo + q] = actions.reshape(q, runs, n).swapaxes(0, 1)
             mean_reward[:, lo : lo + q] = overall.sum(axis=2).T  # divided by n after the loop
             cluster_load[:, lo : lo + q] = load.swapaxes(0, 1)
