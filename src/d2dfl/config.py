@@ -245,19 +245,29 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
 
 
 def load_config(path: str | Path) -> ScenarioConfig:
-    """Parse and validate a config file; missing keys take defaults."""
+    """Parse and validate a UTF-8 config file; missing keys take defaults."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    return parse_config(path.read_text())
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    return parse_config(text)
 
 
 def parse_config(text: str) -> ScenarioConfig:
-    parser = configparser.ConfigParser()
+    """Parse and validate config text. Values are read literally (no %
+    interpolation), and a [DEFAULT] section is rejected: configparser would
+    copy its keys into every other section."""
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config: {exc}") from exc
+    first = next(iter(parser.defaults()), None)
+    if first is not None:
+        raise ConfigError(f"section {parser.default_section!r} is not allowed (key {first!r})")
     values = {}
     for section in parser.sections():
         if section not in _SECTIONS:
@@ -271,7 +281,7 @@ def parse_config(text: str) -> ScenarioConfig:
 
 def dump_config(cfg: ScenarioConfig) -> str:
     """Serialize every key (floats via repr, so values round-trip exactly)."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     for section, keys in _SECTIONS.items():
         parser[section] = {key: repr(getattr(cfg, key)).strip("'") for key in keys}
     buf = io.StringIO()

@@ -9,18 +9,20 @@ averaging) and fedsgd (one full-batch gradient per round, applied globally).
 Devices train in blocks: the parameters of K devices are stacked as (K, P)
 and each local step is one gradient over their stacked (K, B, d)
 minibatches, with the same arithmetic per device as a single-device step,
-so results do not depend on how devices are blocked. Each step gathers its
-(K, B) minibatch into work arrays that a run keeps for all its rounds and
-shares with the evaluation of the global model. run_fl_runs takes the
-scenarios of independent runs whose configs agree on BATCH_KEY, reads each
-run's datasets, test set and settings from its scenario and the model from
-its config (ModelSpec.of), and trains their devices in shared blocks, each
-from its own run's global model; it draws a block's minibatch indices for
-a round from one raw word call per device, mapped for the whole block with
-the rule of Generator.integers, value for value; run_fl is its one-run
-call. The softmax of a step runs on (C, K, B) class planes, filled by
-adding the bias while the logits are transposed, with numpy's own
-summation order for a C-wide last axis; bias gradients sum a (B, K, m)
+so results do not depend on how devices are blocked. Every step of every
+block gathers its (K, B) minibatch by index into work arrays that a run
+keeps for all its rounds and shares with the evaluation of the global
+model; devices with at most B points take full-batch steps, blocked by
+equal size, whose fixed indices gather every point in order. run_fl_runs
+takes the scenarios of independent runs whose configs agree on BATCH_KEY,
+reads each run's datasets, test set and settings from its scenario and the
+model from its config (ModelSpec.of), and trains their devices in shared
+blocks, each from its own run's global model; it draws a block's minibatch
+indices for a round from one raw word call per device, mapped for the
+whole block with the rule of Generator.integers, value for value; run_fl
+is its one-run call. The softmax of a step runs on (C, K, B) class planes,
+filled by adding the bias while the logits are transposed, with numpy's
+own summation order for a C-wide last axis; bias gradients sum a (B, K, m)
 copy over its first axis, adding the rows of a device in the order of a
 sum over the batch axis. No reduction in a step runs over the few classes
 or hidden units of one row, and the bits equal those of the row-wise
@@ -149,25 +151,21 @@ def _plane_sum(e: np.ndarray) -> np.ndarray:
     return _plane_sum(e[:half]) + _plane_sum(e[half:])
 
 
-def _softmax(z: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-    """Softmax over the last axis of z (..., C), as a new contiguous array.
-    With biases b (K, C) for a stacked z (K, B, C), the softmax of
-    z + b[:, None].
+def _softmax(z: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Softmax of z + b[:, None] over the last axis, for a stacked z
+    (K, B, C) and biases b (K, C), as a new contiguous array.
 
     The arithmetic is that of e / e.sum(axis=-1, keepdims=True) with
-    e = exp(z - z.max(axis=-1, keepdims=True)), bit for bit, but computed
-    on contiguous (C, M) class planes: every reduction and elementwise op
-    then runs over M = z.size // C rows instead of over a C-wide last axis.
-    The bias is added while z is transposed into the planes, in one strided
-    add.
+    e = exp(zb - zb.max(axis=-1, keepdims=True)) and zb = z + b[:, None],
+    bit for bit, but computed on contiguous (C, K*B) class planes: every
+    reduction and elementwise op then runs over K*B rows instead of over a
+    C-wide last axis. The bias is added while z is transposed into the
+    planes, in one strided add.
     """
     c = z.shape[-1]
-    if b is None:
-        planes = np.ascontiguousarray(z.reshape(-1, c).T)
-    else:
-        planes = np.empty((c, *z.shape[:2]))
-        np.add(z.transpose(2, 0, 1), b.T[:, :, None], out=planes)
-        planes = planes.reshape(c, -1)
+    planes = np.empty((c, *z.shape[:2]))
+    np.add(z.transpose(2, 0, 1), b.T[:, :, None], out=planes)
+    planes = planes.reshape(c, -1)
     planes -= np.maximum.reduce(planes, axis=0)
     np.exp(planes, out=planes)
     planes /= _plane_sum(planes)
@@ -286,42 +284,36 @@ def _train_block(
     lr: float,
     prox_mu: float,
     anchor: np.ndarray | None,
-    idx: np.ndarray | None = None,
+    idx: np.ndarray,
     work: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Local gradient steps for K non-empty devices, device k starting from
     row k of start (K, P), with the proximal anchor (P,) or (K, P); returns
     their (K, P) local parameters.
 
-    Either idx holds the (steps, K, B) minibatch indices into the block's
-    concatenated points, and step s gathers the (K, B) minibatch idx[s]; or
-    idx is None, every device holds the same number of points, and every
-    step takes the full batch. The block's points and one step's gathered
+    idx holds the (steps, K, B) minibatch indices into the block's
+    concatenated points, and step s gathers the (K, B) minibatch idx[s]; a
+    block of full-batch devices, n points each, passes offsets + arange(n)
+    for every step. The block's points and one step's gathered
     minibatch are written into work, a flat float and a flat int64 array of
     at least m*d and m entries with m = _block_rows(...), and every step
     into one gradient buffer.
     """
-    sizes = [len(d) for d in block]
-    points, dim = sum(sizes), block[0].x.shape[1]
-    m = points if idx is None else points + idx[0].size
+    points, dim = sum(len(d) for d in block), block[0].x.shape[1]
+    m = points + idx[0].size
     floats, ints = work or (np.empty(m * dim), np.empty(m, np.int64))
     x_cat = np.concatenate([d.x for d in block], out=floats[: points * dim].reshape(points, dim))
     y_cat = np.concatenate([d.y for d in block], out=ints[:points])
-    if idx is None:
-        x = x_cat.reshape(len(block), sizes[0], -1)
-        y = y_cat.reshape(len(block), -1)
-    else:
-        x = floats[points * dim : m * dim].reshape(*idx.shape[1:], dim)
-        y = ints[points:m].reshape(idx.shape[1:])
+    x = floats[points * dim : m * dim].reshape(*idx.shape[1:], dim)
+    y = ints[points:m].reshape(idx.shape[1:])
     out = start.copy()
     grad = np.empty_like(out)
     views = _unpack(spec, out), _unpack(spec, grad)
     for s in range(steps):
-        if idx is not None:
-            # The indices lie in range by construction; mode="raise" would
-            # gather into a temporary and copy it into out.
-            x_cat.take(idx[s], axis=0, out=x, mode="clip")
-            y_cat.take(idx[s], out=y, mode="clip")
+        # The indices lie in range by construction; mode="raise" would
+        # gather into a temporary and copy it into out.
+        x_cat.take(idx[s], axis=0, out=x, mode="clip")
+        y_cat.take(idx[s], out=y, mode="clip")
         _stacked_grad(spec, out, x, y, prox_mu, anchor, False, grad, views)
         grad *= lr
         out -= grad
@@ -330,10 +322,9 @@ def _train_block(
 
 def _block_rows(sizes: list[int], batch_size: int) -> int:
     """Rows of work _train_block needs for devices of these sizes: their
-    points, then one step's gathered minibatches unless they take
-    full-batch steps."""
-    gathered = len(sizes) * batch_size if sizes[0] > batch_size else 0
-    return sum(sizes) + gathered
+    points, then one step's gathered minibatches of min(n, batch_size)
+    rows each."""
+    return sum(sizes) + len(sizes) * min(sizes[0], batch_size)
 
 
 def _device_blocks(sizes: list[int], batch_size: int) -> list[list[int]]:
@@ -453,19 +444,21 @@ def local_train(
     fedsgd returns the unmodified parameters, see full_batch_grad.
     Minibatches of config.batch_size are drawn with replacement, all steps'
     indices in one rng.integers call (the stream of one call per step); when
-    batch_size >= len(data) every step uses the whole dataset instead and
-    nothing is drawn from rng. Empty datasets train nothing. rng may be any
-    Generator in any state, so run_fl, which owns its devices' generators,
-    draws its indices another way (_draw_indices).
+    batch_size >= len(data) every step gathers the whole dataset in order
+    instead and nothing is drawn from rng. Empty datasets train nothing. rng
+    may be any Generator in any state, so run_fl, which owns its devices'
+    generators, draws its indices another way (_draw_indices).
     """
     if len(data) == 0 or config.scheme == "fedsgd":
         return params.copy()
     mu = config.prox_mu if config.scheme == "fedprox" else 0.0
     anchor = global_params if config.scheme == "fedprox" else None
     steps, batch_size = config.tau_a, config.batch_size
-    idx = None
-    if len(data) > batch_size:
-        idx = rng.integers(0, len(data), size=(steps, 1, batch_size))
+    n = len(data)
+    if n > batch_size:
+        idx = rng.integers(0, n, size=(steps, 1, batch_size))
+    else:
+        idx = np.broadcast_to(np.arange(n), (steps, 1, n))
     spec = ModelSpec.of(config)
     return _train_block(spec, params[None], [data], steps, config.learning_rate, mu, anchor, idx)[0]
 
@@ -621,23 +614,27 @@ def run_fl_runs(
     floats = np.empty(max(rows * spec.in_dim, evaluated))
     work = floats, np.empty(rows, np.int64)
     payloads = np.empty((len(active), spec.n_params))
-    # Per block: its positions, the run of each, its datasets and, for
-    # minibatch blocks, the state of its index draws (see _draw_indices).
+    # Per block: its positions, the run of each, its datasets and either
+    # the state of its minibatch index draws (see _draw_indices) or, for
+    # full-batch devices of n points each, the indices of every round.
     plans = []
     for pos in blocks:
         n = np.array([sizes[p] for p in pos], np.int64)[:, None]
-        draws = None
+        offsets = np.cumsum(n, axis=0) - n
+        draws = fixed = None
         if n[0, 0] > config.batch_size:  # so every n >= 2, as batch_size >= 1
-            offsets = np.cumsum(n, axis=0) - n
             carry = np.full(len(pos), -1, np.int64)
             draws = [active[p][1] for p in pos], n.astype(np.uint64), offsets, carry
+        else:  # every step gathers every point of the block, in order
+            step = offsets + np.arange(n[0, 0])
+            fixed = np.broadcast_to(step, (config.tau_a, *step.shape))
         owners = np.array([owner[p] for p in pos])
-        plans.append((pos, owners, [active[p][0] for p in pos], draws))
+        plans.append((pos, owners, [active[p][0] for p in pos], draws, fixed))
     params_g = np.stack([trace.params for trace in traces])  # the blocks' start rows
     for _ in range(config.total_steps // config.tau_a):
         if config.scheme != "fedsgd":
-            for pos, owners, block, draws in plans:
-                idx = _draw_indices(*draws, config.tau_a, config.batch_size) if draws else None
+            for pos, owners, block, draws, fixed in plans:
+                idx = _draw_indices(*draws, config.tau_a, config.batch_size) if draws else fixed
                 start = params_g.take(owners, axis=0)
                 payloads[pos] = _train_block(
                     spec, start, block, config.tau_a, config.learning_rate, mu, start, idx, work,

@@ -140,21 +140,6 @@ class TrainResult(RlTrace):
     policies: PolicyTable
 
 
-def _softmax_rows(avg: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Row-wise softmax of avg written into out; shift-invariant and safe
-    against overflow via max subtraction."""
-    np.subtract(avg, avg.max(axis=1, keepdims=True), out=out)
-    np.exp(out, out=out)
-    out /= out.sum(axis=1, keepdims=True)
-    return out
-
-
-def link_probabilities(policies: PolicyTable) -> np.ndarray:
-    """Row-wise softmax over average experienced rewards."""
-    avg = policies.averages()
-    return _softmax_rows(avg, avg)
-
-
 def _cumulative_policy(policies: PolicyTable, allow_no_link: bool, p: np.ndarray) -> np.ndarray:
     """Each row's cumulative action probabilities under the averages of a
     table of stacked runs, written into p, a work array of the table's
@@ -163,7 +148,10 @@ def _cumulative_policy(policies: PolicyTable, allow_no_link: bool, p: np.ndarray
     disallowed, then summed along the row."""
     totals, counts = policies.totals, policies.counts
     n = totals.shape[1]
-    _softmax_rows(np.divide(totals, counts, out=p), p)
+    np.divide(totals, counts, out=p)
+    p -= p.max(axis=1, keepdims=True)  # shift-invariant, and no exp overflows
+    np.exp(p, out=p)
+    p /= p.sum(axis=1, keepdims=True)
     if not allow_no_link:
         p.reshape(-1, n * n)[:, :: n + 1] = 0.0  # each row's own action
         total = p.sum(axis=1, keepdims=True)

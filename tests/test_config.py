@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import warnings
 
 import numpy as np
@@ -51,6 +52,40 @@ class TestParsing:
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="not found"):
             load_config("/nonexistent/path.ini")
+
+    @staticmethod
+    def rejects_default_section(key: str):
+        message = f"section 'DEFAULT' is not allowed (key {key!r})"
+        return pytest.raises(ConfigError, match=re.escape(message))
+
+    def test_default_section_alone_rejected(self):
+        # configparser reads it as no section, so its keys would be ignored.
+        with self.rejects_default_section("seed"):
+            parse_config("[DEFAULT]\nseed = 5\n")
+        with self.rejects_default_section("warp"):
+            parse_config("[DEFAULT]\nwarp = 1\n")
+
+    def test_default_section_beside_others_rejected(self):
+        # configparser would copy its keys into every other section.
+        with self.rejects_default_section("tau_a"):
+            parse_config("[DEFAULT]\ntau_a = 5\nseed = 1\n\n[fl]\n")
+
+    def test_percent_read_literally(self):
+        # Under interpolation % would start a reference the parser cannot
+        # resolve, and %% would be unescaped to %.
+        with pytest.raises(ConfigError, match=re.escape("key 'scheme': must be one of")) as exc:
+            parse_config("[fl]\nscheme = fed%avg\n")
+        assert "(got 'fed%avg')" in str(exc.value)
+        with pytest.raises(ConfigError, match=re.escape("(got 'fedavg%%')")):
+            parse_config("[fl]\nscheme = fedavg%%\n")
+
+    def test_unreadable_file_names_it(self, tmp_path):
+        with pytest.raises(ConfigError, match=re.escape(f"cannot read config file {tmp_path}")):
+            load_config(tmp_path)
+        path = tmp_path / "latin1.ini"
+        path.write_bytes("[run]\n# r\xe9glage\nseed = 1\n".encode("latin-1"))
+        with pytest.raises(ConfigError, match=re.escape(f"cannot read config file {path}")):
+            load_config(path)
 
     def test_bool_forms(self):
         assert parse_config("[rl]\nallow_no_link = false\n").allow_no_link is False

@@ -468,6 +468,27 @@ class TestCli:
         assert code == 1
         assert "alpha_d" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            (b"[DEFAULT]\nseed = 5\n", "'seed'"),
+            (b"[fl]\nscheme = fed%avg\n", "'scheme'"),
+            (b"[run]\nseed = \xff\n", "bad.ini"),
+        ],
+        ids=["default-section", "percent", "not-utf8"],
+    )
+    def test_config_file_error_exit_code(self, tmp_path, capsys, text, named):
+        bad = tmp_path / "bad.ini"
+        bad.write_bytes(text)
+        code = cli.main(["run", "--config", str(bad), "--out", str(tmp_path / "m.csv")])
+        assert code == 1
+        assert named in capsys.readouterr().err
+
+    def test_config_directory_exit_code(self, tmp_path, capsys):
+        code = cli.main(["run", "--config", str(tmp_path), "--out", str(tmp_path / "m.csv")])
+        assert code == 1
+        assert str(tmp_path) in capsys.readouterr().err
+
     def test_train_subcommand(self, tmp_path, capsys):
         cfg_path = self._write_cfg(tmp_path, FAST)
         out = tmp_path / "trace.jsonl"

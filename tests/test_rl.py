@@ -18,7 +18,6 @@ from d2dfl.rl import (
     extract_graph,
     global_reward,
     inter_cluster_load,
-    link_probabilities,
     local_reward,
     run_episode,
     sample_links,
@@ -41,14 +40,31 @@ def one_agent(n_actions: int) -> PolicyTable:
     )
 
 
+def softmax_of_averages(table: PolicyTable) -> np.ndarray:
+    """Each row's softmax of its average rewards, totals / counts: the
+    link probabilities of the table's policy."""
+    avg = table.totals / table.counts
+    e = np.exp(avg - avg.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
 class TestLinkProbabilities:
+    """The link probabilities the sampler draws from with no link allowed:
+    the steps of its cumulative table."""
+
+    @staticmethod
+    def link_probabilities(table: PolicyTable) -> np.ndarray:
+        cum = rl._cumulative_policy(table, True, np.empty(table.totals.shape))
+        return np.diff(cum, axis=1, prepend=0.0)
+
     def test_fresh_buffer_is_uniform(self):
-        assert np.allclose(link_probabilities(PolicyTable.fresh(5)), np.full((5, 5), 0.2))
+        p = self.link_probabilities(PolicyTable.fresh(5))
+        assert np.allclose(p, np.full((5, 5), 0.2))
 
     def test_two_arm_softmax_value(self):
         table = PolicyTable.fresh(2)
         table.totals[0] = [1.0, 0.0]  # counts stay 1 -> averages [1, 0]
-        p = link_probabilities(table)[0]
+        p = self.link_probabilities(table)[0]
         e = np.e
         assert p[0] == pytest.approx(e / (e + 1), rel=1e-12)
         assert p[1] == pytest.approx(1 / (e + 1), rel=1e-12)
@@ -56,15 +72,15 @@ class TestLinkProbabilities:
     def test_shift_invariance(self):
         table = PolicyTable.fresh(4)
         table.totals[0] = [0.3, -1.2, 2.0, 0.0]
-        p1 = link_probabilities(table)
+        p1 = self.link_probabilities(table)
         table.totals += 7.5  # counts are 1, so every row's averages shift by 7.5
-        p2 = link_probabilities(table)
+        p2 = self.link_probabilities(table)
         assert np.allclose(p1, p2, atol=1e-12)
 
     def test_sums_to_one_with_huge_averages(self):
         table = PolicyTable.fresh(3)
         table.totals[0] = [1e4, 0.0, -1e4]
-        p = link_probabilities(table)
+        p = self.link_probabilities(table)
         assert np.isfinite(p).all()
         assert np.allclose(p.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
@@ -107,7 +123,7 @@ class TestSampleLinks:
     def test_empirical_frequencies(self):
         table = PolicyTable.fresh(3)
         table.totals[0] = [0.0, 1.0, 2.0]
-        target = link_probabilities(table)[0]
+        target = softmax_of_averages(table)[0]
         rng = np.random.default_rng(11)
         n = 100_000
         hits = np.zeros(3)
@@ -155,7 +171,7 @@ class TestSampleLinks:
         # Seven uniform probabilities add up to 0.9999999999999998, below
         # the draw: every receiver takes the last action, device 6 itself.
         table = PolicyTable.fresh(7)
-        assert np.cumsum(link_probabilities(table)[0])[-1] < TOP_DRAW
+        assert np.cumsum(softmax_of_averages(table)[0])[-1] < TOP_DRAW
         links = sample_links(table, [_FixedDraws(TOP_DRAW)], allow_no_link=True)
         assert links.tolist() == [6, 6, 6, 6, 6, 6, -1]
 
@@ -172,7 +188,7 @@ class TestSampleLinks:
         rng = np.random.default_rng(1)
         for _ in range(2):
             table = PolicyTable(rng.normal(0.0, 3.0, (7, 7)), np.ones((7, 7), dtype=np.int64))
-        p = link_probabilities(table)[6]
+        p = softmax_of_averages(table)[6]
         p[6] = 0.0
         assert np.cumsum(p / p.sum())[-1] < TOP_DRAW
         links = sample_links(table, [_FixedDraws(TOP_DRAW)], allow_no_link=False)
@@ -222,7 +238,6 @@ class TestTableState:
         sample_links(table, rng, allow_no_link=True)
         extract_graph(table, allow_no_link=False)
         extract_graph(table, allow_no_link=True)
-        link_probabilities(table)
         assert np.array_equal(table.totals, totals)
         assert np.array_equal(table.counts, counts)
 
@@ -354,9 +369,9 @@ class TestUpdatePolicy:
     def test_probability_increases_after_good_reward(self):
         table = one_agent(3)
         table.totals[0] = [0.5, 0.5, 0.5]
-        before = link_probabilities(table)[0, 2]
+        before = softmax_of_averages(table)[0, 2]
         update_policy(table, np.array([2]), np.array([4.0]))  # well above the prior average 0.5
-        assert link_probabilities(table)[0, 2] > before
+        assert softmax_of_averages(table)[0, 2] > before
 
 
 def dominance_scenario(**keys):
@@ -380,7 +395,7 @@ def expected_mean_reward(scenario, policies) -> float:
     """Exact expectation of an episode's mean overall reward when every
     device samples its link from its policy, over all joint link choices."""
     n = scenario.counts.shape[0]
-    probs = link_probabilities(policies)
+    probs = softmax_of_averages(policies)
     total = 0.0
     for combo in itertools.product(range(n), repeat=n):
         links = np.array([-1 if combo[i] == i else combo[i] for i in range(n)])
@@ -393,7 +408,7 @@ class TestTraining:
     def test_zero_weights_keep_policies_uniform(self):
         scenario = dominance_scenario(alpha1=0.0, alpha2=0.0, alpha3=0.0, gamma=0.0, episodes=200)
         result = train(scenario, np.random.default_rng(5))
-        assert np.allclose(link_probabilities(result.policies), 1.0 / 3.0)
+        assert np.allclose(softmax_of_averages(result.policies), 1.0 / 3.0)
         assert np.allclose(result.mean_reward, 0.0)
 
     def test_dominant_link_learned(self):
@@ -401,7 +416,7 @@ class TestTraining:
             alpha1=2.0, alpha2=2.0, alpha3=0.0, gamma=0.0, diversity_min=2, episodes=2000
         )
         result = train(scenario, np.random.default_rng(9))
-        p = link_probabilities(result.policies)[0]
+        p = softmax_of_averages(result.policies)[0]
         assert p[1] > 0.9
         assert extract_graph(result.policies, allow_no_link=True)[0] == 1
 
@@ -459,7 +474,7 @@ class TestTraining:
         rng = np.random.default_rng(17)
         pulls = np.zeros(3)
         for _ in range(5000):
-            p = link_probabilities(table)[0]
+            p = softmax_of_averages(table)[0]
             arm = int(rng.choice(3, p=p))
             pulls[arm] += 1
             update_policy(table, np.array([arm]), arm_rewards[[arm]])
