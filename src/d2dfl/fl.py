@@ -449,12 +449,12 @@ def local_train(
     may be any Generator in any state, so run_fl, which owns its devices'
     generators, draws its indices another way (_draw_indices).
     """
-    if len(data) == 0 or config.scheme == "fedsgd":
+    n = len(data)
+    if n == 0 or config.scheme == "fedsgd":
         return params.copy()
     mu = config.prox_mu if config.scheme == "fedprox" else 0.0
     anchor = global_params if config.scheme == "fedprox" else None
     steps, batch_size = config.tau_a, config.batch_size
-    n = len(data)
     if n > batch_size:
         idx = rng.integers(0, n, size=(steps, 1, batch_size))
     else:
